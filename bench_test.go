@@ -259,31 +259,8 @@ func BenchmarkEASScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkEASSchedulerLegacyProbe measures the same workload through
-// the journal-based reserve/rollback probe path — the historical
-// implementation, kept as the baseline the read-only path (default,
-// BenchmarkEASScheduler above) is compared against. Schedules are
-// bit-identical; only probe evaluation differs.
-func BenchmarkEASSchedulerLegacyProbe(b *testing.B) {
-	platform, acg, err := experiments.RandomPlatform()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := tgff.Generate(tgff.SuiteParams(tgff.CategoryI, 0, platform))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eas.Schedule(g, acg, eas.Options{LegacyProbe: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEASSchedulerSequential pins the read-only path to one
-// worker, isolating the probe-path gain from the fan-out gain.
+// BenchmarkEASSchedulerSequential pins the probe pool to one worker,
+// isolating the fan-out gain of BenchmarkEASScheduler above.
 func BenchmarkEASSchedulerSequential(b *testing.B) {
 	platform, acg, err := experiments.RandomPlatform()
 	if err != nil {

@@ -1,18 +1,17 @@
 // Command schedbench is the scheduler performance harness: it sweeps
 // task count x mesh size x algorithm over TGFF-style graphs and, for
-// each configuration, times three probe paths against each other —
+// each configuration, times the probe pool at two widths —
 //
-//   - legacy:       the journal-based reserve/rollback probe path,
-//   - readonly-seq: the read-only overlay path, one worker,
-//   - readonly-par: the read-only overlay path, GOMAXPROCS workers,
+//   - readonly-seq: one probe worker,
+//   - readonly-par: GOMAXPROCS probe workers,
 //
-// verifying that all three produce bit-identical schedules, and writes
-// a machine-readable JSON report (see BENCH_sched.json at the repo
-// root for a committed baseline).
+// verifying that both produce bit-identical schedules, and writes a
+// machine-readable JSON report (see BENCH_sched.json at the repo root
+// for a committed baseline).
 //
 // Usage:
 //
-//	schedbench [-tasks 100,250,500] [-meshes 4x4] [-scheds eas,edf]
+//	schedbench [-tasks 100,250,500] [-meshes 4x4] [-scheds eas,edf,dls]
 //	           [-laxity 1.3] [-reps 3] [-seed 1] [-o BENCH_sched.json]
 //	           [-cpuprofile f] [-memprofile f] [-trace f]
 //	           [-metrics] [-metrics-out f] [-trace-out f]
@@ -36,11 +35,13 @@ import (
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/diag"
+	"nocsched/internal/dls"
 	"nocsched/internal/eas"
 	"nocsched/internal/edf"
 	"nocsched/internal/energy"
 	"nocsched/internal/noc"
 	"nocsched/internal/sched"
+	"nocsched/internal/telemetry"
 	"nocsched/internal/tgff"
 )
 
@@ -61,15 +62,12 @@ type Config struct {
 	Algorithm string `json:"algorithm"`
 	Workers   int    `json:"workers"`
 
-	LegacyProbeMS  float64 `json:"legacy_probe_ms"`
 	ReadonlySeqMS  float64 `json:"readonly_seq_ms"`
 	ReadonlyParMS  float64 `json:"readonly_par_ms"`
-	SpeedupSeq     float64 `json:"speedup_seq"`
 	SpeedupPar     float64 `json:"speedup_par"`
 	Probes         int64   `json:"probes"`
 	ProbesPerSec   float64 `json:"probes_per_sec"`
 	AllocsPerProbe struct {
-		Legacy   float64 `json:"legacy"`
 		Readonly float64 `json:"readonly"`
 	} `json:"allocs_per_probe"`
 	EnergyNJ       float64 `json:"energy_nj"`
@@ -90,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	var (
 		tasksSpec = fs.String("tasks", "100,250,500", "comma-separated task counts")
 		meshSpec  = fs.String("meshes", "4x4", "comma-separated mesh sizes, WIDTHxHEIGHT")
-		schedSpec = fs.String("scheds", "eas,edf", "comma-separated schedulers: eas, edf")
+		schedSpec = fs.String("scheds", "eas,edf,dls", "comma-separated schedulers: eas, edf, dls")
 		laxity    = fs.Float64("laxity", 1.3, "deadline laxity of the generated graphs")
 		reps      = fs.Int("reps", 3, "repetitions per path; best time wins")
 		seed      = fs.Int64("seed", 1, "base RNG seed for graph generation")
@@ -119,8 +117,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	meshes := strings.Split(*meshSpec, ",")
 	scheds := strings.Split(*schedSpec, ",")
 	for _, s := range scheds {
-		if s != "eas" && s != "edf" {
-			return fmt.Errorf("bad -scheds entry %q (want eas or edf)", s)
+		if s != "eas" && s != "edf" && s != "dls" {
+			return fmt.Errorf("bad -scheds entry %q (want eas, edf or dls)", s)
 		}
 	}
 	if *reps < 1 {
@@ -187,19 +185,23 @@ func benchGraph(platform *noc.Platform, ntasks int, laxity float64, seed int64) 
 	return tgff.Generate(p)
 }
 
-// runOnce executes one scheduling run and returns the schedule plus the
-// wall time and Mallocs delta of the run.
-func runOnce(g *ctg.Graph, acg *energy.ACG, algo string, opts eas.Options) (*sched.Schedule, time.Duration, uint64, error) {
+// runOnce executes one scheduling run with the given probe worker count
+// and returns the schedule plus the wall time and Mallocs delta of the
+// run.
+func runOnce(g *ctg.Graph, acg *energy.ACG, algo string, workers int, telem *telemetry.Collector) (*sched.Schedule, time.Duration, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	started := time.Now()
 	var s *sched.Schedule
 	var err error
-	if algo == "edf" {
-		s, err = edf.ScheduleOpts(g, acg, edf.Options{Workers: opts.Workers, LegacyProbe: opts.LegacyProbe, Telemetry: opts.Telemetry})
-	} else {
+	switch algo {
+	case "edf":
+		s, err = edf.ScheduleOpts(g, acg, edf.Options{Workers: workers, Telemetry: telem})
+	case "dls":
+		s, err = dls.ScheduleWith(sched.NewWorkspace(workers, false), g, acg)
+	default:
 		var r *eas.Result
-		r, err = eas.Schedule(g, acg, opts)
+		r, err = eas.Schedule(g, acg, eas.Options{Workers: workers, Telemetry: telem})
 		if r != nil {
 			s = r.Schedule
 		}
@@ -212,8 +214,8 @@ func runOnce(g *ctg.Graph, acg *energy.ACG, algo string, opts eas.Options) (*sch
 	return s, elapsed, after.Mallocs - before.Mallocs, nil
 }
 
-// benchConfig measures one sweep cell: best-of-reps wall time for the
-// three probe paths, the schedule diff across them, and the derived
+// benchConfig measures one sweep cell: best-of-reps wall time at both
+// probe-pool widths, the schedule diff between them, and the derived
 // throughput metrics. Telemetry from the session (if enabled) is
 // attached to the timed runs on purpose — the harness then measures
 // what users with -metrics pay, and the zero-alloc guarantee holds in
@@ -227,16 +229,13 @@ func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, reps int, ses
 		Workers:   runtime.GOMAXPROCS(0),
 	}
 	type path struct {
-		opts   eas.Options
-		bestMS *float64
-		allocs *float64
+		workers int
+		bestMS  *float64
+		allocs  *float64
 	}
-	var legacyAllocs, roAllocs float64
-	telem := sess.Collector()
 	paths := []path{
-		{eas.Options{LegacyProbe: true, Telemetry: telem}, &cfg.LegacyProbeMS, &legacyAllocs},
-		{eas.Options{Workers: 1, Telemetry: telem}, &cfg.ReadonlySeqMS, &roAllocs},
-		{eas.Options{Workers: 0, Telemetry: telem}, &cfg.ReadonlyParMS, nil},
+		{1, &cfg.ReadonlySeqMS, &cfg.AllocsPerProbe.Readonly},
+		{0, &cfg.ReadonlyParMS, nil},
 	}
 	var ref *sched.Schedule
 	cfg.Identical = true
@@ -245,7 +244,7 @@ func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, reps int, ses
 		var allocs uint64
 		var s *sched.Schedule
 		for r := 0; r < reps; r++ {
-			got, elapsed, mallocs, err := runOnce(g, acg, algo, p.opts)
+			got, elapsed, mallocs, err := runOnce(g, acg, algo, p.workers, sess.Collector())
 			if err != nil {
 				return cfg, err
 			}
@@ -266,17 +265,12 @@ func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, reps int, ses
 			cfg.Identical = false
 			return cfg, fmt.Errorf("%s %s %d tasks: probe paths disagree: %s", mesh, algo, g.NumTasks(), d)
 		}
-		if pi == 2 && best > 0 {
+		if pi == 1 && best > 0 {
 			cfg.ProbesPerSec = float64(s.Probes) / best.Seconds()
 		}
 	}
-	cfg.AllocsPerProbe.Legacy = legacyAllocs
-	cfg.AllocsPerProbe.Readonly = roAllocs
-	if cfg.ReadonlySeqMS > 0 {
-		cfg.SpeedupSeq = cfg.LegacyProbeMS / cfg.ReadonlySeqMS
-	}
 	if cfg.ReadonlyParMS > 0 {
-		cfg.SpeedupPar = cfg.LegacyProbeMS / cfg.ReadonlyParMS
+		cfg.SpeedupPar = cfg.ReadonlySeqMS / cfg.ReadonlyParMS
 	}
 	return cfg, nil
 }

@@ -13,7 +13,7 @@ func TestSweepSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	var stderr bytes.Buffer
 	err := run([]string{
-		"-tasks", "30,40", "-meshes", "3x3", "-scheds", "eas,edf",
+		"-tasks", "30,40", "-meshes", "3x3", "-scheds", "eas,edf,dls",
 		"-reps", "1", "-o", out,
 	}, io.Discard, &stderr)
 	if err != nil {
@@ -27,8 +27,8 @@ func TestSweepSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Configs) != 4 {
-		t.Fatalf("got %d configs, want 4", len(rep.Configs))
+	if len(rep.Configs) != 6 {
+		t.Fatalf("got %d configs, want 6", len(rep.Configs))
 	}
 	for _, c := range rep.Configs {
 		if !c.Identical {
@@ -37,7 +37,7 @@ func TestSweepSmoke(t *testing.T) {
 		if c.Probes <= 0 {
 			t.Errorf("%s %s %d tasks: no probes recorded", c.Mesh, c.Algorithm, c.Tasks)
 		}
-		if c.LegacyProbeMS <= 0 || c.ReadonlyParMS <= 0 {
+		if c.ReadonlySeqMS <= 0 || c.ReadonlyParMS <= 0 {
 			t.Errorf("%s %s %d tasks: missing timings: %+v", c.Mesh, c.Algorithm, c.Tasks, c)
 		}
 	}
@@ -47,7 +47,7 @@ func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-tasks", "abc"},
 		{"-meshes", "4by4"},
-		{"-scheds", "dls"},
+		{"-scheds", "heft"},
 		{"-reps", "0"},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {

@@ -14,9 +14,9 @@
 //     end to end, so N workers keep N cores busy without any
 //     cross-instance synchronization beyond the queue;
 //   - builder reuse: each worker owns one sched.Workspace whose builder
-//     is Reset between instances, so the PE/link tables, journal, route
-//     cache and probe scratch are allocated once per worker, not once
-//     per instance;
+//     is Reset between instances, so the PE/link tables, route cache
+//     and probe scratch are allocated once per worker, not once per
+//     instance;
 //   - shared route plans: the engine precomputes one immutable
 //     sched.RoutePlan per distinct ACG and hands it to every worker,
 //     replacing one lazily-filled route cache per builder with a single
@@ -69,10 +69,9 @@ type Instance struct {
 	// Algorithm selects the scheduler: AlgoEAS (the default when
 	// empty), AlgoEDF, or AlgoDLS.
 	Algorithm string
-	// EAS forwards scheduler options to EAS runs. Workers and
-	// LegacyProbe are ignored (the engine's worker configuration wins),
-	// and Telemetry is overridden by the engine's collector when one is
-	// set.
+	// EAS forwards scheduler options to EAS runs. Workers is ignored
+	// (the engine's worker configuration wins), and Telemetry is
+	// overridden by the engine's collector when one is set.
 	EAS eas.Options
 }
 

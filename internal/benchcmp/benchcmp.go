@@ -81,7 +81,6 @@ var kindSpecs = map[Kind]kindSpec{
 			{"energy_nj", LowerBetter, ClassDeterministic},
 			{"deadline_misses", LowerBetter, ClassDeterministic},
 			{"identical", HigherBetter, ClassDeterministic},
-			{"legacy_probe_ms", LowerBetter, ClassTiming},
 			{"readonly_seq_ms", LowerBetter, ClassTiming},
 			{"readonly_par_ms", LowerBetter, ClassTiming},
 			{"probes_per_sec", HigherBetter, ClassTiming},

@@ -38,9 +38,10 @@ func Schedule(g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 }
 
 // ScheduleWith runs DLS through a reusable workspace (see
-// eas.ScheduleWith). DLS probes through the builder's journal path
-// directly, so only the workspace's builder is reused; its probe pool
-// is untouched. Schedules are bit-identical to Schedule's.
+// eas.ScheduleWith). Each round probes the ready list through the
+// workspace's pool, one row per ready task, and reduces the rows in
+// ascending task order, so schedules are bit-identical at any worker
+// count and to Schedule's.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 	started := time.Now()
 	if err := g.Validate(); err != nil {
@@ -66,7 +67,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 		meanExec[i] = stats.MeanInt64(times)
 	}
 
-	b, _, err := ws.Prepare(g, acg, "dls")
+	b, pool, err := ws.Prepare(g, acg, "dls")
 	if err != nil {
 		return nil, err
 	}
@@ -74,38 +75,69 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	// peFree[k] tracks TF(p): when PE k's committed work ends.
 	peFree := make([]int64, npe)
 
+	// row is one ready task's best dynamic level and the PE it occurs
+	// on, ties to the lower PE.
+	type row struct {
+		dl  float64
+		pe  int
+		err error
+	}
+	var rtl []ctg.TaskID
+	var rows []row
+	// evalRow fills rows[i] for rtl[i]. Built once — it reads rtl, rows
+	// and peFree through the captured variables, which only change
+	// between pool runs.
+	evalRow := func(pr *sched.Prober, i int) {
+		t := rtl[i]
+		task := g.Task(t)
+		r := row{dl: math.Inf(-1), pe: -1}
+		for k := 0; k < npe; k++ {
+			if !task.RunnableOn(k) {
+				continue
+			}
+			p, err := pr.Probe(t, k)
+			if err != nil {
+				rows[i] = row{err: err}
+				return
+			}
+			// max(DA, TF) is the probe's start time by construction
+			// (earliest slot after data-ready on the PE table).
+			startCost := float64(p.Start)
+			if f := float64(peFree[k]); f > startCost {
+				startCost = f
+			}
+			delta := meanExec[t] - float64(task.ExecTime[k])
+			if dl := sl[t] - startCost + delta; dl > r.dl {
+				r.dl, r.pe = dl, k
+			}
+		}
+		rows[i] = r
+	}
+
 	for b.Committed() < g.NumTasks() {
-		rtl := b.ReadyTasks()
+		rtl = b.AppendReady(rtl[:0])
 		if len(rtl) == 0 {
 			return nil, fmt.Errorf("dls: no ready tasks with %d of %d committed",
 				b.Committed(), g.NumTasks())
 		}
+		if cap(rows) < len(rtl) {
+			rows = make([]row, len(rtl))
+		}
+		rows = rows[:len(rtl)]
+		pool.RunWeighted(len(rtl), npe, evalRow)
+
+		// Sequential reduction in ascending task order: the first
+		// largest level wins, ties to the lower task then the lower PE.
 		bestDL := math.Inf(-1)
 		bestTask := ctg.TaskID(-1)
 		bestPE := -1
-		for _, t := range rtl {
-			task := g.Task(t)
-			for k := 0; k < npe; k++ {
-				if !task.RunnableOn(k) {
-					continue
-				}
-				p, err := b.Probe(t, k)
-				if err != nil {
-					return nil, err
-				}
-				// max(DA, TF) is the probe's start time by
-				// construction (earliest slot after data-ready on the
-				// PE table).
-				startCost := float64(p.Start)
-				if f := float64(peFree[k]); f > startCost {
-					startCost = f
-				}
-				delta := meanExec[t] - float64(task.ExecTime[k])
-				dl := sl[t] - startCost + delta
-				if dl > bestDL ||
-					(dl == bestDL && (t < bestTask || (t == bestTask && k < bestPE))) {
-					bestDL, bestTask, bestPE = dl, t, k
-				}
+		for i, t := range rtl {
+			r := &rows[i]
+			if r.err != nil {
+				return nil, r.err
+			}
+			if r.dl > bestDL {
+				bestDL, bestTask, bestPE = r.dl, t, r.pe
 			}
 		}
 		if bestTask < 0 {
@@ -123,6 +155,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	if err != nil {
 		return nil, err
 	}
+	s.Probes = pool.Probes()
 	s.Elapsed = time.Since(started)
 	return s, nil
 }

@@ -8,6 +8,7 @@ import (
 	"nocsched/internal/edf"
 	"nocsched/internal/energy"
 	"nocsched/internal/noc"
+	"nocsched/internal/sched"
 	"nocsched/internal/tgff"
 )
 
@@ -161,5 +162,39 @@ func TestDLSRejectsBadInput(t *testing.T) {
 	g.AddTask("a", []int64{1}, []float64{1}, ctg.NoDeadline)
 	if _, err := Schedule(g, acg); err == nil {
 		t.Error("PE mismatch accepted")
+	}
+}
+
+// TestDLSCountsProbes: Schedule.Probes counts the F(i,k) probes DLS
+// evaluated, one per ready task x capable PE per round, and the count
+// does not depend on the worker count.
+func TestDLSCountsProbes(t *testing.T) {
+	p, err := noc.NewHeterogeneousMesh(4, 4, noc.RouteXY, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acg, err := energy.BuildACG(p, energy.DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := tgff.SuiteParams(tgff.CategoryI, 0, p)
+	params.NumTasks = 80
+	g, err := tgff.Generate(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := ScheduleWith(sched.NewWorkspace(1, false), g, acg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := ScheduleWith(sched.NewWorkspace(4, false), g, acg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Probes < int64(g.NumTasks()) {
+		t.Errorf("DLS reported %d probes for %d tasks", seq.Probes, g.NumTasks())
+	}
+	if seq.Probes != par.Probes {
+		t.Errorf("probe counts diverge: 1 worker %d, 4 workers %d", seq.Probes, par.Probes)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"nocsched/internal/energy"
 	"nocsched/internal/msb"
+	"nocsched/internal/sched"
 )
 
 func TestDebugScaleSweep(t *testing.T) {
@@ -21,7 +22,7 @@ func TestDebugScaleSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := levelSchedule(newWorkspace(Options{}), g, acg, budget, "eas", Options{})
+		s, err := levelSchedule(sched.NewWorkspace(0, false), g, acg, budget, "eas", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,24 +45,12 @@ type Options struct {
 	// tie-breaks exactly (the differential tests assert this). Ignored
 	// by ScheduleWith, where the workspace's pool configuration wins.
 	Workers int
-	// LegacyProbe routes every probe through the journal-based
-	// reserve/rollback path instead of the read-only overlay path,
-	// forcing sequential evaluation. Schedules are identical; the
-	// option exists as the performance baseline of cmd/schedbench.
-	// Ignored by ScheduleWith, like Workers.
-	LegacyProbe bool
 	// Telemetry collects scheduler metrics (probe counts, ready-list
 	// depth, energy breakdown) and phase spans; nil (the default)
 	// disables all collection at zero cost. Telemetry never influences
 	// scheduling decisions — schedules are bit-identical with it on or
 	// off (asserted by the differential tests).
 	Telemetry *telemetry.Collector
-}
-
-// newWorkspace builds the single-run workspace Schedule wraps around
-// ScheduleWith, honoring the options' probe-path configuration.
-func newWorkspace(opts Options) *sched.Workspace {
-	return sched.NewWorkspace(opts.Workers, opts.LegacyProbe)
 }
 
 // Result bundles a schedule with the intermediate artifacts the
@@ -84,7 +72,7 @@ type Result struct {
 // Schedule runs the full EAS algorithm (Steps 1-3, or 1-2 when repair is
 // disabled) on graph g against the architecture acg.
 func Schedule(g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
-	return ScheduleWith(newWorkspace(opts), g, acg, opts)
+	return ScheduleWith(sched.NewWorkspace(opts.Workers, false), g, acg, opts)
 }
 
 // ScheduleWith runs EAS through a reusable workspace: every budgeting
@@ -93,7 +81,7 @@ func Schedule(g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 // instances — the batch engine's workers — reuses the same workspace
 // across calls, amortizing all table and route-cache allocation.
 // Schedules are bit-identical to Schedule's. The workspace's pool
-// configuration overrides opts.Workers/opts.LegacyProbe.
+// configuration overrides opts.Workers.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 	started := time.Now()
 	if err := g.Validate(); err != nil {

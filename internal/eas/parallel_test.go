@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nocsched/internal/ctg"
+	"nocsched/internal/dls"
 	"nocsched/internal/edf"
 	"nocsched/internal/energy"
 	"nocsched/internal/msb"
@@ -95,21 +96,15 @@ func differentialCases(t *testing.T) []diffCase {
 	return cases
 }
 
-// TestEASDifferential is the acceptance gate of the read-only probe
-// path and the worker pool: on every suite instance, the legacy
-// journal-based scheduler, the read-only sequential scheduler and the
-// read-only 4-worker scheduler must produce bit-identical schedules —
-// same placements, same transaction slots, exactly equal total energy.
-// Run under -race in CI, this also proves the concurrent probers never
-// write shared state.
+// TestEASDifferential is the acceptance gate of the worker pool: on
+// every suite instance, the sequential scheduler and the 4-worker
+// scheduler must produce bit-identical schedules — same placements,
+// same transaction slots, exactly equal total energy — after the same
+// number of probes. Run under -race in CI, this also proves the
+// concurrent probers never write shared state.
 func TestEASDifferential(t *testing.T) {
 	for _, tc := range differentialCases(t) {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := Schedule(tc.g, tc.acg, Options{LegacyProbe: true})
-			if err != nil {
-				t.Fatal(err)
-			}
 			seq, err := Schedule(tc.g, tc.acg, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -118,15 +113,11 @@ func TestEASDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := sched.Diff(legacy.Schedule, seq.Schedule); d != "" {
-				t.Errorf("legacy vs read-only sequential: %s", d)
+			if d := sched.Diff(seq.Schedule, par.Schedule); d != "" {
+				t.Errorf("sequential vs 4-worker: %s", d)
 			}
-			if d := sched.Diff(legacy.Schedule, par.Schedule); d != "" {
-				t.Errorf("legacy vs read-only 4-worker: %s", d)
-			}
-			if legacy.Probes != seq.Probes || legacy.Probes != par.Probes {
-				t.Errorf("probe counts diverge: legacy %d, seq %d, par %d",
-					legacy.Probes, seq.Probes, par.Probes)
+			if seq.Probes != par.Probes {
+				t.Errorf("probe counts diverge: seq %d, par %d", seq.Probes, par.Probes)
 			}
 		})
 	}
@@ -135,12 +126,7 @@ func TestEASDifferential(t *testing.T) {
 // TestEDFDifferential covers the same property for the EDF baseline.
 func TestEDFDifferential(t *testing.T) {
 	for _, tc := range differentialCases(t) {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := edf.ScheduleOpts(tc.g, tc.acg, edf.Options{LegacyProbe: true})
-			if err != nil {
-				t.Fatal(err)
-			}
 			seq, err := edf.ScheduleOpts(tc.g, tc.acg, edf.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -149,11 +135,31 @@ func TestEDFDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := sched.Diff(legacy, seq); d != "" {
-				t.Errorf("legacy vs read-only sequential: %s", d)
+			if d := sched.Diff(seq, par); d != "" {
+				t.Errorf("sequential vs 4-worker: %s", d)
 			}
-			if d := sched.Diff(legacy, par); d != "" {
-				t.Errorf("legacy vs read-only 4-worker: %s", d)
+		})
+	}
+}
+
+// TestDLSDifferential covers the same property for the DLS baseline,
+// whose rows are one ready task each, probed on every PE.
+func TestDLSDifferential(t *testing.T) {
+	for _, tc := range differentialCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			seq, err := dls.ScheduleWith(sched.NewWorkspace(1, false), tc.g, tc.acg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := dls.ScheduleWith(sched.NewWorkspace(4, false), tc.g, tc.acg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := sched.Diff(seq, par); d != "" {
+				t.Errorf("sequential vs 4-worker: %s", d)
+			}
+			if seq.Probes != par.Probes {
+				t.Errorf("probe counts diverge: seq %d, par %d", seq.Probes, par.Probes)
 			}
 		})
 	}

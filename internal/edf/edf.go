@@ -19,16 +19,11 @@ import (
 )
 
 // Options tune how the EDF baseline evaluates its probes. The zero
-// value (read-only probe path, one worker per available CPU) is the
-// fast default; every setting produces bit-identical schedules.
+// value (one worker per available CPU) is the default; every setting
+// produces bit-identical schedules.
 type Options struct {
 	// Workers caps the probe worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// LegacyProbe routes every F(i,k) probe through the journal-based
-	// reserve/rollback path instead of the read-only overlay path. The
-	// schedules are identical; the option exists as the performance
-	// baseline of cmd/schedbench.
-	LegacyProbe bool
 	// Telemetry collects scheduler metrics and phase spans; nil (the
 	// default) disables all collection. Telemetry never influences
 	// scheduling decisions.
@@ -43,15 +38,14 @@ func Schedule(g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 
 // ScheduleOpts runs the EDF baseline with explicit probe options.
 func ScheduleOpts(g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
-	return ScheduleWith(sched.NewWorkspace(opts.Workers, opts.LegacyProbe), g, acg, opts)
+	return ScheduleWith(sched.NewWorkspace(opts.Workers, false), g, acg, opts)
 }
 
 // ScheduleWith runs the EDF baseline through a reusable workspace (see
 // eas.ScheduleWith): batch drivers reuse one workspace across many
 // instances, amortizing the builder's table and route-cache
 // allocations. Schedules are bit-identical to ScheduleOpts'. The
-// workspace's pool configuration overrides opts.Workers and
-// opts.LegacyProbe.
+// workspace's pool configuration overrides opts.Workers.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
 	started := time.Now()
 	if err := g.Validate(); err != nil {

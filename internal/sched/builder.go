@@ -10,10 +10,10 @@ import (
 
 // Builder incrementally constructs a Schedule while maintaining the
 // schedule tables of every PE and every link. It implements the
-// communication scheduler of the paper's Fig. 3 and the probe/restore
-// discipline of the level-based scheduler: Probe computes the earliest
-// finish F(i,k) of a task on a PE by actually reserving slots and then
-// rolling the tables back; Commit makes the same placement permanent.
+// communication scheduler of the paper's Fig. 3: Commit reserves a
+// task's incoming transactions and execution slot on the shared tables.
+// The paper's probe-and-restore F(i,k) evaluation is a Prober, which
+// predicts exactly what Commit would reserve without writing the tables.
 type Builder struct {
 	g         *ctg.Graph
 	acg       *energy.ACG
@@ -21,7 +21,6 @@ type Builder struct {
 
 	peTables   []schedtable.Table
 	linkTables []schedtable.Table
-	journal    schedtable.Journal
 
 	placed     []bool
 	schedule   *Schedule
@@ -123,7 +122,7 @@ func resetTables(ts []schedtable.Table, n int) []schedtable.Table {
 }
 
 // Reset returns the builder to its initial state for a new scheduling
-// run of graph g, reusing every table, journal, route-cache and scratch
+// run of graph g, reusing every table, route-cache and scratch
 // allocation it can. With the same ACG the steady-state cost is one
 // fresh Schedule shell and nothing else (the allocation-regression test
 // pins this); a different ACG forces the table and route-cache storage
@@ -168,7 +167,6 @@ func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 		b.placed = b.placed[:n]
 		clear(b.placed)
 	}
-	b.journal.Reset()
 	b.schedule = New(g, acg, b.algorithm)
 	b.nCommitted = 0
 	b.blocked = 0
@@ -269,9 +267,9 @@ func (b *Builder) AppendReady(dst []ctg.TaskID) []ctg.TaskID {
 }
 
 // place reserves the incoming transactions and the execution slot of
-// task t on PE k via the journal, leaving the reservations committed.
-// floor constrains the task start (used by timing reconstruction to
-// enforce a per-PE execution order); pass 0 to allow gap filling.
+// task t on PE k on the shared tables. floor constrains the task start
+// (used by timing reconstruction to enforce a per-PE execution order);
+// pass 0 to allow gap filling.
 //
 // Implements Fig. 3: transactions are scheduled in ascending
 // sender-finish order; each goes into the earliest slot at or after the
@@ -311,7 +309,7 @@ func (b *Builder) place(t ctg.TaskID, k int, floor int64) (Placement, error) {
 		} else if b.contention {
 			tables, _ := b.routeTables(src.PE, k)
 			start := schedtable.FindEarliestAll(tables, src.Finish, dur)
-			if err := b.journal.ReserveAll(tables, start, dur); err != nil {
+			if err := schedtable.ReserveAll(tables, start, dur); err != nil {
 				return Placement{}, fmt.Errorf("sched: reserve transaction %d: %w", eid, err)
 			}
 			tr.Start, tr.Finish = start, start+dur
@@ -341,7 +339,7 @@ func (b *Builder) place(t ctg.TaskID, k int, floor int64) (Placement, error) {
 		p.Start, p.Finish = start, start
 		return p, nil
 	}
-	if err := b.journal.Reserve(&b.peTables[k], start, exec); err != nil {
+	if err := b.peTables[k].Reserve(start, exec); err != nil {
 		return Placement{}, fmt.Errorf("sched: reserve task %d on PE %d: %w", t, k, err)
 	}
 	p.Start, p.Finish = start, start+exec
@@ -359,7 +357,7 @@ func (b *Builder) BlockPast(t int64) error {
 	if t <= 0 {
 		return nil
 	}
-	if b.nCommitted > 0 || b.journal.Len() > 0 || b.blocked > 0 {
+	if b.nCommitted > 0 || b.blocked > 0 {
 		return fmt.Errorf("sched: BlockPast(%d) on a builder already in use", t)
 	}
 	for i := range b.peTables {
@@ -414,17 +412,6 @@ func (b *Builder) CommitFrozen(tp TaskPlacement, trans []TransactionPlacement) e
 	b.nCommitted++
 	b.metrics.commits().Inc()
 	return nil
-}
-
-// Probe computes F(i,k): the placement task t would get on PE k given
-// the current tables, restoring all tables before returning (the paper's
-// "schedule tables of both links and the PEs will be restored every time
-// a F(i,k) is calculated").
-func (b *Builder) Probe(t ctg.TaskID, k int) (Placement, error) {
-	mark := b.journal.Mark()
-	p, err := b.place(t, k, 0)
-	b.journal.RollbackTo(mark)
-	return p, err
 }
 
 // Commit permanently places task t on PE k with no ordering floor.

@@ -32,44 +32,13 @@ func addTask(t *testing.T, g *ctg.Graph, name string, exec int64) ctg.TaskID {
 	return id
 }
 
-func TestProbeRestoresTables(t *testing.T) {
-	g, acg := builderRig(t)
-	a := addTask(t, g, "a", 10)
-	b := addTask(t, g, "b", 10)
-	if _, err := g.AddEdge(a, b, 500); err != nil {
-		t.Fatal(err)
-	}
-	bld := NewBuilder(g, acg, "test")
-	if _, err := bld.Commit(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Probe b on every PE twice; identical results prove rollback.
-	for k := 0; k < 4; k++ {
-		p1, err := bld.Probe(b, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := bld.Probe(b, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p1.Start != p2.Start || p1.Finish != p2.Finish || p1.DRT != p2.DRT {
-			t.Errorf("PE %d: probes differ: %+v vs %+v (tables not restored)", k, p1, p2)
-		}
-	}
-	// Probing must not mark the task placed.
-	if bld.Placed(b) {
-		t.Error("Probe marked task placed")
-	}
-}
-
 func TestProbeBeforePredecessorFails(t *testing.T) {
 	g, acg := builderRig(t)
 	a := addTask(t, g, "a", 10)
 	b := addTask(t, g, "b", 10)
 	g.AddEdge(a, b, 100)
 	bld := NewBuilder(g, acg, "test")
-	if _, err := bld.Probe(b, 0); err == nil {
+	if _, err := bld.NewProber().Probe(b, 0); err == nil {
 		t.Fatal("probing a task with uncommitted predecessor must fail")
 	}
 }
@@ -302,7 +271,7 @@ func TestRunnableConstraint(t *testing.T) {
 		t.Fatal(err)
 	}
 	bld := NewBuilder(g, acg, "test")
-	if _, err := bld.Probe(id, 0); err == nil {
+	if _, err := bld.NewProber().Probe(id, 0); err == nil {
 		t.Error("probe on incapable PE succeeded")
 	}
 	if _, err := bld.Commit(id, 1); err != nil {

@@ -9,9 +9,6 @@ import (
 const (
 	// MetricProbes counts F(i,k) feasibility probes (count).
 	MetricProbes = "sched_probes_total"
-	// MetricRollbacks counts journal rollbacks on the legacy probe
-	// path (count); zero on the read-only overlay path.
-	MetricRollbacks = "sched_probe_rollbacks_total"
 	// MetricCommits counts committed task placements (count).
 	MetricCommits = "sched_commits_total"
 	// MetricProbePairs is an NumPEs x NumPEs grid counting probed
@@ -44,7 +41,6 @@ var occupancyBounds = []int64{1, 5, 10, 20, 40, 60, 80, 100}
 // from a nil registry. The zero-alloc probe guards cover both states.
 type Metrics struct {
 	Probes     *telemetry.Counter
-	Rollbacks  *telemetry.Counter
 	Commits    *telemetry.Counter
 	ProbePairs *telemetry.CounterGrid
 	ReadyDepth *telemetry.Histogram
@@ -58,7 +54,6 @@ func NewMetrics(r *telemetry.Registry, npes int) *Metrics {
 	}
 	return &Metrics{
 		Probes:     r.Counter(MetricProbes),
-		Rollbacks:  r.Counter(MetricRollbacks),
 		Commits:    r.Counter(MetricCommits),
 		ProbePairs: r.Grid(MetricProbePairs, npes, npes),
 		ReadyDepth: r.Histogram(MetricReadyDepth, readyDepthBounds),
@@ -71,14 +66,6 @@ func (m *Metrics) probes() *telemetry.Counter {
 		return nil
 	}
 	return m.Probes
-}
-
-// rollbacks returns the rollback counter, nil-safely.
-func (m *Metrics) rollbacks() *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Rollbacks
 }
 
 // commits returns the commit counter, nil-safely.

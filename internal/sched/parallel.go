@@ -26,8 +26,7 @@ type ProbePool struct {
 	// seqFloor is the auto worker policy: batches carrying fewer than
 	// this many probes run on the caller's goroutine even when the pool
 	// has idle workers, because goroutine fan-out costs more than it
-	// saves at that size (BENCH_sched.json: speedup_par tracks
-	// speedup_seq on 100-task/4x4 instances). 0 disables the policy.
+	// saves at that size. 0 disables the policy.
 	// Purely a performance knob — the sequential and parallel paths are
 	// bit-identical by construction.
 	seqFloor int
@@ -69,14 +68,6 @@ func NewProbePool(b *Builder, workers int) *ProbePool {
 // restores unconditional fan-out (the pre-policy behavior). Schedules
 // are bit-identical either way; only wall-clock changes.
 func (p *ProbePool) SetSequentialFloor(n int) { p.seqFloor = n }
-
-// NewLegacyProbePool returns a single-worker pool whose probes go
-// through the journal-based Builder.Probe reserve/rollback path. It is
-// the performance-harness baseline; it cannot be parallel because the
-// journal mutates shared tables.
-func NewLegacyProbePool(b *Builder) *ProbePool {
-	return &ProbePool{b: b, probers: []*Prober{b.NewLegacyProber()}}
-}
 
 // Workers returns the pool's worker count.
 func (p *ProbePool) Workers() int { return len(p.probers) }

@@ -24,26 +24,21 @@ type ProbeResult struct {
 }
 
 // Prober answers F(i,k) probes against a Builder's committed state
-// without mutating it. Where Builder.Probe reserves slots on the shared
-// PE/link tables and rolls them back through the journal, a Prober
-// tracks the probe's own tentative reservations in a private overlay
+// without mutating it: the paper's "restore the tables after each
+// probe" holds because nothing shared is ever written. A Prober tracks
+// the probe's own tentative reservations in a private overlay
 // (transactions of one task can contend with each other on shared
-// links) and only reads the shared tables. Results are bit-identical to
-// Builder.Probe.
+// links) and only reads the shared tables. A probe reports exactly the
+// placement Commit would make in the same state (TestProbePredictsCommit).
 //
 // Each Prober owns its scratch, so distinct Probers may probe
 // concurrently against one Builder — as long as no Commit runs in
 // parallel with them. After warm-up a probe performs no heap
 // allocations (guarded by TestProbeZeroAllocs).
-//
-// A legacy Prober (NewLegacyProber) instead delegates to the
-// journal-based Builder.Probe; it exists as the perf-harness baseline
-// and is sequential by construction.
 type Prober struct {
 	b       *Builder
 	overlay *schedtable.Overlay
 	lct     []ctg.EdgeID
-	legacy  bool
 	probes  int64
 }
 
@@ -61,38 +56,8 @@ func (b *Builder) NewProber() *Prober {
 	}
 }
 
-// NewLegacyProber returns a prober that routes every probe through the
-// journal-based Builder.Probe reserve/rollback path.
-func (b *Builder) NewLegacyProber() *Prober {
-	return &Prober{b: b, legacy: true}
-}
-
 // Probes returns the number of probes this prober has evaluated.
 func (p *Prober) Probes() int64 { return p.probes }
-
-// Probe computes F(i,k): the placement task t would get on PE k given
-// the builder's committed tables. The builder is not mutated (legacy
-// probers mutate and restore it, like Builder.Probe).
-func (p *Prober) Probe(t ctg.TaskID, k int) (ProbeResult, error) {
-	p.probes++
-	m := p.b.metrics
-	m.probes().Inc()
-	if p.legacy {
-		pl, err := p.b.Probe(t, k)
-		m.rollbacks().Inc() // Builder.Probe always rolls the journal back
-		if err != nil {
-			return ProbeResult{}, err
-		}
-		if pairs := m.probePairs(); pairs != nil {
-			for _, eid := range p.b.g.In(t) {
-				pairs.Add(p.b.schedule.Tasks[p.b.g.Edge(eid).Src].PE, k, 1)
-			}
-		}
-		return ProbeResult{Task: pl.Task, PE: pl.PE, Start: pl.Start,
-			Finish: pl.Finish, DRT: pl.DRT, CommEnergy: pl.CommEnergy}, nil
-	}
-	return p.probeReadOnly(t, k)
-}
 
 // lctLess orders incoming edges by sender finish time, ties on edge ID
 // — the Fig. 3 LCT order place() uses.
@@ -105,12 +70,17 @@ func lctLess(b *Builder, a, c ctg.EdgeID) bool {
 	return a < c
 }
 
-func (p *Prober) probeReadOnly(t ctg.TaskID, k int) (ProbeResult, error) {
+// Probe computes F(i,k): the placement task t would get on PE k given
+// the builder's committed tables. The builder is not mutated.
+func (p *Prober) Probe(t ctg.TaskID, k int) (ProbeResult, error) {
+	p.probes++
 	b := p.b
+	b.metrics.probes().Inc()
 	task := b.g.Task(t)
 	if !task.RunnableOn(k) {
 		return ProbeResult{}, fmt.Errorf("sched: task %d not runnable on PE %d", t, k)
 	}
+
 	// LCT: incoming transactions in ascending sender-finish order.
 	// Insertion sort — the in-degree is tiny and sort.Slice allocates.
 	p.lct = append(p.lct[:0], b.g.In(t)...)

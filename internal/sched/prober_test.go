@@ -34,16 +34,24 @@ func proberRig(t *testing.T, seed int64, tasks int) (*ctg.Graph, *energy.ACG) {
 	return g, acg
 }
 
-// TestProberMatchesBuilderProbe drives a random commit sequence and, at
-// every step, compares the read-only Prober against the journal-based
-// Builder.Probe on every ready task x every PE. This is the
-// load-bearing equivalence of the whole read-only probe path.
-func TestProberMatchesBuilderProbe(t *testing.T) {
+// TestProbePredictsCommit drives a random commit sequence and, at every
+// step, checks the read-only Prober against the commit path it must
+// predict: for every ready task x capable PE, a second builder replays
+// the committed prefix and then commits the pair, and the probe must
+// report exactly that placement. This is the load-bearing equivalence
+// of the whole probe path.
+func TestProbePredictsCommit(t *testing.T) {
+	type step struct {
+		task ctg.TaskID
+		pe   int
+	}
 	for _, seed := range []int64{1, 2, 3} {
 		g, acg := proberRig(t, seed, 60)
 		b := NewBuilder(g, acg, "test")
 		pr := b.NewProber()
+		ref := NewBuilder(g, acg, "test")
 		rng := rand.New(rand.NewSource(seed * 7))
+		var prefix []step
 		var ready []ctg.TaskID
 		for b.Committed() < g.NumTasks() {
 			ready = b.AppendReady(ready[:0])
@@ -55,18 +63,23 @@ func TestProberMatchesBuilderProbe(t *testing.T) {
 					if !g.Task(task).RunnableOn(k) {
 						continue
 					}
-					want, errW := b.Probe(task, k)
-					got, errG := pr.Probe(task, k)
-					if (errW != nil) != (errG != nil) {
-						t.Fatalf("seed %d task %d PE %d: errors disagree: %v vs %v",
-							seed, task, k, errW, errG)
+					got, err := pr.Probe(task, k)
+					if err != nil {
+						t.Fatalf("seed %d task %d PE %d: probe: %v", seed, task, k, err)
 					}
-					if errW != nil {
-						continue
+					ref.Reset(g, acg)
+					for _, s := range prefix {
+						if _, err := ref.Commit(s.task, s.pe); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want, err := ref.Commit(task, k)
+					if err != nil {
+						t.Fatalf("seed %d task %d PE %d: commit: %v", seed, task, k, err)
 					}
 					if got.Start != want.Start || got.Finish != want.Finish ||
 						got.DRT != want.DRT || got.CommEnergy != want.CommEnergy {
-						t.Fatalf("seed %d task %d PE %d: prober %+v, builder probe Start=%d Finish=%d DRT=%d Comm=%v",
+						t.Fatalf("seed %d task %d PE %d: probe %+v, commit Start=%d Finish=%d DRT=%d Comm=%v",
 							seed, task, k, got, want.Start, want.Finish, want.DRT, want.CommEnergy)
 					}
 				}
@@ -80,6 +93,7 @@ func TestProberMatchesBuilderProbe(t *testing.T) {
 			if _, err := b.Commit(task, k); err != nil {
 				t.Fatal(err)
 			}
+			prefix = append(prefix, step{task, k})
 		}
 	}
 }
@@ -230,7 +244,7 @@ func TestEarliestFinishPEZeroAllocs(t *testing.T) {
 }
 
 // TestConcurrentProbers hammers one builder with many probers at once;
-// run under -race this proves the read-only path really is read-only.
+// run under -race this proves probing really is read-only.
 func TestConcurrentProbers(t *testing.T) {
 	g, acg := proberRig(t, 9, 60)
 	b := NewBuilder(g, acg, "test")
@@ -242,9 +256,10 @@ func TestConcurrentProbers(t *testing.T) {
 	}
 	b.warmRoutes()
 	ready := b.ReadyTasks()
-	want := make([]Placement, len(ready))
+	seq := b.NewProber()
+	want := make([]ProbeResult, len(ready))
 	for i, task := range ready {
-		p, err := b.Probe(task, 0)
+		p, err := seq.Probe(task, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,12 +312,13 @@ func TestProbePoolRunCoverage(t *testing.T) {
 }
 
 // TestEarliestFinishPEMatchesSequential compares the pool reduction
-// against a direct sequential scan over Builder.Probe.
+// against a direct sequential scan over a single Prober.
 func TestEarliestFinishPEMatchesSequential(t *testing.T) {
 	g, acg := proberRig(t, 13, 50)
 	for _, workers := range []int{1, 4} {
 		b := NewBuilder(g, acg, "test")
 		pool := NewProbePool(b, workers)
+		seq := b.NewProber()
 		for b.Committed() < g.NumTasks() {
 			ready := b.ReadyTasks()
 			task := ready[0]
@@ -312,7 +328,7 @@ func TestEarliestFinishPEMatchesSequential(t *testing.T) {
 				if !g.Task(task).RunnableOn(k) {
 					continue
 				}
-				p, err := b.Probe(task, k)
+				p, err := seq.Probe(task, k)
 				if err != nil {
 					t.Fatal(err)
 				}

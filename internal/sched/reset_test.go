@@ -6,13 +6,14 @@ import (
 	"nocsched/internal/ctg"
 )
 
-// driveEF schedules every task with a deterministic earliest-finish
-// policy through the journal probe path: lowest ready task ID first,
-// onto the PE that finishes it earliest (ties to the lower PE index).
-// The ready slice is caller-owned scratch so steady-state allocation
-// tests can hoist it out of the measured loop.
-func driveEF(tb testing.TB, b *Builder, ready []ctg.TaskID) *Schedule {
+// driveEF schedules every task on pr's builder with a deterministic
+// earliest-finish policy: lowest ready task ID first, onto the PE that
+// finishes it earliest (ties to the lower PE index). The prober and the
+// ready slice are caller-owned so steady-state allocation tests can
+// hoist them out of the measured loop.
+func driveEF(tb testing.TB, pr *Prober, ready []ctg.TaskID) *Schedule {
 	tb.Helper()
+	b := pr.b
 	g := b.Graph()
 	npe := b.ACG().NumPEs()
 	for b.Committed() < g.NumTasks() {
@@ -31,7 +32,7 @@ func driveEF(tb testing.TB, b *Builder, ready []ctg.TaskID) *Schedule {
 			if !g.Task(pick).RunnableOn(k) {
 				continue
 			}
-			p, err := b.Probe(pick, k)
+			p, err := pr.Probe(pick, k)
 			if err != nil {
 				tb.Fatalf("probe task %d PE %d: %v", pick, k, err)
 			}
@@ -64,30 +65,32 @@ func TestResetMatchesFresh(t *testing.T) {
 	gB2, acg2 := proberRig(t, 13, 40)
 
 	var ready []ctg.TaskID
-	refA := driveEF(t, NewBuilder(gA, acg, "test"), ready)
-	refB := driveEF(t, NewBuilder(gB, acg, "test"), ready)
-	refB2 := driveEF(t, NewBuilder(gB2, acg2, "test"), ready)
+	refA := driveEF(t, NewBuilder(gA, acg, "test").NewProber(), ready)
+	refB := driveEF(t, NewBuilder(gB, acg, "test").NewProber(), ready)
+	refB2 := driveEF(t, NewBuilder(gB2, acg2, "test").NewProber(), ready)
 
 	// Same-ACG reuse: schedule gA, reset onto gB, reset back onto gA.
 	b := NewBuilder(gA, acg, "test")
-	driveEF(t, b, ready)
+	pr := b.NewProber()
+	driveEF(t, pr, ready)
 	b.Reset(gB, acg)
-	if d := Diff(refB, driveEF(t, b, ready)); d != "" {
+	if d := Diff(refB, driveEF(t, pr, ready)); d != "" {
 		t.Errorf("reset onto gB diverges from fresh:\n%s", d)
 	}
 	b.Reset(gA, acg)
-	if d := Diff(refA, driveEF(t, b, ready)); d != "" {
+	if d := Diff(refA, driveEF(t, pr, ready)); d != "" {
 		t.Errorf("reset back onto gA diverges from fresh:\n%s", d)
 	}
 
-	// Platform change: rebuild path.
+	// Platform change: rebuild path. A prober is sized for its
+	// builder's platform, so a new one follows the new ACG.
 	b.Reset(gB2, acg2)
-	if d := Diff(refB2, driveEF(t, b, ready)); d != "" {
+	if d := Diff(refB2, driveEF(t, b.NewProber(), ready)); d != "" {
 		t.Errorf("reset onto new ACG diverges from fresh:\n%s", d)
 	}
 	// And back again onto the original platform.
 	b.Reset(gA, acg)
-	if d := Diff(refA, driveEF(t, b, ready)); d != "" {
+	if d := Diff(refA, driveEF(t, b.NewProber(), ready)); d != "" {
 		t.Errorf("reset back after platform change diverges from fresh:\n%s", d)
 	}
 }
@@ -105,27 +108,27 @@ func TestResetRestoresDefaults(t *testing.T) {
 	b.SetAlgorithm("second")
 	b.Reset(g, acg)
 	var ready []ctg.TaskID
-	if s := driveEF(t, b, ready); s.Algorithm != "second" {
+	if s := driveEF(t, b.NewProber(), ready); s.Algorithm != "second" {
 		t.Errorf("schedule algorithm = %q, want %q", s.Algorithm, "second")
 	}
 }
 
 // TestResetSteadyStateAllocs bounds the steady-state allocation of the
-// reuse loop: after warm-up, Reset + a full schedule through the
-// journal probe path allocates only the escaping Schedule shell (the
-// struct and its two placement slices) — the tables, journal, route
-// cache, and probe scratch are all reused.
+// reuse loop: after warm-up, Reset + a full schedule allocates only the
+// escaping Schedule shell (the struct and its two placement slices) —
+// the tables, route cache, and probe and commit scratch are all reused.
 func TestResetSteadyStateAllocs(t *testing.T) {
 	g, acg := proberRig(t, 31, 40)
 	b := NewBuilder(g, acg, "test")
+	pr := b.NewProber()
 	ready := make([]ctg.TaskID, 0, g.NumTasks())
-	driveEF(t, b, ready)
-	b.Reset(g, acg) // warm-up: grows journal/scratch to steady state
-	driveEF(t, b, ready)
+	driveEF(t, pr, ready)
+	b.Reset(g, acg) // warm-up: grows scratch to steady state
+	driveEF(t, pr, ready)
 
 	avg := testing.AllocsPerRun(10, func() {
 		b.Reset(g, acg)
-		driveEF(t, b, ready)
+		driveEF(t, pr, ready)
 	})
 	// 3 = Schedule struct + Tasks + Transactions.
 	if avg > 3 {
@@ -165,7 +168,7 @@ func TestWorkspacePrepareReuse(t *testing.T) {
 		t.Error("Prepare did not attach the matching route plan")
 	}
 	var ready []ctg.TaskID
-	if d := Diff(driveEF(t, NewBuilder(gC, acg2, "z"), ready), driveEF(t, b3, ready)); d != "" {
+	if d := Diff(driveEF(t, NewBuilder(gC, acg2, "z").NewProber(), ready), driveEF(t, b3.NewProber(), ready)); d != "" {
 		t.Errorf("plan-attached workspace builder diverges from fresh:\n%s", d)
 	}
 }

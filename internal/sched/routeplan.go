@@ -84,7 +84,7 @@ func (b *Builder) SetRoutePlan(p *RoutePlan) error {
 	if p.acg != b.acg {
 		return fmt.Errorf("sched: route plan computed for a different ACG")
 	}
-	if b.nCommitted > 0 || b.journal.Len() > 0 {
+	if b.nCommitted > 0 {
 		return fmt.Errorf("sched: SetRoutePlan on a builder already in use")
 	}
 	// One flat allocation holds every pair's table pointers, aligned

@@ -36,13 +36,13 @@ func TestRoutePlanMatchesACGRoutes(t *testing.T) {
 func TestPlanMatchesLazySchedules(t *testing.T) {
 	g, acg := proberRig(t, 52, 45)
 	var ready []ctg.TaskID
-	ref := driveEF(t, NewBuilder(g, acg, "test"), ready)
+	ref := driveEF(t, NewBuilder(g, acg, "test").NewProber(), ready)
 
 	b := NewBuilder(g, acg, "test")
 	if err := b.SetRoutePlan(NewRoutePlan(acg)); err != nil {
 		t.Fatal(err)
 	}
-	if d := Diff(ref, driveEF(t, b, ready)); d != "" {
+	if d := Diff(ref, driveEF(t, b.NewProber(), ready)); d != "" {
 		t.Errorf("plan-backed schedule diverges from lazy-cache schedule:\n%s", d)
 	}
 }
@@ -59,7 +59,7 @@ func TestPlanBypassesLazyFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ready []ctg.TaskID
-	driveEF(t, b, ready)
+	driveEF(t, b.NewProber(), ready)
 	for idx, set := range b.routeSet {
 		if set {
 			t.Fatalf("lazy route cache filled for pair %d despite attached plan", idx)
@@ -82,7 +82,7 @@ func TestSetRoutePlanRejectsMisuse(t *testing.T) {
 		t.Error("accepted a plan computed for a different ACG")
 	}
 	var ready []ctg.TaskID
-	driveEF(t, b, ready)
+	driveEF(t, b.NewProber(), ready)
 	if err := b.SetRoutePlan(NewRoutePlan(acg)); err == nil {
 		t.Error("accepted a plan on a builder already in use")
 	}

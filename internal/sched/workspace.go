@@ -23,15 +23,15 @@ type Workspace struct {
 	builder *Builder
 	pool    *ProbePool
 	workers int
-	legacy  bool
 	plan    *RoutePlan
 }
 
 // NewWorkspace returns an empty workspace whose pools will use the
-// given worker count (<= 0 means GOMAXPROCS) and probe path (legacy
-// routes probes through the journal-based reserve/rollback path).
-func NewWorkspace(workers int, legacyProbe bool) *Workspace {
-	return &Workspace{workers: workers, legacy: legacyProbe}
+// given worker count (<= 0 means GOMAXPROCS). The second argument is
+// ignored and deprecated: it once selected a second probe path and
+// remains only so existing callers compile. Pass false.
+func NewWorkspace(workers int, _ bool) *Workspace {
+	return &Workspace{workers: workers}
 }
 
 // SetRoutePlan supplies a shared, immutable route plan that Prepare
@@ -72,10 +72,6 @@ func (w *Workspace) Prepare(g *ctg.Graph, acg *energy.ACG, algorithm string) (*B
 		}
 	}
 	w.builder = b
-	if w.legacy {
-		w.pool = NewLegacyProbePool(b)
-	} else {
-		w.pool = NewProbePool(b, w.workers)
-	}
+	w.pool = NewProbePool(b, w.workers)
 	return w.builder, w.pool, nil
 }

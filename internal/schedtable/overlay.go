@@ -1,10 +1,10 @@
 package schedtable
 
 // Overlay layers tentative reservations over committed tables without
-// mutating them. It is the read-only probe path of the F(i,k)
-// calculation: where the journal path reserves a transaction's slots on
-// the shared link tables and rolls them back after the probe, an
-// overlay records the slots privately, so the shared tables stay
+// mutating them. It is how the F(i,k) probe honours the paper's
+// "restore the tables after each probe": instead of reserving a
+// transaction's slots on the shared link tables and undoing them, a
+// probe records the slots privately, so the shared tables stay
 // untouched and many probes can run concurrently against them.
 //
 // Resources are identified by small integer IDs chosen by the caller

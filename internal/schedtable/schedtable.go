@@ -9,9 +9,11 @@
 //     of its comprising links (FindEarliestAll),
 //   - find the earliest feasible slot at or after a release time
 //     (FindEarliest / FindEarliestAll),
-//   - tentatively reserve slots while probing F(i,k) and restore the
-//     tables afterwards ("the schedule tables of both links and the PEs
-//     will be restored every time a F(i,k) is calculated") — Journal.
+//   - evaluate F(i,k) against tentative reservations and leave the
+//     tables as they were ("the schedule tables of both links and the
+//     PEs will be restored every time a F(i,k) is calculated") — Overlay,
+//     which keeps a probe's reservations private so the shared tables
+//     are only ever read.
 //
 // Intervals are half-open [Start, End) over int64 abstract time units.
 package schedtable
@@ -223,79 +225,3 @@ func ReserveAll(tables []*Table, start, dur int64) error {
 	}
 	return nil
 }
-
-// reservation records one committed slot for undo.
-type reservation struct {
-	table *Table
-	iv    Interval
-}
-
-// Journal records reservations so that a prefix can be undone — the
-// restore step of the F(i,k) probe in the paper's level-based scheduler.
-// A zero Journal is ready for use.
-//
-// Invariant: while a slot is journaled, the owning table must only be
-// mutated through the journal. Every journal entry is then an exact
-// committed slot, so RollbackTo cannot fail. Releasing or resetting a
-// journaled table directly breaks the invariant and makes the next
-// rollback panic — loudly, because silently continuing would corrupt
-// the schedule tables the co-scheduler trusts. See the failure-path
-// tests in failure_test.go, which both demonstrate the panic under
-// sabotage and exercise that well-formed operation sequences never
-// reach it.
-type Journal struct {
-	log []reservation
-}
-
-// Mark returns a checkpoint token for RollbackTo.
-func (j *Journal) Mark() int { return len(j.log) }
-
-// Reserve commits [start, start+dur) in t and records it.
-func (j *Journal) Reserve(t *Table, start, dur int64) error {
-	if err := t.Reserve(start, dur); err != nil {
-		return err
-	}
-	if dur > 0 {
-		j.log = append(j.log, reservation{table: t, iv: Interval{Start: start, End: start + dur}})
-	}
-	return nil
-}
-
-// ReserveAll commits the slot in every table and records each
-// reservation; on failure everything since the call began is undone.
-func (j *Journal) ReserveAll(tables []*Table, start, dur int64) error {
-	mark := j.Mark()
-	for _, t := range tables {
-		if err := j.Reserve(t, start, dur); err != nil {
-			j.RollbackTo(mark)
-			return err
-		}
-	}
-	return nil
-}
-
-// RollbackTo undoes every reservation made after the given checkpoint,
-// in reverse order.
-func (j *Journal) RollbackTo(mark int) {
-	for i := len(j.log) - 1; i >= mark; i-- {
-		r := j.log[i]
-		if err := r.table.Release(r.iv.Start, r.iv.Len()); err != nil {
-			// A journal entry is by construction an exact committed
-			// slot; failure here means the tables were mutated behind
-			// the journal's back, which is a programming error.
-			panic("schedtable: journal rollback failed: " + err.Error())
-		}
-	}
-	j.log = j.log[:mark]
-}
-
-// Len returns the number of recorded reservations.
-func (j *Journal) Len() int { return len(j.log) }
-
-// Reset discards every recorded reservation without touching the
-// tables, keeping the log's capacity for reuse. It is the bulk
-// counterpart of RollbackTo for callers that are about to Reset the
-// owning tables themselves (sched.Builder.Reset): once the tables are
-// cleared wholesale, releasing each journaled slot individually would
-// be wasted work — and would fail, since the slots are already gone.
-func (j *Journal) Reset() { j.log = j.log[:0] }

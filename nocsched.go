@@ -288,7 +288,7 @@ func EAS(g *Graph, acg *ACG, opts EASOptions) (*EASResult, error) {
 }
 
 // EDFOptions tune the EDF baseline's probe evaluation (worker count,
-// legacy probe path); the zero value is the fast default.
+// telemetry); the zero value is the default.
 type EDFOptions = edf.Options
 
 // EDF runs the baseline Earliest-Deadline-First scheduler.
@@ -351,12 +351,13 @@ const (
 
 // SchedWorkspace bundles one reusable schedule builder with its probe
 // pool: drivers scheduling many instances Prepare it per run and
-// amortize the builder's table, journal and route-cache allocations
-// across every instance on the same platform.
+// amortize the builder's table and route-cache allocations across
+// every instance on the same platform.
 type SchedWorkspace = sched.Workspace
 
 // NewSchedWorkspace returns an empty workspace with the given probe
-// worker count (<= 0: GOMAXPROCS) and probe path.
+// worker count (<= 0: GOMAXPROCS); the second argument is ignored
+// (pass false).
 var NewSchedWorkspace = sched.NewWorkspace
 
 // RoutePlan is the immutable precomputed per-pair route table of one
