@@ -157,9 +157,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		s = r.Schedule
 		if r.RepairStats.Ran {
-			fmt.Fprintf(stdout, "search-and-repair: %d misses -> %d (swaps %d, migrations %d, %d moves tried)\n",
+			fmt.Fprintf(stdout, "search-and-repair: %d misses -> %d (swaps %d, migrations %d, %d moves tried, %d abandoned early)\n",
 				r.RepairStats.InitialMisses, r.RepairStats.FinalMisses,
-				r.RepairStats.SwapsAccepted, r.RepairStats.MigrationsAccepted, r.RepairStats.MovesTried)
+				r.RepairStats.SwapsAccepted, r.RepairStats.MigrationsAccepted, r.RepairStats.MovesTried,
+				r.RepairStats.MovesAbandoned)
 		}
 	case "eas-base":
 		r, err := eas.Schedule(g, acg, eas.Options{DisableRepair: true, Workers: *workers, Telemetry: telem})

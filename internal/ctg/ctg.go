@@ -187,15 +187,20 @@ func (g *Graph) Pred(id TaskID) []TaskID {
 	return g.neighbors(g.pred[id], func(e *Edge) TaskID { return e.Src })
 }
 
+// neighbors deduplicates the picked endpoints of edges by scanning the
+// output so far: degrees are tiny, so the scan beats a set and the
+// result is one allocation.
 func (g *Graph) neighbors(edges []EdgeID, pick func(*Edge) TaskID) []TaskID {
 	out := make([]TaskID, 0, len(edges))
-	seen := make(map[TaskID]bool, len(edges))
+next:
 	for _, eid := range edges {
 		t := pick(&g.edges[eid])
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+		for _, o := range out {
+			if o == t {
+				continue next
+			}
 		}
+		out = append(out, t)
 	}
 	return out
 }

@@ -154,6 +154,43 @@ func TestSuccDedup(t *testing.T) {
 	}
 }
 
+// TestNeighborsOrderWithParallelEdges pins Pred/Succ on interleaved
+// parallel edges: each neighbor appears once, at its first edge.
+func TestNeighborsOrderWithParallelEdges(t *testing.T) {
+	g := New("parallel")
+	var ids [5]TaskID
+	for i := range ids {
+		ids[i], _ = g.AddTask(string(rune('a'+i)), []int64{1}, []float64{1}, NoDeadline)
+	}
+	x := ids[4]
+	for _, src := range []int{2, 0, 2, 1, 0, 2, 1} {
+		if _, err := g.AddEdge(ids[src], x, int64(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dst := range []int{3, 1, 3, 3, 0} {
+		if _, err := g.AddEdge(ids[2], ids[dst], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, got []TaskID, want ...TaskID) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s = %v, want %v", what, got, want)
+			}
+		}
+	}
+	check("Pred(x)", g.Pred(x), ids[2], ids[0], ids[1])
+	check("Succ(c)", g.Succ(ids[2]), x, ids[3], ids[1], ids[0])
+	check("Pred(d)", g.Pred(ids[3]), ids[2])
+	check("Pred(a)", g.Pred(ids[0]), ids[2])
+	check("Succ(x)", g.Succ(x))
+}
+
 func TestCloneIndependence(t *testing.T) {
 	g, ids := buildDiamond(t)
 	cp := g.Clone()

@@ -33,10 +33,11 @@ type Options struct {
 	// single-pass behavior exactly.
 	DisableTightenRetry bool
 	// RepairBudget caps the number of *attempted* repair moves (each
-	// attempt costs one full timing reconstruction); 0 selects
-	// DefaultRepairBudget. Bounding attempts keeps Step 3 cheap even
-	// on hopelessly infeasible instances, where pure greedy search
-	// would otherwise grind through an enormous neighborhood.
+	// attempt re-times the layout until its committed prefix proves the
+	// move rejected); 0 selects DefaultRepairBudget. Bounding attempts
+	// keeps Step 3 cheap even on hopelessly infeasible instances, where
+	// pure greedy search would otherwise grind through an enormous
+	// neighborhood.
 	RepairBudget int
 	// Workers caps the F(i,k) probe worker pool of Step 2; <= 0 means
 	// GOMAXPROCS. Any worker count produces bit-identical schedules:
@@ -140,7 +141,9 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 		cand := &Result{Schedule: s, Budget: budget}
 		if !opts.DisableRepair && !s.Feasible() {
 			endStep = tr.Span("step3:repair", "eas phases")
-			repaired, stats, err := Repair(s, opts.RepairBudget, opts.NaiveContention)
+			// Step 3 rebuilds its candidates on Step 2's builder and
+			// route plan.
+			repaired, stats, err := repair(ws.Builder(), s, opts.RepairBudget, opts.NaiveContention)
 			endStep()
 			if err != nil {
 				endPass()
@@ -168,7 +171,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 		endFB := tr.Span("fallback:deadline-first+refine", "eas phases")
 		if fb, err := deadlineFirstSchedule(ws, g, acg, algorithm, opts); err == nil {
 			totalProbes += fb.Probes
-			refined, stats, err := RefineEnergy(fb, 0, opts.NaiveContention)
+			refined, stats, err := refine(ws.Builder(), fb, 0, opts.NaiveContention)
 			if err == nil {
 				cand := &Result{Schedule: refined, Budget: best.Budget, RefineStats: stats}
 				cand.RepairStats = best.RepairStats

@@ -11,8 +11,11 @@ import (
 type RefineStats struct {
 	MovesTried    int
 	MovesAccepted int
-	EnergyBefore  float64
-	EnergyAfter   float64
+	// MovesAbandoned counts rejected moves whose rebuild stopped early,
+	// once its committed prefix was already worse than the incumbent.
+	MovesAbandoned int
+	EnergyBefore   float64
+	EnergyAfter    float64
 }
 
 // DefaultRefineBudget caps attempted refinement moves.
@@ -20,24 +23,29 @@ const DefaultRefineBudget = 2500
 
 // RefineEnergy greedily lowers the energy of a schedule without
 // sacrificing its deadline behavior: tasks are migrated one at a time to
-// cheaper PEs (cheapest candidate first), each candidate evaluated by a
-// full timing reconstruction, and a move is kept only when the
-// (miss-count, lateness) metric does not degrade and the total energy
-// strictly drops.
+// cheaper PEs (cheapest candidate first), each candidate evaluated by
+// re-timing its layout, and a move is kept only when the (miss-count,
+// lateness) metric does not degrade and the total energy strictly drops.
 //
 // It is the dual of search-and-repair: repair trades energy for
 // feasibility, refinement trades (excess) speed for energy. The EAS
 // driver uses it on its feasibility fallback pass, which starts from a
 // deadline-ordered schedule that tends to over-use fast, hungry PEs.
 func RefineEnergy(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, RefineStats, error) {
+	return refine(sched.NewBuilder(s.Graph, s.ACG, s.Algorithm), s, moveBudget, naive)
+}
+
+// refine is RefineEnergy with every candidate rebuilt on b, a builder for
+// s's graph, ACG and algorithm. Reset leaves its rebuilds unmetered.
+func refine(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, RefineStats, error) {
 	stats := RefineStats{EnergyBefore: s.TotalEnergy(), EnergyAfter: s.TotalEnergy()}
 	if moveBudget <= 0 {
 		moveBudget = DefaultRefineBudget
 	}
-	g, acg := s.Graph, s.ACG
+	g := s.Graph
 
 	cur := layoutOf(s)
-	curSched, err := rebuild(g, acg, cur, s.Algorithm, naive)
+	curSched, err := rebuild(b, cur, naive, nil)
 	if err != nil {
 		return s, stats, nil
 	}
@@ -89,8 +97,12 @@ func RefineEnergy(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedul
 			stats.MovesTried++
 			cand := cur.clone()
 			migrate(cand, curSched, mv.task, cand.assign[mv.task], mv.dst)
-			candSched, err := rebuild(g, acg, cand, s.Algorithm, naive)
+			bound := worseThan(curMetric)
+			candSched, err := rebuild(b, cand, naive, &bound)
 			if err != nil {
+				if err == sched.ErrStopped {
+					stats.MovesAbandoned++
+				}
 				continue
 			}
 			m := metricOf(candSched)

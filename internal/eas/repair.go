@@ -1,9 +1,7 @@
 package eas
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"nocsched/internal/ctg"
@@ -18,8 +16,11 @@ type RepairStats struct {
 	// SwapsAccepted / MigrationsAccepted count accepted LTS / GTM moves.
 	SwapsAccepted      int
 	MigrationsAccepted int
-	// MovesTried counts all attempted moves, accepted or not.
-	MovesTried int
+	// MovesTried counts all attempted moves, accepted or not;
+	// MovesAbandoned counts the rejected ones whose rebuild stopped
+	// early, once its committed prefix could no longer improve.
+	MovesTried     int
+	MovesAbandoned int
 	// InitialMisses / FinalMisses are deadline-miss counts before and
 	// after.
 	InitialMisses int
@@ -56,59 +57,53 @@ func (l *layout) clone() *layout {
 	return cp
 }
 
-// errOrderCycle marks a layout whose per-PE order contradicts the task
-// graph (a swap created a cross-PE ordering cycle); such moves are
-// rejected.
-var errOrderCycle = errors.New("eas: per-PE order conflicts with task dependencies")
-
-// rebuild derives a complete schedule from a layout: tasks are committed
-// PE-order-respecting (each task may not start before its PE
-// predecessor finishes), with incoming transactions placed by the Fig. 3
-// communication scheduler. Commit order across PEs follows ascending
-// data-ready estimates so link contention resolves the way it would at
-// run time.
-func rebuild(g *ctg.Graph, acg *energy.ACG, l *layout, algorithm string, naive bool) (*sched.Schedule, error) {
-	b := sched.NewBuilder(g, acg, algorithm)
-	if naive {
-		b.SetContentionAware(false)
+// rebuild resets b and re-times a layout on it with Builder.CommitOrder:
+// tasks keep their PE and per-PE order, incoming transactions are placed
+// by the Fig. 3 communication scheduler. Reset gives each finished
+// schedule its own shell, so one builder serves a whole search. With a non-nil bound the rebuild fails with
+// sched.ErrStopped once the committed prefix's metric is no longer
+// better than *bound.
+func rebuild(b *sched.Builder, l *layout, naive bool, bound *metric) (*sched.Schedule, error) {
+	b.Reset(b.Graph(), b.ACG())
+	b.SetContentionAware(!naive)
+	var stop func(ctg.TaskID) bool
+	if bound != nil {
+		c := cutoff{b: b, bound: *bound}
+		stop = c.stop
 	}
-	pos := make([]int, len(l.order))
-	lastFinish := make([]int64, len(l.order))
-	for b.Committed() < g.NumTasks() {
-		// Eligible: head-of-queue tasks whose predecessors are all
-		// committed. Among them, commit the one with the smallest
-		// max-predecessor-finish (earliest plausible start).
-		best := ctg.TaskID(-1)
-		bestPE := -1
-		bestKey := int64(math.MaxInt64)
-		for pe := range l.order {
-			if pos[pe] >= len(l.order[pe]) {
-				continue
-			}
-			t := l.order[pe][pos[pe]]
-			if !b.Ready(t) {
-				continue
-			}
-			key := int64(0)
-			for _, p := range g.Pred(t) {
-				if f := b.TaskPlacement(p).Finish; f > key {
-					key = f
-				}
-			}
-			if key < bestKey || (key == bestKey && t < best) {
-				best, bestPE, bestKey = t, pe, key
-			}
-		}
-		if best < 0 {
-			return nil, errOrderCycle
-		}
-		if _, err := b.CommitAfter(best, bestPE, lastFinish[bestPE]); err != nil {
-			return nil, err
-		}
-		lastFinish[bestPE] = b.TaskPlacement(best).Finish
-		pos[bestPE]++
+	if err := b.CommitOrder(l.order, nil, stop); err != nil {
+		return nil, err
 	}
 	return b.Finish()
+}
+
+// cutoff tracks the metric of a rebuild's committed prefix. Committed
+// placements are final, so the prefix's misses, and at equal misses its
+// lateness, only grow: once the prefix is no longer better than bound,
+// neither is the finished candidate, and abandoning it is exact.
+type cutoff struct {
+	b              *sched.Builder
+	bound, partial metric
+}
+
+// stop is the CommitOrder callback: it folds in committed task t.
+func (c *cutoff) stop(t ctg.TaskID) bool {
+	c.partial.add(c.b.Graph().Task(t), c.b.TaskPlacement(t).Finish)
+	return !c.partial.better(c.bound)
+}
+
+// AbandonWorse returns a Builder.CommitOrder stop callback for candidates
+// accepted on MetricBetter: it ends the rebuild once everything b has
+// committed, tasks committed before the call included, is strictly
+// worse than incumbent, which no completion can undo.
+func AbandonWorse(b *sched.Builder, incumbent *sched.Schedule) func(ctg.TaskID) bool {
+	c := &cutoff{b: b, bound: worseThan(metricOf(incumbent))}
+	for i := 0; i < b.Graph().NumTasks(); i++ {
+		if t := ctg.TaskID(i); b.Placed(t) {
+			c.partial.add(b.Graph().Task(t), b.TaskPlacement(t).Finish)
+		}
+	}
+	return c.stop
 }
 
 // metric is the lexicographic objective search-and-repair minimizes:
@@ -124,16 +119,17 @@ type metric struct {
 func metricOf(s *sched.Schedule) metric {
 	var m metric
 	for i := range s.Tasks {
-		t := s.Graph.Task(s.Tasks[i].Task)
-		if !t.HasDeadline() {
-			continue
-		}
-		if late := s.Tasks[i].Finish - t.Deadline; late > 0 {
-			m.misses++
-			m.lateness += late
-		}
+		m.add(s.Graph.Task(s.Tasks[i].Task), s.Tasks[i].Finish)
 	}
 	return m
+}
+
+// add accounts for task t finishing at finish.
+func (m *metric) add(t *ctg.Task, finish int64) {
+	if t.HasDeadline() && finish > t.Deadline {
+		m.misses++
+		m.lateness += finish - t.Deadline
+	}
 }
 
 func (m metric) better(o metric) bool {
@@ -142,6 +138,11 @@ func (m metric) better(o metric) bool {
 	}
 	return m.lateness < o.lateness
 }
+
+// worseThan is the least metric strictly worse than m (lateness is an
+// integer), so "not better than worseThan(m)" means "strictly worse than
+// m" — the cutoff bound of acceptance rules that admit an equal metric.
+func worseThan(m metric) metric { return metric{m.misses, m.lateness + 1} }
 
 // criticalTasks returns the tasks that miss their own deadline plus all
 // their ancestors, in descending-lateness-then-start order of usefulness
@@ -185,10 +186,10 @@ func criticalTasks(s *sched.Schedule) []ctg.TaskID {
 	return out
 }
 
-// Search-bound defaults. Each attempted move costs one full timing
-// reconstruction, so the neighborhood is kept local: a critical task
-// only tries swapping past its few nearest earlier neighbors, and only
-// the most critical tasks are considered per round.
+// Search-bound defaults. Each attempted move re-times the layout up to
+// the commit that proves it rejected, so the neighborhood is kept local:
+// a critical task only tries swapping past its few nearest earlier
+// neighbors, and only the most critical tasks are considered per round.
 const (
 	// DefaultRepairBudget caps attempted moves per Repair call.
 	DefaultRepairBudget = 4000
@@ -207,6 +208,12 @@ const (
 // budget is exhausted. moveBudget caps attempted moves (0 selects
 // DefaultRepairBudget).
 func Repair(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, RepairStats, error) {
+	return repair(sched.NewBuilder(s.Graph, s.ACG, s.Algorithm), s, moveBudget, naive)
+}
+
+// repair is Repair with every candidate rebuilt on b, a builder for s's
+// graph, ACG and algorithm. Reset leaves its rebuilds unmetered.
+func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, RepairStats, error) {
 	stats := RepairStats{InitialMisses: len(s.DeadlineMisses())}
 	if stats.InitialMisses == 0 {
 		stats.FinalMisses = 0
@@ -222,7 +229,7 @@ func Repair(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, Rep
 	// timing differences would mask genuine improvements. The best
 	// schedule seen overall (original included) is what we return.
 	cur := layoutOf(s)
-	curSched, err := rebuild(g, acg, cur, s.Algorithm, naive)
+	curSched, err := rebuild(b, cur, naive, nil)
 	if err != nil {
 		return s, stats, nil // cannot even reconstruct: keep the input
 	}
@@ -239,9 +246,12 @@ func Repair(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, Rep
 	// current solution.
 	try := func(cand *layout) bool {
 		stats.MovesTried++
-		candSched, err := rebuild(g, acg, cand, s.Algorithm, naive)
+		candSched, err := rebuild(b, cand, naive, &curMetric)
 		if err != nil {
-			return false // ordering cycle or infeasible: reject
+			if err == sched.ErrStopped {
+				stats.MovesAbandoned++
+			}
+			return false // no improvement, ordering cycle or infeasible: reject
 		}
 		if m := metricOf(candSched); m.better(curMetric) {
 			cur, curSched, curMetric = cand, candSched, m
@@ -313,7 +323,7 @@ func Repair(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, Rep
 		tryMigrate := func(t1 ctg.TaskID) bool {
 			task := g.Task(t1)
 			srcPE := cur.assign[t1]
-			for _, dstPE := range destinationsByEnergy(g, acg, cur, t1) {
+			for _, dstPE := range PEsByEnergy(g, acg, cur.assign, t1, nil) {
 				if dstPE == srcPE || !task.RunnableOn(dstPE) {
 					continue
 				}
@@ -376,30 +386,34 @@ func Repair(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, Rep
 	return bestSched, stats, nil
 }
 
-// destinationsByEnergy orders candidate PEs for migrating task t by
-// increasing execution-plus-communication energy, the order the paper
-// prescribes for GTM ("the destination PEs are tried in the increasing
-// order of the execution and communication energy").
-func destinationsByEnergy(g *ctg.Graph, acg *energy.ACG, l *layout, t ctg.TaskID) []int {
+// PEsByEnergy orders the PEs task t can run on by increasing
+// execution-plus-communication energy under assign (ties to the lower
+// PE), the order the paper prescribes for GTM ("the destination PEs are
+// tried in the increasing order of the execution and communication
+// energy"). PEs marked in dead (nil: none) are skipped, and so is the
+// communication with neighbors assigned to them.
+func PEsByEnergy(g *ctg.Graph, acg *energy.ACG, assign []int, t ctg.TaskID, dead []bool) []int {
+	alive := func(k int) bool { return dead == nil || !dead[k] }
 	task := g.Task(t)
-	npe := acg.NumPEs()
 	type cand struct {
 		pe   int
 		cost float64
 	}
-	cands := make([]cand, 0, npe)
-	for k := 0; k < npe; k++ {
-		if !task.RunnableOn(k) {
+	var cands []cand
+	for k := 0; k < acg.NumPEs(); k++ {
+		if !alive(k) || !task.RunnableOn(k) {
 			continue
 		}
 		cost := task.Energy[k]
 		for _, eid := range g.In(t) {
-			e := g.Edge(eid)
-			cost += acg.CommEnergy(e.Volume, l.assign[e.Src], k)
+			if e := g.Edge(eid); alive(assign[e.Src]) {
+				cost += acg.CommEnergy(e.Volume, assign[e.Src], k)
+			}
 		}
 		for _, eid := range g.Out(t) {
-			e := g.Edge(eid)
-			cost += acg.CommEnergy(e.Volume, k, l.assign[e.Dst])
+			if e := g.Edge(eid); alive(assign[e.Dst]) {
+				cost += acg.CommEnergy(e.Volume, k, assign[e.Dst])
+			}
 		}
 		cands = append(cands, cand{pe: k, cost: cost})
 	}

@@ -1,6 +1,7 @@
 package eas
 
 import (
+	"errors"
 	"testing"
 
 	"nocsched/internal/ctg"
@@ -165,7 +166,7 @@ func TestRepairNeverWorsens(t *testing.T) {
 func TestRebuildPreservesAssignmentAndOrder(t *testing.T) {
 	s := buildMissSchedule(t)
 	l := layoutOf(s)
-	re, err := rebuild(s.Graph, s.ACG, l, s.Algorithm, false)
+	re, err := rebuild(sched.NewBuilder(s.Graph, s.ACG, s.Algorithm), l, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestRebuildDetectsOrderCycle(t *testing.T) {
 	l.assign[b2], l.assign[a1] = 1, 1
 	l.order[0] = []ctg.TaskID{b1, a2} // b1 blocks a2, but b1 needs a1
 	l.order[1] = []ctg.TaskID{b2, a1} // b2 blocks a1, but b2 needs a2
-	if _, err := rebuild(g, acg, l, "eas", false); err == nil {
-		t.Fatal("ordering cycle not detected")
+	if _, err := rebuild(sched.NewBuilder(g, acg, "eas"), l, false, nil); !errors.Is(err, sched.ErrOrderCycle) {
+		t.Fatalf("ordering cycle not detected: err = %v", err)
 	}
 }

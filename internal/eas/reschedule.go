@@ -64,13 +64,14 @@ func RescheduleLayout(g *ctg.Graph, acg *energy.ACG, assign []int, order [][]ctg
 	for pe := range order {
 		l.order[pe] = append([]ctg.TaskID(nil), order[pe]...)
 	}
-	s, err := rebuild(g, acg, l, "eas-remap", opts.NaiveContention)
+	b := sched.NewBuilder(g, acg, "eas-remap")
+	s, err := rebuild(b, l, opts.NaiveContention, nil)
 	if err != nil {
 		return nil, fmt.Errorf("eas: layout inconsistent with task dependencies: %w", err)
 	}
 	res := &Result{Schedule: s}
 	if !opts.DisableRepair && !s.Feasible() {
-		repaired, stats, err := Repair(s, opts.RepairBudget, opts.NaiveContention)
+		repaired, stats, err := repair(b, s, opts.RepairBudget, opts.NaiveContention)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"nocsched/internal/ctg"
@@ -210,34 +209,11 @@ func recoverOn(d *Degraded, s *sched.Schedule, g *ctg.Graph, opts Options) (*Rec
 // dead PEs are ignored: those neighbors are later in the eviction
 // order and their old coordinates carry no information.
 func cheapestAlivePE(g *ctg.Graph, d *Degraded, assign []int, t ctg.TaskID) (int, error) {
-	task := g.Task(t)
-	bestPE, bestCost := -1, math.Inf(1)
-	for k := 0; k < d.ACG.NumPEs(); k++ {
-		if d.DeadPE[k] || !task.RunnableOn(k) {
-			continue
-		}
-		cost := task.Energy[k]
-		for _, eid := range g.In(t) {
-			e := g.Edge(eid)
-			if !d.DeadPE[assign[e.Src]] {
-				cost += d.ACG.CommEnergy(e.Volume, assign[e.Src], k)
-			}
-		}
-		for _, eid := range g.Out(t) {
-			e := g.Edge(eid)
-			if !d.DeadPE[assign[e.Dst]] {
-				cost += d.ACG.CommEnergy(e.Volume, k, assign[e.Dst])
-			}
-		}
-		if cost < bestCost {
-			bestPE, bestCost = k, cost
-		}
+	if pes := eas.PEsByEnergy(g, d.ACG, assign, t, d.DeadPE); len(pes) > 0 {
+		return pes[0], nil
 	}
-	if bestPE < 0 {
-		return -1, fmt.Errorf("%w: task %d (%q) under scenario %q",
-			ErrNoCapablePE, t, task.Name, d.Scenario.Name)
-	}
-	return bestPE, nil
+	return -1, fmt.Errorf("%w: task %d (%q) under scenario %q",
+		ErrNoCapablePE, t, g.Task(t).Name, d.Scenario.Name)
 }
 
 // moveTask reassigns task t to dstPE, inserting it into the destination

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"nocsched/internal/ctg"
@@ -138,11 +137,6 @@ func (r *StreamResult) EnergyOverhead() float64 {
 	}
 	return (r.Steps[len(r.Steps)-1].EnergyAfter - r.EnergyBefore) / r.EnergyBefore
 }
-
-// errStreamOrderCycle marks a suffix whose inherited per-PE order
-// contradicts the task graph; it should be unreachable (the order is
-// derived from a valid schedule) and is surfaced rather than repaired.
-var errStreamOrderCycle = errors.New("fault: stream suffix order conflicts with task dependencies")
 
 // streamState is the evolving picture ReplayStream threads between
 // events.
@@ -329,7 +323,9 @@ func applyStreamEvent(st *streamState, base *sched.Schedule, cum *Scenario, ev S
 	}
 	order := suffixOrder(cur, frozen, assign, d.ACG.NumPEs())
 
-	hyb, err := rebuildSuffix(dg, d, cur, frozen, t, order, cur.Algorithm)
+	// One builder re-times every candidate hybrid of this event.
+	b := sched.NewBuilder(dg, d.ACG, cur.Algorithm)
+	hyb, err := rebuildSuffix(b, dg, d, cur, frozen, t, order, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +337,7 @@ func applyStreamEvent(st *streamState, base *sched.Schedule, cum *Scenario, ev S
 	if budget <= 0 {
 		budget = DefaultStreamRepairBudget
 	}
-	hyb, step.RepairMoves, err = repairSuffix(dg, d, cur, frozen, t, assign, order, hyb, budget)
+	hyb, step.RepairMoves, err = repairSuffix(b, dg, d, cur, frozen, t, assign, order, hyb, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -362,11 +358,8 @@ func applyStreamEvent(st *streamState, base *sched.Schedule, cum *Scenario, ev S
 			if derr != nil {
 				continue
 			}
-			hybTry, herr := rebuildSuffix(dgTry, d, cur, frozen, t, order, cur.Algorithm)
-			if herr != nil {
-				continue
-			}
-			if !eas.MetricBetter(hybTry, hyb) {
+			hybTry, herr := rebuildSuffix(b, dgTry, d, cur, frozen, t, order, hyb)
+			if herr != nil || !eas.MetricBetter(hybTry, hyb) {
 				continue
 			}
 			g, dg, hyb = gTry, dgTry, hybTry
@@ -449,20 +442,21 @@ func suffixOrder(cur *sched.Schedule, frozen []bool, assign []int, npes int) [][
 	return order
 }
 
-// rebuildSuffix derives the hybrid schedule for one event: the blocked
-// prefix [0, t) is reserved everywhere, frozen placements are committed
-// verbatim (in-flight tails extend their PE reservations past t), and
-// the suffix is committed in the repair pipeline's order-respecting
-// fashion with every start floored at t — the floor, not the block, is
-// what pins zero-width tasks past the checkpoint.
-func rebuildSuffix(dg *ctg.Graph, d *Degraded, prev *sched.Schedule, frozen []bool, t int64, order [][]ctg.TaskID, algorithm string) (*sched.Schedule, error) {
-	b := sched.NewBuilder(dg, d.ACG, algorithm)
+// rebuildSuffix derives the hybrid schedule for one event on b: the
+// blocked prefix [0, t) is reserved everywhere, frozen placements are
+// committed verbatim (in-flight tails extend their PE reservations past
+// t), and the suffix is committed by Builder.CommitOrder with every
+// start floored at t — the floor, not the block, is what pins zero-width
+// tasks past the checkpoint. With a non-nil incumbent the rebuild fails
+// with sched.ErrStopped once it can no longer win on eas.MetricBetter.
+func rebuildSuffix(b *sched.Builder, dg *ctg.Graph, d *Degraded, prev *sched.Schedule, frozen []bool, t int64, order [][]ctg.TaskID, incumbent *sched.Schedule) (*sched.Schedule, error) {
+	b.Reset(dg, d.ACG)
 	if err := b.BlockPast(t); err != nil {
 		return nil, err
 	}
-	lastFinish := make([]int64, len(order))
-	for k := range lastFinish {
-		lastFinish[k] = t
+	floor := make([]int64, len(order))
+	for k := range floor {
+		floor[k] = t
 	}
 	for i := range frozen {
 		if !frozen[i] {
@@ -476,41 +470,16 @@ func rebuildSuffix(dg *ctg.Graph, d *Degraded, prev *sched.Schedule, frozen []bo
 		if err := b.CommitFrozen(tp, trans); err != nil {
 			return nil, err
 		}
-		if !d.DeadPE[tp.PE] && tp.Finish > lastFinish[tp.PE] {
-			lastFinish[tp.PE] = tp.Finish
+		if !d.DeadPE[tp.PE] && tp.Finish > floor[tp.PE] {
+			floor[tp.PE] = tp.Finish
 		}
 	}
-	pos := make([]int, len(order))
-	for b.Committed() < dg.NumTasks() {
-		best := ctg.TaskID(-1)
-		bestPE := -1
-		bestKey := int64(math.MaxInt64)
-		for pe := range order {
-			if pos[pe] >= len(order[pe]) {
-				continue
-			}
-			tid := order[pe][pos[pe]]
-			if !b.Ready(tid) {
-				continue
-			}
-			key := int64(0)
-			for _, p := range dg.Pred(tid) {
-				if f := b.TaskPlacement(p).Finish; f > key {
-					key = f
-				}
-			}
-			if key < bestKey || (key == bestKey && tid < best) {
-				best, bestPE, bestKey = tid, pe, key
-			}
-		}
-		if best < 0 {
-			return nil, errStreamOrderCycle
-		}
-		if _, err := b.CommitAfter(best, bestPE, lastFinish[bestPE]); err != nil {
-			return nil, err
-		}
-		lastFinish[bestPE] = b.TaskPlacement(best).Finish
-		pos[bestPE]++
+	var stop func(ctg.TaskID) bool
+	if incumbent != nil {
+		stop = eas.AbandonWorse(b, incumbent)
+	}
+	if err := b.CommitOrder(order, floor, stop); err != nil {
+		return nil, err
 	}
 	return b.Finish()
 }
@@ -518,16 +487,16 @@ func rebuildSuffix(dg *ctg.Graph, d *Degraded, prev *sched.Schedule, frozen []bo
 // repairSuffix claws back deadline misses with suffix-only migrations:
 // missed tasks and their suffix ancestors, latest start first, are
 // offered alternative surviving PEs in ascending energy order; a move
-// is kept only when the rebuilt hybrid strictly improves the deadline
-// metric. Budget caps attempted (not accepted) moves. The inherited
-// assign/order are updated in place for accepted moves.
-func repairSuffix(dg *ctg.Graph, d *Degraded, prev *sched.Schedule, frozen []bool, t int64, assign []int, order [][]ctg.TaskID, hyb *sched.Schedule, budget int) (*sched.Schedule, int, error) {
+// is kept only when the hybrid rebuilt on b beats the incumbent under
+// eas.MetricBetter. Budget caps attempted (not accepted) moves. The
+// inherited assign/order are updated in place for accepted moves.
+func repairSuffix(b *sched.Builder, dg *ctg.Graph, d *Degraded, prev *sched.Schedule, frozen []bool, t int64, assign []int, order [][]ctg.TaskID, hyb *sched.Schedule, budget int) (*sched.Schedule, int, error) {
 	moves := 0
 	for budget > 0 && len(hyb.DeadlineMisses()) > 0 {
 		improved := false
 	search:
 		for _, c := range suffixRepairCandidates(dg, hyb, frozen) {
-			for _, k := range alivePEsByEnergy(dg, d, assign, c) {
+			for _, k := range eas.PEsByEnergy(dg, d.ACG, assign, c, d.DeadPE) {
 				if k == assign[c] {
 					continue
 				}
@@ -537,7 +506,7 @@ func repairSuffix(dg *ctg.Graph, d *Degraded, prev *sched.Schedule, frozen []boo
 				budget--
 				oldPE := assign[c]
 				moveTask(hyb, order, assign, c, k)
-				cand, err := rebuildSuffix(dg, d, prev, frozen, t, order, hyb.Algorithm)
+				cand, err := rebuildSuffix(b, dg, d, prev, frozen, t, order, hyb)
 				if err == nil && eas.MetricBetter(cand, hyb) {
 					hyb = cand
 					moves++
@@ -576,48 +545,6 @@ func suffixRepairCandidates(dg *ctg.Graph, hyb *sched.Schedule, frozen []bool) [
 		return hyb.Tasks[cands[i]].Start > hyb.Tasks[cands[j]].Start
 	})
 	return cands
-}
-
-// alivePEsByEnergy returns the surviving capable PEs for task c in
-// ascending execution-plus-communication energy under the current
-// assignment (the GTM destination order).
-func alivePEsByEnergy(dg *ctg.Graph, d *Degraded, assign []int, c ctg.TaskID) []int {
-	task := dg.Task(c)
-	type cost struct {
-		k int
-		e float64
-	}
-	var cs []cost
-	for k := 0; k < d.ACG.NumPEs(); k++ {
-		if d.DeadPE[k] || !task.RunnableOn(k) {
-			continue
-		}
-		e := task.Energy[k]
-		for _, eid := range dg.In(c) {
-			edge := dg.Edge(eid)
-			if !d.DeadPE[assign[edge.Src]] {
-				e += d.ACG.CommEnergy(edge.Volume, assign[edge.Src], k)
-			}
-		}
-		for _, eid := range dg.Out(c) {
-			edge := dg.Edge(eid)
-			if !d.DeadPE[assign[edge.Dst]] {
-				e += d.ACG.CommEnergy(edge.Volume, k, assign[edge.Dst])
-			}
-		}
-		cs = append(cs, cost{k, e})
-	}
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].e != cs[j].e {
-			return cs[i].e < cs[j].e
-		}
-		return cs[i].k < cs[j].k
-	})
-	out := make([]int, len(cs))
-	for i := range cs {
-		out[i] = cs[i].k
-	}
-	return out
 }
 
 // coalesceStream sorts the stream by time and merges same-instant

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/energy"
@@ -47,6 +49,11 @@ type Builder struct {
 	// allocations (Placement.Trans aliases trans; see Placement).
 	lct   []ctg.EdgeID
 	trans []TransactionPlacement
+
+	// orderPos/orderLast are CommitOrder's per-PE queue positions and
+	// last finishes, kept so repeated layout rebuilds do not allocate.
+	orderPos  []int
+	orderLast []int64
 
 	// contention selects the exact Fig. 3 link-contention model (true,
 	// the default) or the naive fixed-delay model most prior work uses
@@ -127,9 +134,9 @@ func resetTables(ts []schedtable.Table, n int) []schedtable.Table {
 // fresh Schedule shell and nothing else (the allocation-regression test
 // pins this); a different ACG forces the table and route-cache storage
 // to be rebuilt and detaches any route plan (reattach with
-// SetRoutePlan). The contention model is restored to the exact Fig. 3
-// default; callers wanting the naive ablation model must call
-// SetContentionAware(false) again after Reset.
+// SetRoutePlan). Metrics are detached and the contention model is
+// restored to the exact Fig. 3 default; callers wanting either must set
+// it again after Reset.
 //
 // Reset preserves the builder's identity, so Probers and ProbePools
 // created from it remain valid across same-ACG resets — that is what
@@ -171,6 +178,7 @@ func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 	b.nCommitted = 0
 	b.blocked = 0
 	b.contention = true
+	b.metrics = nil
 }
 
 // routeTables returns the cached link-table slice and link indices of
@@ -438,6 +446,68 @@ func (b *Builder) CommitAfter(t ctg.TaskID, k int, floor int64) (Placement, erro
 	b.nCommitted++
 	b.metrics.commits().Inc()
 	return p, nil
+}
+
+// CommitOrder's failures: a per-PE order that contradicts the task graph
+// (every remaining queue head waits on a task queued behind another
+// head), and a rebuild its stop callback ended.
+var (
+	ErrOrderCycle = errors.New("sched: per-PE order conflicts with task dependencies")
+	ErrStopped    = errors.New("sched: rebuild stopped by its caller")
+)
+
+// CommitOrder re-times a layout: it commits the tasks of order, each PE's
+// queue in its given sequence, every task starting no earlier than its
+// PE's previous one finishes (floor[pe] for the first; nil means 0).
+// Among the ready queue heads it commits the one with the smallest
+// max-predecessor finish (ties to the lower task ID), so link contention
+// resolves the way it would at run time. Tasks committed before the call
+// (fault recovery's frozen prefix) count as finished predecessors.
+//
+// stop, when non-nil, is called after each commit with the committed
+// task; returning true ends the rebuild with ErrStopped, leaving the
+// builder partially committed.
+func (b *Builder) CommitOrder(order [][]ctg.TaskID, floor []int64, stop func(ctg.TaskID) bool) error {
+	npe := len(order)
+	if cap(b.orderPos) < npe {
+		b.orderPos, b.orderLast = make([]int, npe), make([]int64, npe)
+	}
+	pos, last := b.orderPos[:npe], b.orderLast[:npe]
+	clear(pos)
+	clear(last)
+	copy(last, floor)
+	for b.nCommitted < b.g.NumTasks() {
+		best, bestPE, bestKey := ctg.TaskID(-1), -1, int64(math.MaxInt64)
+		for pe := range order {
+			if pos[pe] >= len(order[pe]) {
+				continue
+			}
+			t := order[pe][pos[pe]]
+			if !b.Ready(t) {
+				continue
+			}
+			key := int64(0)
+			for _, eid := range b.g.In(t) {
+				key = max(key, b.schedule.Tasks[b.g.Edge(eid).Src].Finish)
+			}
+			if key < bestKey || (key == bestKey && t < best) {
+				best, bestPE, bestKey = t, pe, key
+			}
+		}
+		if best < 0 {
+			return ErrOrderCycle
+		}
+		p, err := b.CommitAfter(best, bestPE, last[bestPE])
+		if err != nil {
+			return err
+		}
+		last[bestPE] = p.Finish
+		pos[bestPE]++
+		if stop != nil && stop(best) {
+			return ErrStopped
+		}
+	}
+	return nil
 }
 
 // Finish returns the completed schedule. It fails if any task remains

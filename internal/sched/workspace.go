@@ -45,10 +45,6 @@ func (w *Workspace) SetRoutePlan(p *RoutePlan) { w.plan = p }
 // first Prepare).
 func (w *Workspace) Builder() *Builder { return w.builder }
 
-// Pool returns the workspace's current probe pool (nil before the
-// first Prepare).
-func (w *Workspace) Pool() *ProbePool { return w.pool }
-
 // Prepare readies the workspace for one scheduling run of graph g on
 // acg: on the same platform as the previous run it resets the existing
 // builder in place (zero steady-state allocation beyond the fresh
@@ -60,7 +56,6 @@ func (w *Workspace) Pool() *ProbePool { return w.pool }
 func (w *Workspace) Prepare(g *ctg.Graph, acg *energy.ACG, algorithm string) (*Builder, *ProbePool, error) {
 	if w.builder != nil && w.builder.ACG() == acg {
 		w.builder.SetAlgorithm(algorithm)
-		w.builder.SetMetrics(nil)
 		w.builder.Reset(g, acg)
 		w.pool.ResetProbes()
 		return w.builder, w.pool, nil
