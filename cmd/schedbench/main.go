@@ -66,6 +66,7 @@ type Config struct {
 	ReadonlyParMS  float64 `json:"readonly_par_ms"`
 	SpeedupPar     float64 `json:"speedup_par"`
 	Probes         int64   `json:"probes"`
+	ProbeReuses    int64   `json:"probe_reuses"`
 	ProbesPerSec   float64 `json:"probes_per_sec"`
 	AllocsPerProbe struct {
 		Readonly float64 `json:"readonly"`
@@ -259,6 +260,7 @@ func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, reps int, ses
 		if pi == 0 {
 			ref = s
 			cfg.Probes = s.Probes
+			cfg.ProbeReuses = s.ProbeReuses
 			cfg.EnergyNJ = s.TotalEnergy()
 			cfg.DeadlineMisses = len(s.DeadlineMisses())
 		} else if d := sched.Diff(ref, s); d != "" {

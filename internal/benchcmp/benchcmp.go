@@ -78,6 +78,7 @@ var kindSpecs = map[Kind]kindSpec{
 		metrics: []metricSpec{
 			{"edges", LowerBetter, ClassDeterministic},
 			{"probes", LowerBetter, ClassDeterministic},
+			{"probe_reuses", HigherBetter, ClassDeterministic},
 			{"energy_nj", LowerBetter, ClassDeterministic},
 			{"deadline_misses", LowerBetter, ClassDeterministic},
 			{"identical", HigherBetter, ClassDeterministic},

@@ -24,12 +24,12 @@ package dls
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/energy"
 	"nocsched/internal/sched"
-	"nocsched/internal/stats"
 )
 
 // Schedule runs DLS on graph g against architecture acg.
@@ -51,20 +51,10 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 		return nil, fmt.Errorf("dls: CTG characterized for %d PEs, platform has %d",
 			g.NumPEs(), acg.NumPEs())
 	}
-	sl, err := StaticLevels(g)
+	meanExec := meanExecTimes(g)
+	sl, err := staticLevels(g, meanExec)
 	if err != nil {
 		return nil, err
-	}
-	meanExec := make([]float64, g.NumTasks())
-	for i := 0; i < g.NumTasks(); i++ {
-		task := g.Task(ctg.TaskID(i))
-		var times []int64
-		for _, r := range task.ExecTime {
-			if r >= 0 {
-				times = append(times, r)
-			}
-		}
-		meanExec[i] = stats.MeanInt64(times)
 	}
 
 	b, pool, err := ws.Prepare(g, acg, "dls")
@@ -95,7 +85,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 			if !task.RunnableOn(k) {
 				continue
 			}
-			p, err := pr.Probe(t, k)
+			p, err := pr.ProbeCached(t, k)
 			if err != nil {
 				rows[i] = row{err: err}
 				return
@@ -120,10 +110,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 			return nil, fmt.Errorf("dls: no ready tasks with %d of %d committed",
 				b.Committed(), g.NumTasks())
 		}
-		if cap(rows) < len(rtl) {
-			rows = make([]row, len(rtl))
-		}
-		rows = rows[:len(rtl)]
+		rows = slices.Grow(rows[:0], len(rtl))[:len(rtl)]
 		pool.RunWeighted(len(rtl), npe, evalRow)
 
 		// Sequential reduction in ascending task order: the first
@@ -156,6 +143,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 		return nil, err
 	}
 	s.Probes = pool.Probes()
+	s.ProbeReuses = pool.ProbeReuses()
 	s.Elapsed = time.Since(started)
 	return s, nil
 }
@@ -163,6 +151,31 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 // StaticLevels returns SL(t) for every task: the largest sum of mean
 // execution times along any path from t to a sink, inclusive of t.
 func StaticLevels(g *ctg.Graph) ([]float64, error) {
+	return staticLevels(g, meanExecTimes(g))
+}
+
+// meanExecTimes returns every task's mean execution time over the PEs
+// that can run it (0 when none can): stats.MeanInt64's sum, in the same
+// order, without collecting the times first.
+func meanExecTimes(g *ctg.Graph) []float64 {
+	means := make([]float64, g.NumTasks())
+	for i := range means {
+		sum, n := 0.0, 0
+		for _, r := range g.Task(ctg.TaskID(i)).ExecTime {
+			if r >= 0 {
+				sum += float64(r)
+				n++
+			}
+		}
+		if n > 0 {
+			means[i] = sum / float64(n)
+		}
+	}
+	return means
+}
+
+// staticLevels is StaticLevels over precomputed mean execution times.
+func staticLevels(g *ctg.Graph, meanExec []float64) ([]float64, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -170,20 +183,11 @@ func StaticLevels(g *ctg.Graph) ([]float64, error) {
 	sl := make([]float64, g.NumTasks())
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
-		task := g.Task(t)
-		var times []int64
-		for _, r := range task.ExecTime {
-			if r >= 0 {
-				times = append(times, r)
-			}
-		}
 		best := 0.0
-		for _, s := range g.Succ(t) {
-			if sl[s] > best {
-				best = sl[s]
-			}
+		for _, eid := range g.Out(t) {
+			best = max(best, sl[g.Edge(eid).Dst])
 		}
-		sl[t] = best + stats.MeanInt64(times)
+		sl[t] = best + meanExec[t]
 	}
 	return sl, nil
 }

@@ -166,8 +166,8 @@ func TestDLSRejectsBadInput(t *testing.T) {
 }
 
 // TestDLSCountsProbes: Schedule.Probes counts the F(i,k) probes DLS
-// evaluated, one per ready task x capable PE per round, and the count
-// does not depend on the worker count.
+// evaluated, one per ready task x capable PE per round, and neither it
+// nor Schedule.ProbeReuses depends on the worker count.
 func TestDLSCountsProbes(t *testing.T) {
 	p, err := noc.NewHeterogeneousMesh(4, 4, noc.RouteXY, 256)
 	if err != nil {
@@ -196,5 +196,13 @@ func TestDLSCountsProbes(t *testing.T) {
 	}
 	if seq.Probes != par.Probes {
 		t.Errorf("probe counts diverge: 1 worker %d, 4 workers %d", seq.Probes, par.Probes)
+	}
+	// Reused answers are part of Probes, and which probes the cache
+	// serves depends on the commit history only.
+	if seq.ProbeReuses <= 0 || seq.ProbeReuses >= seq.Probes {
+		t.Errorf("DLS reused %d of %d probes, want some but not all", seq.ProbeReuses, seq.Probes)
+	}
+	if seq.ProbeReuses != par.ProbeReuses {
+		t.Errorf("probe reuse counts diverge: 1 worker %d, 4 workers %d", seq.ProbeReuses, par.ProbeReuses)
 	}
 }

@@ -3,6 +3,7 @@ package eas
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"nocsched/internal/ctg"
@@ -68,6 +69,9 @@ type Result struct {
 	// budgeting passes and the fallback (the returned Schedule's own
 	// Probes field counts only the pass that produced it).
 	Probes int64
+	// ProbeReuses is how many of Probes were answered from the exact
+	// probe cache (Step 2 only; the fallback's EDF probes never are).
+	ProbeReuses int64
 }
 
 // Schedule runs the full EAS algorithm (Steps 1-3, or 1-2 when repair is
@@ -112,7 +116,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	}
 
 	var best *Result
-	var totalProbes int64
+	var totalProbes, totalReuses int64
 	better := func(a, b *Result) bool { // is a better than b?
 		am, bm := metricOf(a.Schedule), metricOf(b.Schedule)
 		if am != bm {
@@ -138,6 +142,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 			return nil, err
 		}
 		totalProbes += s.Probes
+		totalReuses += s.ProbeReuses
 		cand := &Result{Schedule: s, Budget: budget}
 		if !opts.DisableRepair && !s.Feasible() {
 			endStep = tr.Span("step3:repair", "eas phases")
@@ -184,6 +189,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	}
 	best.Schedule.Elapsed = time.Since(started)
 	best.Probes = totalProbes
+	best.ProbeReuses = totalReuses
 	sched.PublishSchedule(opts.Telemetry.R(), best.Schedule)
 	return best, nil
 }
@@ -270,7 +276,7 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 			if !task.RunnableOn(k) {
 				continue
 			}
-			p, err := pr.Probe(ti, k)
+			p, err := pr.ProbeCached(ti, k)
 			if err != nil {
 				row.err = err
 				rows[i] = row
@@ -306,10 +312,7 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 				b.Committed(), g.NumTasks())
 		}
 		metrics.ObserveReadyDepth(len(rtl))
-		if cap(rows) < len(rtl) {
-			rows = make([]rowEval, len(rtl))
-		}
-		rows = rows[:len(rtl)]
+		rows = slices.Grow(rows[:0], len(rtl))[:len(rtl)]
 		pool.RunWeighted(len(rtl), npe, evalRow)
 
 		// Sequential reduction in ascending RTL order.
@@ -372,5 +375,6 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 		return nil, err
 	}
 	s.Probes = pool.Probes()
+	s.ProbeReuses = pool.ProbeReuses()
 	return s, nil
 }

@@ -119,6 +119,9 @@ func TestEASDifferential(t *testing.T) {
 			if seq.Probes != par.Probes {
 				t.Errorf("probe counts diverge: seq %d, par %d", seq.Probes, par.Probes)
 			}
+			if seq.ProbeReuses != par.ProbeReuses {
+				t.Errorf("probe reuse counts diverge: seq %d, par %d", seq.ProbeReuses, par.ProbeReuses)
+			}
 		})
 	}
 }
@@ -160,6 +163,9 @@ func TestDLSDifferential(t *testing.T) {
 			}
 			if seq.Probes != par.Probes {
 				t.Errorf("probe counts diverge: seq %d, par %d", seq.Probes, par.Probes)
+			}
+			if seq.ProbeReuses != par.ProbeReuses {
+				t.Errorf("probe reuse counts diverge: seq %d, par %d", seq.ProbeReuses, par.ProbeReuses)
 			}
 		})
 	}

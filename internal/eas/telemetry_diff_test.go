@@ -140,6 +140,24 @@ func TestTelemetryDoesNotChangeEDF(t *testing.T) {
 	}
 }
 
+// TestProbeReusesMetric reconciles the reuse counter with the result:
+// sched_probe_reuses_total equals Result.ProbeReuses, and Step 2 serves
+// some, but not all, of its probes from the cache.
+func TestProbeReusesMetric(t *testing.T) {
+	g, acg := telemetryRig(t, 3)
+	col := telemetry.NewCollector(nil)
+	res, err := Schedule(g, acg, Options{Telemetry: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := col.Registry.Counter(sched.MetricProbeReuses).Value(); got != res.ProbeReuses {
+		t.Errorf("%s = %d, Result.ProbeReuses = %d", sched.MetricProbeReuses, got, res.ProbeReuses)
+	}
+	if res.ProbeReuses <= 0 || res.ProbeReuses >= res.Probes {
+		t.Errorf("EAS reused %d of %d probes, want some but not all", res.ProbeReuses, res.Probes)
+	}
+}
+
 // close64 compares floats to a relative 1e-9.
 func close64(a, b float64) bool {
 	d := a - b

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/energy"
@@ -27,6 +28,19 @@ type Builder struct {
 	placed     []bool
 	schedule   *Schedule
 	nCommitted int
+
+	// pending counts each task's in-edges whose source is not yet
+	// committed. ready holds the Ready Task List: a task is appended
+	// when its last pending predecessor commits, and AppendReady drops
+	// committed tasks and restores task-ID order, so commits nobody
+	// polls the list for (CommitOrder rebuilds) pay only an append.
+	pending []int32
+	ready   []ctg.TaskID
+
+	// The exact probe cache behind Prober.ProbeCached (probecache.go):
+	// write stamps per PE and link table, and one row of NumPEs entries
+	// per ready-list slot.
+	probeCache
 
 	// Route cache, per ordered PE pair: the link-table pointer slice and
 	// link indices of the ACG route, so neither probes nor commits
@@ -94,7 +108,7 @@ type Placement struct {
 // NewBuilder returns a Builder for one scheduling run.
 func NewBuilder(g *ctg.Graph, acg *energy.ACG, algorithm string) *Builder {
 	npairs := acg.NumPEs() * acg.NumPEs()
-	return &Builder{
+	b := &Builder{
 		g:          g,
 		acg:        acg,
 		algorithm:  algorithm,
@@ -107,6 +121,9 @@ func NewBuilder(g *ctg.Graph, acg *energy.ACG, algorithm string) *Builder {
 		routeIDs:   make([][]int, npairs),
 		routeSet:   make([]bool, npairs),
 	}
+	b.resizeStamps()
+	b.resetReady()
+	return b
 }
 
 // SetAlgorithm renames the algorithm recorded in schedules the builder
@@ -156,6 +173,7 @@ func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 		b.routeIDs = make([][]int, npairs)
 		b.routeSet = make([]bool, npairs)
 		b.plan, b.planTabs = nil, nil
+		b.resizeStamps()
 	} else {
 		for i := range b.peTables {
 			b.peTables[i].Reset()
@@ -179,6 +197,41 @@ func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 	b.blocked = 0
 	b.contention = true
 	b.metrics = nil
+	b.resetReady()
+}
+
+// resetReady rebuilds the pending-predecessor counts and the ready
+// list for a run with nothing committed, and frees every cache slot.
+func (b *Builder) resetReady() {
+	n := b.g.NumTasks()
+	b.pending = slices.Grow(b.pending[:0], n)[:n]
+	b.ready = b.ready[:0]
+	b.resetSlots(n)
+	for i := range b.pending {
+		t := ctg.TaskID(i)
+		b.pending[i] = int32(len(b.g.In(t)))
+		if b.pending[i] == 0 {
+			b.ready = append(b.ready, t)
+		}
+	}
+}
+
+// markPlaced records t as committed, frees its cache slot, and appends
+// every successor whose last pending predecessor this was to the ready
+// list (AppendReady drops the ones CommitFrozen already placed).
+func (b *Builder) markPlaced(t ctg.TaskID) {
+	b.placed[t] = true
+	b.nCommitted++
+	if b.slot[t] >= 0 {
+		b.freeSlot(t)
+	}
+	for _, eid := range b.g.Out(t) {
+		d := b.g.Edge(eid).Dst
+		if b.pending[d]--; b.pending[d] == 0 {
+			b.ready = append(b.ready, d)
+		}
+	}
+	b.metrics.commits().Inc()
 }
 
 // routeTables returns the cached link-table slice and link indices of
@@ -227,7 +280,10 @@ func (b *Builder) warmRoutes() {
 // SetContentionAware toggles the exact link-contention model. Schedules
 // built with the naive model generally fail Schedule.Validate because
 // transactions overlap on links; they are only useful as ablation input.
-func (b *Builder) SetContentionAware(on bool) { b.contention = on }
+func (b *Builder) SetContentionAware(on bool) {
+	b.contention = on
+	b.invalidate()
+}
 
 // Graph returns the CTG being scheduled.
 func (b *Builder) Graph() *ctg.Graph { return b.g }
@@ -247,31 +303,34 @@ func (b *Builder) TaskPlacement(t ctg.TaskID) TaskPlacement { return b.schedule.
 
 // Ready reports whether every predecessor of t has been committed and t
 // itself has not.
-func (b *Builder) Ready(t ctg.TaskID) bool {
-	if b.placed[t] {
-		return false
-	}
-	for _, eid := range b.g.In(t) {
-		if !b.placed[b.g.Edge(eid).Src] {
-			return false
-		}
-	}
-	return true
-}
+func (b *Builder) Ready(t ctg.TaskID) bool { return !b.placed[t] && b.pending[t] == 0 }
 
 // ReadyTasks returns the current Ready Task List (RTL) in task-ID order.
 func (b *Builder) ReadyTasks() []ctg.TaskID { return b.AppendReady(nil) }
 
 // AppendReady appends the current Ready Task List to dst in task-ID
 // order and returns the extended slice — the allocation-free sibling of
-// ReadyTasks for schedulers that poll the RTL every round.
+// ReadyTasks for schedulers that poll the RTL every round. Commits keep
+// the list, so this costs O(ready tasks), not O(tasks). A task listed
+// for the first time gets its probe-cache slot here: only tasks a
+// scheduler polls for can be served by ProbeCached.
 func (b *Builder) AppendReady(dst []ctg.TaskID) []ctg.TaskID {
-	for i := 0; i < b.g.NumTasks(); i++ {
-		if b.Ready(ctg.TaskID(i)) {
-			dst = append(dst, ctg.TaskID(i))
+	live := b.ready[:0]
+	for _, t := range b.ready {
+		if b.placed[t] {
+			continue
+		}
+		// Insertion sort: tasks joined in commit order, at the end.
+		live = append(live, t)
+		for i := len(live) - 1; i > 0 && live[i] < live[i-1]; i-- {
+			live[i], live[i-1] = live[i-1], live[i]
+		}
+		if b.slot[t] < 0 {
+			b.takeSlot(t)
 		}
 	}
-	return dst
+	b.ready = live
+	return append(dst, live...)
 }
 
 // place reserves the incoming transactions and the execution slot of
@@ -301,6 +360,7 @@ func (b *Builder) place(t ctg.TaskID, k int, floor int64) (Placement, error) {
 	}
 
 	b.trans = b.trans[:0]
+	b.stamp++
 	p := Placement{Task: t, PE: k}
 	for _, eid := range lct {
 		e := b.g.Edge(eid)
@@ -315,8 +375,11 @@ func (b *Builder) place(t ctg.TaskID, k int, floor int64) (Placement, error) {
 			// moment the sender finishes, occupying no network.
 			tr.Start, tr.Finish = src.Finish, src.Finish
 		} else if b.contention {
-			tables, _ := b.routeTables(src.PE, k)
+			tables, ids := b.routeTables(src.PE, k)
 			start := schedtable.FindEarliestAll(tables, src.Finish, dur)
+			for _, id := range ids {
+				b.linkStamp[id] = b.stamp
+			}
 			if err := schedtable.ReserveAll(tables, start, dur); err != nil {
 				return Placement{}, fmt.Errorf("sched: reserve transaction %d: %w", eid, err)
 			}
@@ -347,6 +410,7 @@ func (b *Builder) place(t ctg.TaskID, k int, floor int64) (Placement, error) {
 		p.Start, p.Finish = start, start
 		return p, nil
 	}
+	b.peStamp[k] = b.stamp
 	if err := b.peTables[k].Reserve(start, exec); err != nil {
 		return Placement{}, fmt.Errorf("sched: reserve task %d on PE %d: %w", t, k, err)
 	}
@@ -368,6 +432,7 @@ func (b *Builder) BlockPast(t int64) error {
 	if b.nCommitted > 0 || b.blocked > 0 {
 		return fmt.Errorf("sched: BlockPast(%d) on a builder already in use", t)
 	}
+	b.invalidate()
 	for i := range b.peTables {
 		if err := b.peTables[i].Reserve(0, t); err != nil {
 			return fmt.Errorf("sched: block PE %d prefix: %w", i, err)
@@ -407,6 +472,7 @@ func (b *Builder) CommitFrozen(tp TaskPlacement, trans []TransactionPlacement) e
 		return fmt.Errorf("sched: freezing task %d starting at %d, at or past the blocked prefix %d",
 			t, tp.Start, b.blocked)
 	}
+	b.invalidate()
 	if tp.Finish > b.blocked {
 		if err := b.peTables[tp.PE].Reserve(b.blocked, tp.Finish-b.blocked); err != nil {
 			return fmt.Errorf("sched: reserve in-flight tail of task %d on PE %d: %w", t, tp.PE, err)
@@ -416,9 +482,7 @@ func (b *Builder) CommitFrozen(tp TaskPlacement, trans []TransactionPlacement) e
 	for _, tr := range trans {
 		b.schedule.Transactions[tr.Edge] = tr
 	}
-	b.placed[t] = true
-	b.nCommitted++
-	b.metrics.commits().Inc()
+	b.markPlaced(t)
 	return nil
 }
 
@@ -442,9 +506,7 @@ func (b *Builder) CommitAfter(t ctg.TaskID, k int, floor int64) (Placement, erro
 	for _, tr := range p.Trans {
 		b.schedule.Transactions[tr.Edge] = tr
 	}
-	b.placed[t] = true
-	b.nCommitted++
-	b.metrics.commits().Inc()
+	b.markPlaced(t)
 	return p, nil
 }
 

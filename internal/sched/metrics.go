@@ -9,6 +9,9 @@ import (
 const (
 	// MetricProbes counts F(i,k) feasibility probes (count).
 	MetricProbes = "sched_probes_total"
+	// MetricProbeReuses counts the probes of MetricProbes answered
+	// from the exact probe cache instead of evaluated (count).
+	MetricProbeReuses = "sched_probe_reuses_total"
 	// MetricCommits counts committed task placements (count).
 	MetricCommits = "sched_commits_total"
 	// MetricProbePairs is an NumPEs x NumPEs grid counting probed
@@ -41,6 +44,7 @@ var occupancyBounds = []int64{1, 5, 10, 20, 40, 60, 80, 100}
 // from a nil registry. The zero-alloc probe guards cover both states.
 type Metrics struct {
 	Probes     *telemetry.Counter
+	Reuses     *telemetry.Counter
 	Commits    *telemetry.Counter
 	ProbePairs *telemetry.CounterGrid
 	ReadyDepth *telemetry.Histogram
@@ -54,6 +58,7 @@ func NewMetrics(r *telemetry.Registry, npes int) *Metrics {
 	}
 	return &Metrics{
 		Probes:     r.Counter(MetricProbes),
+		Reuses:     r.Counter(MetricProbeReuses),
 		Commits:    r.Counter(MetricCommits),
 		ProbePairs: r.Grid(MetricProbePairs, npes, npes),
 		ReadyDepth: r.Histogram(MetricReadyDepth, readyDepthBounds),
@@ -66,6 +71,14 @@ func (m *Metrics) probes() *telemetry.Counter {
 		return nil
 	}
 	return m.Probes
+}
+
+// reuses returns the probe-reuse counter, nil-safely.
+func (m *Metrics) reuses() *telemetry.Counter {
+	if m == nil {
+		return nil
+	}
+	return m.Reuses
 }
 
 // commits returns the commit counter, nil-safely.

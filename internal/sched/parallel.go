@@ -81,12 +81,23 @@ func (p *ProbePool) Probes() int64 {
 	return n
 }
 
-// ResetProbes zeroes every worker's probe counter. Reuse drivers
-// (Workspace.Prepare) call it between instances so Schedule.Probes
-// keeps counting only the run that produced the schedule.
+// ProbeReuses returns how many of Probes were served from the probe
+// cache (Prober.ProbeCached).
+func (p *ProbePool) ProbeReuses() int64 {
+	var n int64
+	for _, pr := range p.probers {
+		n += pr.Reuses()
+	}
+	return n
+}
+
+// ResetProbes zeroes every worker's probe and reuse counters. Reuse
+// drivers (Workspace.Prepare) call it between instances so
+// Schedule.Probes keeps counting only the run that produced the
+// schedule.
 func (p *ProbePool) ResetProbes() {
 	for _, pr := range p.probers {
-		pr.probes = 0
+		pr.probes, pr.reuses = 0, 0
 	}
 }
 

@@ -1,0 +1,148 @@
+package sched
+
+import (
+	"slices"
+
+	"nocsched/internal/ctg"
+)
+
+// probeCache lets Prober.ProbeCached answer an F(i,k) probe without
+// re-evaluating it when nothing the probe reads has changed. A probe of
+// ready task t on PE k is a pure function of PE k's table, the link
+// tables on the routes from t's predecessors' PEs to k, and those
+// predecessors' placements — final once t is ready. So every write to a
+// table records a stamp on it, and a cached answer taken at stamp s is
+// exact while no table it reads carries a stamp after s.
+//
+// Writes that do not go through Commit (BlockPast, CommitFrozen), and
+// changes to what a probe reads besides tables (the contention model,
+// the route plan, Reset), move base instead: entries older than base
+// are stale whatever the tables say.
+//
+// Entries live in rows of NumPEs, one row per ready-list slot: a task
+// takes a slot when AppendReady first lists it and frees it on commit,
+// so the storage is the peak ready-list depth x NumPEs, not tasks x PEs.
+// Slots change hands only on the caller's goroutine, between pool runs.
+type probeCache struct {
+	stamp, base uint64
+	peStamp     []uint64
+	linkStamp   []uint64
+
+	slot      []int32 // per task: its row while ready, else -1
+	freeSlots []int32
+	cache     []cacheEntry // rows of NumPEs entries
+}
+
+// cacheEntry is one cached probe; Finish is Start plus the task's
+// execution time on the entry's PE.
+type cacheEntry struct {
+	stamp      uint64
+	start, drt int64
+	comm       float64
+}
+
+// invalidate makes every cached entry stale.
+func (b *Builder) invalidate() {
+	b.stamp++
+	b.base = b.stamp
+}
+
+// resizeStamps sizes the per-table stamps for the builder's platform.
+func (b *Builder) resizeStamps() {
+	b.peStamp = make([]uint64, len(b.peTables))
+	b.linkStamp = make([]uint64, len(b.linkTables))
+}
+
+// resetSlots frees every slot for a run of n tasks, keeping the row
+// storage's capacity, and invalidates the cache.
+func (b *Builder) resetSlots(n int) {
+	b.slot = slices.Grow(b.slot[:0], n)[:n]
+	for i := range b.slot {
+		b.slot[i] = -1
+	}
+	b.freeSlots = b.freeSlots[:0]
+	b.cache = b.cache[:0]
+	b.invalidate()
+}
+
+// takeSlot gives ready task t an empty row.
+func (b *Builder) takeSlot(t ctg.TaskID) {
+	npe := len(b.peTables)
+	var s int
+	if n := len(b.freeSlots); n > 0 {
+		s = int(b.freeSlots[n-1])
+		b.freeSlots = b.freeSlots[:n-1]
+	} else {
+		s = len(b.cache) / npe
+		b.cache = slices.Grow(b.cache, npe)[:len(b.cache)+npe]
+	}
+	clear(b.cache[s*npe : (s+1)*npe])
+	b.slot[t] = int32(s)
+}
+
+// freeSlot returns committed task t's row.
+func (b *Builder) freeSlot(t ctg.TaskID) {
+	b.freeSlots = append(b.freeSlots, b.slot[t])
+	b.slot[t] = -1
+}
+
+// fresh reports whether an entry for task t on PE k taken at stamp s is
+// still exact. It walks the same routes the probe walks, comparing
+// stamps only.
+func (b *Builder) fresh(s uint64, t ctg.TaskID, k int) bool {
+	if s < b.base || b.peStamp[k] > s {
+		return false
+	}
+	if !b.contention {
+		return true
+	}
+	for _, eid := range b.g.In(t) {
+		_, ids := b.routeTables(b.schedule.Tasks[b.g.Edge(eid).Src].PE, k)
+		for _, id := range ids {
+			if b.linkStamp[id] > s {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ProbeCached is Probe for a ready task, answered from the builder's
+// probe cache when no table the probe reads has been written since it
+// was last evaluated on this builder, and evaluated (and cached)
+// otherwise. The answer is identical to Probe's either way, and a
+// reused answer still counts as one probe everywhere Probe is counted;
+// Reuses counts it separately. A task AppendReady has not listed yet
+// has no cache row and is always evaluated.
+//
+// The cache row of task t belongs to whichever prober probes t: calls
+// for one task must not run concurrently. The Step 2 and DLS row
+// evaluators meet this by probing each ready task from one worker per
+// ProbePool run. Probe itself stays free of that rule.
+func (p *Prober) ProbeCached(t ctg.TaskID, k int) (ProbeResult, error) {
+	b := p.b
+	npe := len(b.peTables)
+	s := b.slot[t]
+	if s < 0 || k < 0 || k >= npe {
+		return p.Probe(t, k)
+	}
+	e := &b.cache[int(s)*npe+k]
+	if !b.fresh(e.stamp, t, k) {
+		r, err := p.Probe(t, k)
+		if err == nil {
+			*e = cacheEntry{stamp: b.stamp, start: r.Start, drt: r.DRT, comm: r.CommEnergy}
+		}
+		return r, err
+	}
+	p.probes++
+	p.reuses++
+	b.metrics.probes().Inc()
+	b.metrics.reuses().Inc()
+	if pairs := b.metrics.probePairs(); pairs != nil {
+		for _, eid := range b.g.In(t) {
+			pairs.Add(b.schedule.Tasks[b.g.Edge(eid).Src].PE, k, 1)
+		}
+	}
+	return ProbeResult{Task: t, PE: k, Start: e.start, Finish: e.start + b.g.Task(t).ExecTime[k],
+		DRT: e.drt, CommEnergy: e.comm}, nil
+}

@@ -40,6 +40,7 @@ type Prober struct {
 	overlay *schedtable.Overlay
 	lct     []ctg.EdgeID
 	probes  int64
+	reuses  int64
 }
 
 // NewProber returns a read-only prober for the builder.
@@ -56,8 +57,13 @@ func (b *Builder) NewProber() *Prober {
 	}
 }
 
-// Probes returns the number of probes this prober has evaluated.
+// Probes returns the number of probes this prober has evaluated,
+// answers ProbeCached reused included.
 func (p *Prober) Probes() int64 { return p.probes }
+
+// Reuses returns how many of Probes were ProbeCached answers served
+// from the cache rather than evaluated.
+func (p *Prober) Reuses() int64 { return p.reuses }
 
 // lctLess orders incoming edges by sender finish time, ties on edge ID
 // — the Fig. 3 LCT order place() uses.

@@ -134,6 +134,36 @@ func TestProbeZeroAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("probe allocates: %v allocs per %d-PE sweep, want 0", avg, acg.NumPEs())
 	}
+	if avg := cachedSweepAllocs(t, pr, task); avg != 0 {
+		t.Fatalf("cached probe allocates: %v allocs per miss+hit sweep pair, want 0", avg)
+	}
+}
+
+// cachedSweepAllocs measures ProbeCached's allocations over pairs of
+// task sweeps: the first sweep of each pair misses on every PE (the
+// cache was just invalidated), the second hits on every PE.
+func cachedSweepAllocs(t *testing.T, pr *Prober, task ctg.TaskID) float64 {
+	t.Helper()
+	npe := pr.b.ACG().NumPEs()
+	sweep := func() {
+		for k := 0; k < npe; k++ {
+			if _, err := pr.ProbeCached(task, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const runs = 200
+	before := pr.Reuses()
+	avg := testing.AllocsPerRun(runs, func() {
+		pr.b.invalidate()
+		sweep()
+		sweep()
+	})
+	// AllocsPerRun adds one warm-up run.
+	if got, want := pr.Reuses()-before, int64((runs+1)*npe); got != want {
+		t.Fatalf("%d of the hit sweeps' probes reused, want %d", got, want)
+	}
+	return avg
 }
 
 // TestProbeZeroAllocsWithMetrics is the enabled-telemetry twin of
@@ -171,6 +201,9 @@ func TestProbeZeroAllocsWithMetrics(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("metered probe allocates: %v allocs per %d-PE sweep, want 0", avg, acg.NumPEs())
+	}
+	if avg := cachedSweepAllocs(t, pr, task); avg != 0 {
+		t.Fatalf("metered cached probe allocates: %v allocs per miss+hit sweep pair, want 0", avg)
 	}
 }
 

@@ -95,5 +95,6 @@ func (b *Builder) SetRoutePlan(p *RoutePlan) error {
 		tabs[i] = &b.linkTables[l]
 	}
 	b.plan, b.planTabs = p, tabs
+	b.invalidate()
 	return nil
 }

@@ -61,6 +61,9 @@ type Schedule struct {
 	// normalizes by (probes/sec is scheduler throughput independent of
 	// graph shape).
 	Probes int64
+	// ProbeReuses counts the Probes answered from the exact probe cache
+	// (Prober.ProbeCached) rather than evaluated.
+	ProbeReuses int64
 }
 
 // New allocates an empty schedule shell for the given problem instance.
