@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"crypto/sha256"
 
 	"nocsched/internal/energy"
 	"nocsched/internal/sched"
@@ -9,20 +10,20 @@ import (
 )
 
 // cacheEntry is one immutable cached solve: the schedule itself (for
-// spot checks and sched.Diff-based tests) plus the pre-rendered
-// response prototype (Cache field left empty; each response stamps its
-// own provenance), so a hit re-serializes nothing schedule-shaped and
-// two responses for one digest are bit-identical in every field the
-// cache owns. Entries are never mutated after insertion.
+// spot checks and sched.Diff-based tests) plus the rendered 200 body,
+// split around the value of its "cache" field so each response stamps
+// its own provenance between head and tail. A hit therefore serializes
+// nothing, and two responses for one digest are bit-identical in every
+// byte the cache owns. Entries are never mutated after insertion.
 type cacheEntry struct {
-	digest   string
-	core     Response
-	schedule *sched.Schedule
-	size     int64
+	digest     string
+	head, tail []byte
+	schedule   *sched.Schedule
+	size       int64
 }
 
 // entryOverhead is the accounted fixed cost of one entry beyond its
-// rendered schedule bytes (digest string, struct, list bookkeeping) —
+// rendered response bytes (digest string, struct, list bookkeeping) —
 // an estimate, but a stable one, so the byte bound is deterministic.
 const entryOverhead = 512
 
@@ -61,9 +62,18 @@ func newSchedCache(maxEntries int, maxBytes int64, r *telemetry.Registry) *sched
 // get returns the entry for digest (refreshing its recency) or nil,
 // counting the hit or miss.
 func (c *schedCache) get(digest string) *cacheEntry {
+	e := c.find(digest)
+	if e == nil {
+		c.misses.Inc()
+	}
+	return e
+}
+
+// find is get without the miss count: a caller that falls back to get
+// on nil counts each lookup exactly once.
+func (c *schedCache) find(digest string) *cacheEntry {
 	el := c.byKey[digest]
 	if el == nil {
-		c.misses.Inc()
 		return nil
 	}
 	c.hits.Inc()
@@ -108,52 +118,73 @@ func (c *schedCache) publish() {
 	c.bytesG.Set(float64(c.bytes))
 }
 
+// lru is a least-recently-used map bounded by entry count. A full
+// put evicts from the cold end and hands each evicted value to onEvict
+// (when set). Not safe for concurrent use — the Server's mutex guards
+// every instance.
+type lru[K comparable, V any] struct {
+	max     int
+	ll      *list.List // front = most recently used; values are *lruEntry[K, V]
+	byKey   map[K]*list.Element
+	onEvict func(V)
+}
+
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+func newLRU[K comparable, V any](max int, onEvict func(V)) *lru[K, V] {
+	return &lru[K, V]{max: max, ll: list.New(), byKey: make(map[K]*list.Element), onEvict: onEvict}
+}
+
+// get returns the value for key (refreshing its recency), or V's zero
+// value when key is absent.
+func (c *lru[K, V]) get(key K) V {
+	el := c.byKey[key]
+	if el == nil {
+		var zero V
+		return zero
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val
+}
+
+// put inserts or replaces key's value as the most recently used.
+func (c *lru[K, V]) put(key K, val V) {
+	if el := c.byKey[key]; el != nil {
+		c.ll.MoveToFront(el)
+		el.Value.(*lruEntry[K, V]).val = val
+		return
+	}
+	c.byKey[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
+	for c.ll.Len() > c.max {
+		el := c.ll.Back()
+		old := el.Value.(*lruEntry[K, V])
+		c.ll.Remove(el)
+		delete(c.byKey, old.key)
+		if c.onEvict != nil {
+			c.onEvict(old.val)
+		}
+	}
+}
+
+func (c *lru[K, V]) len() int { return c.ll.Len() }
+
 // acgCache content-addresses built platforms: platform key → the
 // shared *energy.ACG every same-platform request schedules against.
 // Sharing the pointer is what makes the batch engine's per-ACG route
 // plan actually shared across requests; the eviction hook lets the
 // Server drop the engine's plan alongside, so neither map pins dead
-// platforms. Not safe for concurrent use — the Server's mutex guards
-// it.
-type acgCache struct {
-	max     int
-	ll      *list.List // values are *acgEntry
-	byKey   map[string]*list.Element
-	onEvict func(*energy.ACG)
-}
-
-type acgEntry struct {
-	key string
-	acg *energy.ACG
-}
+// platforms.
+type acgCache = lru[string, *energy.ACG]
 
 func newACGCache(max int, onEvict func(*energy.ACG)) *acgCache {
-	return &acgCache{max: max, ll: list.New(), byKey: make(map[string]*list.Element), onEvict: onEvict}
+	return newLRU[string](max, onEvict)
 }
 
-func (c *acgCache) get(key string) *energy.ACG {
-	el := c.byKey[key]
-	if el == nil {
-		return nil
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*acgEntry).acg
-}
-
-func (c *acgCache) put(key string, acg *energy.ACG) {
-	if el := c.byKey[key]; el != nil {
-		c.ll.MoveToFront(el)
-		el.Value.(*acgEntry).acg = acg
-		return
-	}
-	c.byKey[key] = c.ll.PushFront(&acgEntry{key: key, acg: acg})
-	for c.ll.Len() > c.max {
-		el := c.ll.Back()
-		old := el.Value.(*acgEntry)
-		c.ll.Remove(el)
-		delete(c.byKey, old.key)
-		if c.onEvict != nil {
-			c.onEvict(old.acg)
-		}
-	}
-}
+// bodyMemo maps the SHA-256 of a raw request body to the workload
+// digest that body resolved to. Decoding, validation and the digest
+// are pure functions of the body bytes, so a remembered body needs
+// none of them again. Only bodies that resolved are ever recorded.
+type bodyMemo = lru[[sha256.Size]byte, string]

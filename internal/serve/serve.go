@@ -9,9 +9,11 @@
 //
 //   - a content-addressed schedule cache: every workload canonicalizes
 //     to a digest (see WorkloadDigest), and a digest that has been
-//     solved before is answered from an immutable cached entry —
-//     bit-identical schedule bytes, no engine time — under LRU
-//     eviction with entry-count and byte bounds;
+//     solved before is answered from an immutable cached entry — the
+//     rendered response bytes, no engine time — under LRU eviction
+//     with entry-count and byte bounds. A body whose exact bytes have
+//     resolved before skips decoding and digesting too: a memo maps
+//     the body's SHA-256 to its digest;
 //   - singleflight collapse: concurrent identical submissions join the
 //     one in-flight solve instead of queueing duplicates, so a
 //     thundering herd of one hot workload costs one solve;
@@ -36,11 +38,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -118,6 +124,11 @@ const (
 	MetricCacheEvictions = "serve_cache_evictions_total"
 	MetricCacheEntries   = "serve_cache_entries"
 	MetricCacheBytes     = "serve_cache_bytes"
+	// MetricBodyMemoHits counts requests answered from the raw-body
+	// memo: a body seen before whose digest was still cached, served
+	// without decoding or digesting it (count; each is also one of
+	// MetricCacheHits).
+	MetricBodyMemoHits = "serve_body_memo_hits_total"
 )
 
 // latencyBounds is the fixed bucket layout of MetricLatency (µs).
@@ -213,10 +224,11 @@ type Server struct {
 	stream *batch.Stream
 	cancel context.CancelFunc
 
-	mu      sync.Mutex // guards cache, flights, acgs
+	mu      sync.Mutex // guards cache, flights, acgs, memo
 	cache   *schedCache
 	flights map[string]*flight
 	acgs    *acgCache
+	memo    *bodyMemo
 
 	submitMu sync.Mutex // serializes stream admission + pending map
 	pending  map[int]*flight
@@ -228,7 +240,7 @@ type Server struct {
 
 	mRequests, mSolves, mSolveErrors, mVerifyFailures *telemetry.Counter
 	mRejectedFull, mRejectedDrain, mDeadlineExpired   *telemetry.Counter
-	mShared                                           *telemetry.Counter
+	mShared, mMemoHits                                *telemetry.Counter
 	mInflight                                         *telemetry.Gauge
 	mLatency                                          *telemetry.Histogram
 }
@@ -272,6 +284,7 @@ func New(opts Options) *Server {
 	r := opts.Telemetry.R()
 	s.cache = newSchedCache(opts.CacheEntries, opts.CacheBytes, r)
 	s.acgs = newACGCache(opts.ACGEntries, s.engine.DropPlan)
+	s.memo = newLRU[[sha256.Size]byte, string](opts.CacheEntries, nil)
 	if r != nil {
 		s.mRequests = r.Counter(MetricRequests)
 		s.mSolves = r.Counter(MetricSolves)
@@ -281,6 +294,7 @@ func New(opts Options) *Server {
 		s.mRejectedDrain = r.Counter(MetricRejectedDrain)
 		s.mDeadlineExpired = r.Counter(MetricDeadlineExpired)
 		s.mShared = r.Counter(MetricShared)
+		s.mMemoHits = r.Counter(MetricBodyMemoHits)
 		s.mInflight = r.Gauge(MetricInflight)
 		s.mLatency = r.Histogram(MetricLatency, latencyBounds)
 	}
@@ -399,6 +413,16 @@ func (s *Server) resolve(req *Request) (*workload, error) {
 	if req.Platform != nil {
 		spec = *req.Platform
 	}
+	// Reject a PE-count mismatch before paying for the platform build:
+	// every topology has Width×Height tiles. Build accepts only positive
+	// dimensions, so no mismatched platform is ever built; invalid ones
+	// get Build's own error.
+	if spec.Width > 0 && spec.Height > 0 {
+		if tiles := int64(spec.Width) * int64(spec.Height); tiles != int64(req.Graph.NumPEs()) {
+			return nil, fmt.Errorf("graph %q is characterized for %d PEs but the platform has %d",
+				req.Graph.Name, req.Graph.NumPEs(), tiles)
+		}
+	}
 	digest, err := WorkloadDigest(algorithm, spec, req.Graph)
 	if err != nil {
 		return nil, err
@@ -410,10 +434,6 @@ func (s *Server) resolve(req *Request) (*workload, error) {
 	acg, err := s.acgFor(pkey, spec)
 	if err != nil {
 		return nil, err
-	}
-	if req.Graph.NumPEs() != acg.NumPEs() {
-		return nil, fmt.Errorf("graph %q is characterized for %d PEs but the platform has %d",
-			req.Graph.Name, req.Graph.NumPEs(), acg.NumPEs())
 	}
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -646,32 +666,100 @@ func firstStructural(rep *verify.Report) string {
 	return ""
 }
 
-// renderEntry builds the immutable cached response prototype for one
-// verified solve.
+// cacheMark ends a rendered entry's head: the response's "cache" value
+// goes right after it. Cache is the second field, after a digest that
+// cannot hold an unescaped quote, so the first match is the field.
+var cacheMark = []byte(`"cache": "`)
+
+// renderEntry builds the immutable cached response for one verified
+// solve: the Response with an empty Cache, encoded once exactly as a
+// json.Encoder with two-space indent writes it, and split after
+// cacheMark into head and tail (one exact-size allocation).
 func renderEntry(digest string, r *batch.Result, rep *verify.Report) (*cacheEntry, error) {
-	var buf strings.Builder
-	if err := r.Schedule.WriteJSON(&buf); err != nil {
+	var schedJSON bytes.Buffer
+	if err := r.Schedule.WriteJSON(&schedJSON); err != nil {
 		return nil, fmt.Errorf("serve: render schedule: %w", err)
 	}
-	raw := json.RawMessage(strings.TrimRight(buf.String(), "\n"))
 	b := r.Schedule.Breakdown()
 	sw, lk := r.Schedule.CommEnergySplit()
-	core := Response{
+	resp := Response{
 		Digest:         digest,
 		Algorithm:      r.Schedule.Algorithm,
-		Schedule:       raw,
+		Schedule:       json.RawMessage(bytes.TrimRight(schedJSON.Bytes(), "\n")),
 		Energy:         EnergySplit{TotalNJ: b.Total, ComputeNJ: b.Computation, CommNJ: b.Communication, SwitchNJ: sw, LinkNJ: lk},
 		Makespan:       b.Makespan,
 		DeadlineMisses: b.Misses,
 		VerifyFindings: len(rep.Findings),
 		SolveUS:        r.Latency.Microseconds(),
 	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(resp); err != nil {
+		return nil, fmt.Errorf("serve: render response: %w", err)
+	}
+	at := bytes.Index(buf.Bytes(), cacheMark)
+	if at < 0 {
+		return nil, errors.New("serve: render response: no cache field")
+	}
+	at += len(cacheMark)
+	body := make([]byte, buf.Len())
+	copy(body, buf.Bytes())
 	return &cacheEntry{
 		digest:   digest,
-		core:     core,
+		head:     body[:at:at],
+		tail:     body[at:],
 		schedule: r.Schedule,
-		size:     int64(len(raw)) + entryOverhead,
+		size:     int64(len(body)) + entryOverhead,
 	}, nil
+}
+
+// write sends the entry as a 200 whose "cache" value is src: head, src
+// and tail, byte for byte what encoding the Response with Cache = src
+// would produce.
+func (e *cacheEntry) write(w http.ResponseWriter, src string) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(e.head)+len(src)+len(e.tail)))
+	h.Set("X-Nocsched-Digest", e.digest)
+	h.Set("X-Nocsched-Cache", src)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(e.head)
+	_, _ = io.WriteString(w, src)
+	_, _ = w.Write(e.tail)
+}
+
+// bodyBufs recycles request-body buffers: a body is dead once its
+// request is decoded or answered from the memo.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps the buffers bodyBufs keeps, so one huge request
+// does not pin its buffer in the pool.
+const maxPooledBody = 1 << 20
+
+// readBody reads the whole request body, under the MaxBodyBytes bound,
+// into buf, sized up front from Content-Length when the client sent
+// one so the buffer is not regrown.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
+	if n := r.ContentLength; n > 0 && n <= s.opts.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	return err
+}
+
+// memoHit answers a body seen before from the cache: the memo names
+// its digest and the cache still holds that digest's entry. It counts
+// a cache hit only on success; a miss is left to schedule, so every
+// request counts once.
+func (s *Server) memoHit(key [sha256.Size]byte) *cacheEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	digest := s.memo.get(key)
+	if digest == "" {
+		return nil
+	}
+	return s.cache.find(digest)
 }
 
 // handleSchedule is POST /v1/schedule.
@@ -694,9 +782,27 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining; submit elsewhere")
 		return
 	}
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}()
+	if err := s.readBody(w, r, buf); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	key := sha256.Sum256(buf.Bytes())
+	if entry := s.memoHit(key); entry != nil {
+		s.mMemoHits.Inc()
+		entry.write(w, CacheHit)
+		return
+	}
+	// A decoder, not json.Unmarshal: bytes after the first JSON value
+	// are ignored, as they always have been.
 	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
@@ -705,6 +811,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
+	s.mu.Lock()
+	s.memo.put(key, wl.digest)
+	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(r.Context(), wl.timeout)
 	defer cancel()
 	entry, src, serr := s.schedule(ctx, wl)
@@ -715,14 +824,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, serr.status, serr.code, serr.cause.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Nocsched-Digest", entry.digest)
-	w.Header().Set("X-Nocsched-Cache", src)
-	resp := entry.core
-	resp.Cache = src
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	entry.write(w, src)
 }
 
 func writeError(w http.ResponseWriter, status int, code, detail string) {

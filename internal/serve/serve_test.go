@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ var testSpec = noc.PlatformSpec{Topology: "mesh", Width: 3, Height: 3, Routing: 
 
 // testWorkload builds one deterministic workload: the request body
 // plus the graph/ACG pair needed to re-load and re-verify responses.
-func testWorkload(t *testing.T, seed int64, ntasks int, algo string) ([]byte, *ctg.Graph, *energy.ACG) {
+func testWorkload(t testing.TB, seed int64, ntasks int, algo string) ([]byte, *ctg.Graph, *energy.ACG) {
 	t.Helper()
 	platform, err := testSpec.Build()
 	if err != nil {
@@ -55,7 +56,7 @@ func testWorkload(t *testing.T, seed int64, ntasks int, algo string) ([]byte, *c
 
 // testServer starts a Server (already marked ready) plus its HTTP
 // front; both are torn down with the test.
-func testServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func testServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	if opts.Telemetry == nil {
 		opts.Telemetry = telemetry.NewCollector(nil)
@@ -260,7 +261,7 @@ func TestServeEvictionUnderPressure(t *testing.T) {
 // TestServeBadRequests: malformed bodies and semantic mismatches are
 // 400s with the typed code, never 5xx.
 func TestServeBadRequests(t *testing.T) {
-	_, ts := testServer(t, Options{Workers: 1})
+	s, ts := testServer(t, Options{Workers: 1})
 	cases := []struct {
 		name string
 		body string
@@ -293,6 +294,30 @@ func TestServeBadRequests(t *testing.T) {
 	mismatch, _ := json.Marshal(req)
 	if code, _, e := post(t, ts.URL, mismatch); code != http.StatusBadRequest || e.Error != "bad_request" {
 		t.Errorf("PE mismatch: status %d code %v, want 400 bad_request", code, e)
+	}
+	// A mismatch is rejected before its platform is built, so a huge
+	// spec costs nothing: a 16-PE graph on a 1000x1000 mesh.
+	spec := DefaultPlatform()
+	platform, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tgff.SuiteParams(tgff.CategoryI, 0, platform)
+	p.NumTasks = 6
+	g, err := tgff.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge, _ := json.Marshal(Request{Graph: g, Platform: &noc.PlatformSpec{Topology: "mesh", Width: 1000, Height: 1000, Bandwidth: 256}})
+	if code, _, e := post(t, ts.URL, huge); code != http.StatusBadRequest || e.Error != "bad_request" ||
+		!strings.Contains(e.Detail, "16 PEs but the platform has 1000000") {
+		t.Errorf("16-PE graph on 1000x1000: status %d %+v, want 400 bad_request naming both counts", code, e)
+	}
+	s.mu.Lock()
+	built := s.acgs.len()
+	s.mu.Unlock()
+	if built != 0 {
+		t.Errorf("ACG cache holds %d platforms after rejected mismatches, want 0", built)
 	}
 }
 
