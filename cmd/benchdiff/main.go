@@ -1,12 +1,12 @@
 // Command benchdiff compares a freshly generated benchmark report
-// (schedbench -json, batchbench -json, resilbench -json) against a
+// (schedbench, resilbench or schedload output) against a
 // committed baseline and fails when a metric regressed — the
 // bench-regression watchdog behind the CI benchdiff lane.
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_batch.json -candidate fresh.json
-//	          [-kind sched|batch|resilience]
+//	benchdiff -baseline BENCH_serve.json -candidate fresh.json
+//	          [-kind sched|resilience|serve]
 //	          [-timing-threshold 0.2] [-det-threshold 1e-9]
 //	          [-o report.json]
 //
@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	baseline := fs.String("baseline", "", "committed baseline report JSON (required)")
 	candidate := fs.String("candidate", "", "freshly generated report JSON (required)")
-	kindFlag := fs.String("kind", "", "report kind: sched, batch or resilience (default: auto-detect)")
+	kindFlag := fs.String("kind", "", "report kind: sched, resilience or serve (default: auto-detect)")
 	timingThr := fs.Float64("timing-threshold", 0, "gate timing metrics at this relative worsening (0 = informational only)")
 	detThr := fs.Float64("det-threshold", 0, "gate deterministic metrics at this relative delta (default 1e-9)")
 	reportOut := fs.String("o", "", "write the typed comparison report as JSON to this file")

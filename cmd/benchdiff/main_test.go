@@ -35,7 +35,7 @@ func readBaseline(t *testing.T, name string) []byte {
 // TestCommittedBaselinesSelfCompare: every committed baseline compared
 // against itself exits clean, with the kind auto-detected.
 func TestCommittedBaselinesSelfCompare(t *testing.T) {
-	for _, name := range []string{"BENCH_sched.json", "BENCH_batch.json", "BENCH_resilience.json"} {
+	for _, name := range []string{"BENCH_sched.json", "BENCH_resilience.json", "BENCH_serve.json"} {
 		p := filepath.Join("..", "..", name)
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -54,14 +54,14 @@ func TestCommittedBaselinesSelfCompare(t *testing.T) {
 // TestDegradedBaselineFails: synthetically degrading a committed
 // baseline's deterministic metrics makes the watchdog exit non-zero.
 func TestDegradedBaselineFails(t *testing.T) {
-	raw := readBaseline(t, "BENCH_batch.json")
+	raw := readBaseline(t, "BENCH_serve.json")
 	var doc map[string]any
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
 	cells, ok := doc["cells"].([]any)
 	if !ok || len(cells) == 0 {
-		t.Fatal("BENCH_batch.json has no cells")
+		t.Fatal("BENCH_serve.json has no cells")
 	}
 	// Flip the bit-identity flag on the first cell: a deterministic
 	// regression no threshold can excuse.
@@ -95,8 +95,8 @@ func TestDegradedBaselineFails(t *testing.T) {
 	if err := json.Unmarshal(repRaw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Failed() || rep.Kind != benchcmp.KindBatch {
-		t.Errorf("report = kind %q, %d regressions; want batch with failures", rep.Kind, rep.Regressions)
+	if !rep.Failed() || rep.Kind != benchcmp.KindServe {
+		t.Errorf("report = kind %q, %d regressions; want serve with failures", rep.Kind, rep.Regressions)
 	}
 	var found bool
 	for _, d := range rep.Deltas {
@@ -143,17 +143,17 @@ func TestMissingCellFails(t *testing.T) {
 // (exit status 2 paths).
 func TestExplicitKindAndErrors(t *testing.T) {
 	dir := t.TempDir()
-	raw := readBaseline(t, "BENCH_batch.json")
+	raw := readBaseline(t, "BENCH_serve.json")
 	base := writeFile(t, dir, "base.json", raw)
 	var out bytes.Buffer
 
 	// Explicit -kind bypasses detection.
-	if err := run([]string{"-baseline", base, "-candidate", base, "-kind", "batch"}, &out, &out); err != nil {
-		t.Errorf("-kind batch self-compare: %v", err)
+	if err := run([]string{"-baseline", base, "-candidate", base, "-kind", "serve"}, &out, &out); err != nil {
+		t.Errorf("-kind serve self-compare: %v", err)
 	}
 	// Wrong explicit kind is a hard error (schema mismatch), not a pass.
 	if err := run([]string{"-baseline", base, "-candidate", base, "-kind", "sched"}, &out, &out); err == nil || errors.Is(err, errRegressions) {
-		t.Errorf("-kind sched on a batch report: err = %v, want a usage error", err)
+		t.Errorf("-kind sched on a serve report: err = %v, want a usage error", err)
 	}
 	// Unknown kind.
 	if err := run([]string{"-baseline", base, "-candidate", base, "-kind", "nope"}, &out, &out); err == nil {

@@ -13,14 +13,14 @@
 //	          [-scheds eas,edf,dls] [-seed 1] [-wait 30s]
 //	          [-o BENCH_serve.json]
 //
-// The report is gated the same way batchbench gates its cells: every
-// response for a workload must be bit-identical to that workload's
-// cold solve (byte equality plus sched.Diff on the re-loaded
-// schedules), every schedule must pass the internal/verify oracle,
-// and any 5xx fails the run. A report that exists is therefore a
-// correctness witness, not just a timing record. 429s do not fail the
-// run — they are the daemon's documented retryable backpressure and
-// are retried with backoff and counted in status_429_retries.
+// The report is gated before it is written: every response for a
+// workload must be bit-identical to that workload's cold solve (byte
+// equality plus sched.Diff on the re-loaded schedules), every schedule
+// must pass the internal/verify oracle, and any 5xx fails the run. A
+// report that exists is therefore a correctness witness, not just a
+// timing record. 429s do not fail the run — they are the daemon's
+// documented retryable backpressure and are retried with backoff and
+// counted in status_429_retries.
 package main
 
 import (

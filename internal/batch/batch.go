@@ -141,12 +141,6 @@ const (
 // latencyBounds is the fixed bucket layout of MetricLatency (µs).
 var latencyBounds = []int64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000}
 
-// LatencyBuckets returns a copy of the fixed MetricLatency bucket
-// layout (µs), so consumers that quantize latencies the same way the
-// engine does (cmd/batchbench percentiles, dashboards scraping the
-// exposition) can build compatible histograms.
-func LatencyBuckets() []int64 { return append([]int64(nil), latencyBounds...) }
-
 // Engine schedules batches of instances. One Engine may run any number
 // of streams (sequentially or concurrently); the per-ACG route-plan
 // cache persists across them.

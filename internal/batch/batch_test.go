@@ -42,7 +42,7 @@ func corpusInstances(t *testing.T, seed int64) []Instance {
 // serialReference schedules one instance with a fresh builder through
 // the plain serial entry points — the ground truth the engine's
 // reuse-everything path must match bit for bit.
-func serialReference(t *testing.T, inst Instance) *sched.Schedule {
+func serialReference(t testing.TB, inst Instance) *sched.Schedule {
 	t.Helper()
 	switch inst.Algorithm {
 	case AlgoEAS:

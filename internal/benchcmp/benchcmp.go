@@ -1,8 +1,8 @@
 // Package benchcmp is the bench-regression watchdog behind
 // cmd/benchdiff: it compares a freshly generated benchmark report
-// (BENCH_sched.json, BENCH_batch.json, BENCH_resilience.json,
-// BENCH_serve.json) against a committed baseline, metric by metric,
-// and produces a typed machine-readable report.
+// (BENCH_sched.json, BENCH_resilience.json, BENCH_serve.json) against
+// a committed baseline, metric by metric, and produces a typed
+// machine-readable report.
 //
 // Metrics fall into two classes with different gating rules:
 //
@@ -33,7 +33,6 @@ type Kind string
 // The supported benchmark kinds.
 const (
 	KindSched      Kind = "sched"      // cmd/schedbench: probe-path performance
-	KindBatch      Kind = "batch"      // cmd/batchbench: batch-engine throughput
 	KindResilience Kind = "resilience" // cmd/resilbench: transient-fault campaigns
 	KindServe      Kind = "serve"      // cmd/schedload: scheduling-daemon service load
 )
@@ -85,19 +84,6 @@ var kindSpecs = map[Kind]kindSpec{
 			{"readonly_seq_ms", LowerBetter, ClassTiming},
 			{"readonly_par_ms", LowerBetter, ClassTiming},
 			{"probes_per_sec", HigherBetter, ClassTiming},
-		},
-	},
-	KindBatch: {
-		cellsField: "cells",
-		keyFields:  []string{"mesh", "tasks", "workers"},
-		metrics: []metricSpec{
-			{"identical", HigherBetter, ClassDeterministic},
-			{"serial_ms", LowerBetter, ClassTiming},
-			{"batch_ms", LowerBetter, ClassTiming},
-			{"instances_per_sec", HigherBetter, ClassTiming},
-			{"speedup", HigherBetter, ClassTiming},
-			{"p50_latency_us", LowerBetter, ClassTiming},
-			{"p99_latency_us", LowerBetter, ClassTiming},
 		},
 	},
 	KindResilience: {
@@ -216,7 +202,7 @@ func (r *Report) Summary() string {
 
 // DetectKind infers the benchmark kind from a report's shape: sched
 // reports keep cells under "configs", resilience cells carry "rate",
-// batch cells carry "serial_ms", serve cells carry "hit_ratio".
+// serve cells carry "hit_ratio".
 func DetectKind(raw []byte) (Kind, error) {
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &doc); err != nil {
@@ -231,9 +217,6 @@ func DetectKind(raw []byte) (Kind, error) {
 	}
 	if _, ok := cells[0]["rate"]; ok {
 		return KindResilience, nil
-	}
-	if _, ok := cells[0]["serial_ms"]; ok {
-		return KindBatch, nil
 	}
 	if _, ok := cells[0]["hit_ratio"]; ok {
 		return KindServe, nil

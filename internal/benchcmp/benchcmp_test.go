@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// batchDoc builds a minimal batch report with the given cell fields.
-func batchDoc(t *testing.T, cells ...map[string]any) []byte {
+// serveDoc builds a minimal serve report with the given cell fields.
+func serveDoc(t *testing.T, cells ...map[string]any) []byte {
 	t.Helper()
 	raw, err := json.Marshal(map[string]any{"gomaxprocs": 1, "cells": cells})
 	if err != nil {
@@ -19,19 +19,21 @@ func batchDoc(t *testing.T, cells ...map[string]any) []byte {
 	return raw
 }
 
-func batchCell(mesh string, tasks, workers int, serialMS, ips float64, identical bool) map[string]any {
+func serveCell(mesh string, tasks, solves int, hitRatio, rps float64, identical bool) map[string]any {
 	return map[string]any{
-		"mesh": mesh, "tasks": tasks, "workers": workers,
-		"serial_ms": serialMS, "batch_ms": serialMS / 1.3,
-		"instances_per_sec": ips, "speedup": 1.3,
-		"p50_latency_us": 1000.0, "p99_latency_us": 7500.0,
-		"identical": identical,
+		"mesh": mesh, "tasks": tasks,
+		"requests": 216, "workloads": 8,
+		"status_2xx": 216, "status_429_retries": 0, "status_5xx": 0,
+		"solves": solves, "hit_ratio": hitRatio,
+		"throughput_rps": rps, "p50_ms": 3.0, "p99_ms": 20.0,
+		"cold_ms": 5.0, "warm_ms": 3.0, "warm_speedup": 1.7,
+		"identical": identical, "verified": true,
 	}
 }
 
 func TestCompareIdenticalPasses(t *testing.T) {
-	doc := batchDoc(t, batchCell("3x3", 100, 1, 70, 430, true), batchCell("3x3", 100, 2, 70, 460, true))
-	rep, err := Compare(KindBatch, doc, doc, Options{TimingThreshold: 0.1})
+	doc := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 430, true), serveCell("3x3", 200, 8, 0.96, 460, true))
+	rep, err := Compare(KindServe, doc, doc, Options{TimingThreshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +51,9 @@ func TestCompareIdenticalPasses(t *testing.T) {
 // TestCompareDeterministicRegression: an identical-bit flip is a
 // regression regardless of thresholds.
 func TestCompareDeterministicRegression(t *testing.T) {
-	base := batchDoc(t, batchCell("3x3", 100, 1, 70, 430, true))
-	cand := batchDoc(t, batchCell("3x3", 100, 1, 70, 430, false))
-	rep, err := Compare(KindBatch, base, cand, Options{})
+	base := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 430, true))
+	cand := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 430, false))
+	rep, err := Compare(KindServe, base, cand, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +78,11 @@ func TestCompareDeterministicRegression(t *testing.T) {
 // TestCompareTimingGate: timing metrics gate only when a threshold is
 // set, and only past it.
 func TestCompareTimingGate(t *testing.T) {
-	base := batchDoc(t, batchCell("3x3", 100, 1, 70, 430, true))
-	slower := batchDoc(t, batchCell("3x3", 100, 1, 70, 300, true)) // throughput -30%
+	base := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 430, true))
+	slower := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 300, true)) // throughput -30%
 
 	// Ungated: informational only.
-	rep, err := Compare(KindBatch, base, slower, Options{})
+	rep, err := Compare(KindServe, base, slower, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestCompareTimingGate(t *testing.T) {
 	}
 
 	// Gated at 10%: fails.
-	rep, err = Compare(KindBatch, base, slower, Options{TimingThreshold: 0.1})
+	rep, err = Compare(KindServe, base, slower, Options{TimingThreshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestCompareTimingGate(t *testing.T) {
 	}
 
 	// Gated at 50%: passes.
-	rep, err = Compare(KindBatch, base, slower, Options{TimingThreshold: 0.5})
+	rep, err = Compare(KindServe, base, slower, Options{TimingThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +109,8 @@ func TestCompareTimingGate(t *testing.T) {
 	}
 
 	// Improvements never gate.
-	faster := batchDoc(t, batchCell("3x3", 100, 1, 70, 900, true))
-	rep, err = Compare(KindBatch, base, faster, Options{TimingThreshold: 0.01})
+	faster := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 900, true))
+	rep, err = Compare(KindServe, base, faster, Options{TimingThreshold: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +121,9 @@ func TestCompareTimingGate(t *testing.T) {
 
 // TestCompareMissingCell: shrinking coverage is a regression.
 func TestCompareMissingCell(t *testing.T) {
-	base := batchDoc(t, batchCell("3x3", 100, 1, 70, 430, true), batchCell("4x4", 100, 1, 90, 300, true))
-	cand := batchDoc(t, batchCell("3x3", 100, 1, 70, 430, true))
-	rep, err := Compare(KindBatch, base, cand, Options{})
+	base := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 430, true), serveCell("4x4", 100, 8, 0.96, 300, true))
+	cand := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 430, true))
+	rep, err := Compare(KindServe, base, cand, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestCompareMissingCell(t *testing.T) {
 		t.Fatalf("missing cell not flagged: %s", rep.Summary())
 	}
 	// Extra candidate cells are informational.
-	rep, err = Compare(KindBatch, cand, base, Options{})
+	rep, err = Compare(KindServe, cand, base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestCompareMissingCell(t *testing.T) {
 // self-compares clean under its detected kind, with timing gates on.
 func TestCompareCommittedBaselines(t *testing.T) {
 	root := filepath.Join("..", "..")
-	for _, name := range []string{"BENCH_sched.json", "BENCH_batch.json", "BENCH_resilience.json", "BENCH_serve.json"} {
+	for _, name := range []string{"BENCH_sched.json", "BENCH_resilience.json", "BENCH_serve.json"} {
 		raw, err := os.ReadFile(filepath.Join(root, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -171,7 +173,7 @@ func TestDetectKind(t *testing.T) {
 	}{
 		{`{"configs":[{"mesh":"4x4"}]}`, KindSched},
 		{`{"cells":[{"rate":0.1,"retries":2}]}`, KindResilience},
-		{`{"cells":[{"mesh":"3x3","serial_ms":70}]}`, KindBatch},
+		{`{"cells":[{"mesh":"3x3","hit_ratio":0.96}]}`, KindServe},
 	}
 	for _, c := range cases {
 		got, err := DetectKind([]byte(c.doc))
@@ -187,25 +189,25 @@ func TestDetectKind(t *testing.T) {
 }
 
 func TestCompareErrors(t *testing.T) {
-	good := batchDoc(t, batchCell("3x3", 100, 1, 70, 430, true))
+	good := serveDoc(t, serveCell("3x3", 100, 8, 0.96, 430, true))
 	if _, err := Compare("nope", good, good, Options{}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := Compare(KindBatch, []byte("x"), good, Options{}); err == nil {
+	if _, err := Compare(KindServe, []byte("x"), good, Options{}); err == nil {
 		t.Error("bad baseline accepted")
 	}
-	if _, err := Compare(KindBatch, good, []byte("x"), Options{}); err == nil {
+	if _, err := Compare(KindServe, good, []byte("x"), Options{}); err == nil {
 		t.Error("bad candidate accepted")
 	}
 	empty, _ := json.Marshal(map[string]any{"cells": []any{}})
-	if _, err := Compare(KindBatch, empty, good, Options{}); err == nil {
+	if _, err := Compare(KindServe, empty, good, Options{}); err == nil {
 		t.Error("empty baseline accepted")
 	}
 	// A candidate cell losing a metric field is a regression, not an
 	// error.
-	cell := batchCell("3x3", 100, 1, 70, 430, true)
-	delete(cell, "instances_per_sec")
-	rep, err := Compare(KindBatch, good, batchDoc(t, cell), Options{})
+	cell := serveCell("3x3", 100, 8, 0.96, 430, true)
+	delete(cell, "throughput_rps")
+	rep, err := Compare(KindServe, good, serveDoc(t, cell), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,7 @@ func TestCompareErrors(t *testing.T) {
 	}
 	var noted bool
 	for _, d := range rep.Deltas {
-		if d.Metric == "instances_per_sec" && d.Regressed && d.Note != "" {
+		if d.Metric == "throughput_rps" && d.Regressed && d.Note != "" {
 			noted = true
 		}
 	}
@@ -224,28 +226,6 @@ func TestCompareErrors(t *testing.T) {
 	// The report must stay JSON-encodable even with schema drift.
 	if _, err := json.Marshal(rep); err != nil {
 		t.Errorf("report not JSON-encodable: %v", err)
-	}
-}
-
-// serveDoc builds a minimal serve report with the given cell fields.
-func serveDoc(t *testing.T, cells ...map[string]any) []byte {
-	t.Helper()
-	raw, err := json.Marshal(map[string]any{"gomaxprocs": 1, "cells": cells})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
-func serveCell(mesh string, tasks, solves int, hitRatio, rps float64, identical bool) map[string]any {
-	return map[string]any{
-		"mesh": mesh, "tasks": tasks,
-		"requests": 216, "workloads": 8,
-		"status_2xx": 216, "status_429_retries": 0, "status_5xx": 0,
-		"solves": solves, "hit_ratio": hitRatio,
-		"throughput_rps": rps, "p50_ms": 3.0, "p99_ms": 20.0,
-		"cold_ms": 5.0, "warm_ms": 3.0, "warm_speedup": 1.7,
-		"identical": identical, "verified": true,
 	}
 }
 

@@ -9,13 +9,16 @@ package diag
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"runtime/trace"
 	"sync/atomic"
 	"time"
 
 	"nocsched/internal/obs"
-	"nocsched/internal/profiling"
 	"nocsched/internal/telemetry"
 )
 
@@ -106,7 +109,7 @@ type Session struct {
 // Always Close the returned session exactly once (defer is fine), even
 // on error paths — Close finalizes the profile and trace files.
 func (f *Flags) Start() (*Session, error) {
-	stop, err := profiling.Start(f.CPUProfile, f.MemProfile, f.RuntimeTrace)
+	stop, err := startProfiling(f.CPUProfile, f.MemProfile, f.RuntimeTrace)
 	if err != nil {
 		return nil, err
 	}
@@ -257,4 +260,73 @@ func (s *Session) Close() error {
 		keep(s.traceFile.Close())
 	}
 	return s.err
+}
+
+// startProfiling enables the requested Go profilers; empty paths
+// disable the corresponding profiler. It returns a stop function that
+// flushes and closes everything — call it exactly once, before process
+// exit (defer is fine, but note os.Exit skips defers). The heap profile
+// is written at stop time, after a GC, so it reflects live memory at
+// the end of the run.
+func startProfiling(cpuPath, memPath, tracePath string) (stop func() error, err error) {
+	var cpuFile, traceFile *os.File
+	cleanup := func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if traceFile != nil {
+			trace.Stop()
+			traceFile.Close()
+		}
+	}
+	if cpuPath != "" {
+		cpuFile, err = os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("diag: start cpu profile: %w", err)
+		}
+	}
+	if tracePath != "" {
+		traceFile, err = os.Create(tracePath)
+		if err != nil {
+			cleanup()
+			return nil, err
+		}
+		if err := trace.Start(traceFile); err != nil {
+			cleanup()
+			return nil, fmt.Errorf("diag: start trace: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+			cpuFile = nil
+		}
+		if traceFile != nil {
+			trace.Stop()
+			if err := traceFile.Close(); err != nil {
+				return err
+			}
+			traceFile = nil
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			runtime.GC() // materialize live-heap statistics
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				return fmt.Errorf("diag: write heap profile: %w", err)
+			}
+		}
+		return nil
+	}, nil
 }

@@ -216,3 +216,48 @@ func TestStartFailsOnBadServeAddr(t *testing.T) {
 		t.Error("unwritable -metrics-stream accepted")
 	}
 }
+
+func TestStartProfilingDisabled(t *testing.T) {
+	stop, err := startProfiling("", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestStartProfilingWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.prof")
+	mem := filepath.Join(dir, "mem.prof")
+	tr := filepath.Join(dir, "trace.out")
+	stop, err := startProfiling(cpu, mem, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Burn a little CPU so the profile has samples to flush.
+	x := 0
+	for i := 0; i < 1e6; i++ {
+		x += i * i
+	}
+	_ = x
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem, tr} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("%s not written: %v", p, err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", p)
+		}
+	}
+}
+
+func TestStartProfilingBadPath(t *testing.T) {
+	if _, err := startProfiling(filepath.Join(t.TempDir(), "no", "such", "dir", "x"), "", ""); err == nil {
+		t.Fatal("expected error for uncreatable cpu profile path")
+	}
+}

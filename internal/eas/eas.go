@@ -117,13 +117,6 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 
 	var best *Result
 	var totalProbes, totalReuses int64
-	better := func(a, b *Result) bool { // is a better than b?
-		am, bm := metricOf(a.Schedule), metricOf(b.Schedule)
-		if am != bm {
-			return am.better(bm)
-		}
-		return a.Schedule.TotalEnergy() < b.Schedule.TotalEnergy()
-	}
 	tr := opts.Telemetry.T()
 	for passNo, p := range passes {
 		endPass := tr.Span(fmt.Sprintf("pass %d (scale=%g bw=%d)", passNo, p.scale, p.commBW), "eas")
@@ -158,7 +151,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 			cand.RepairStats = stats
 		}
 		endPass()
-		if best == nil || better(cand, best) {
+		if best == nil || MetricBetter(cand.Schedule, best.Schedule) {
 			best = cand
 		}
 		if best.Schedule.Feasible() {
@@ -180,7 +173,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 			if err == nil {
 				cand := &Result{Schedule: refined, Budget: best.Budget, RefineStats: stats}
 				cand.RepairStats = best.RepairStats
-				if better(cand, best) {
+				if MetricBetter(cand.Schedule, best.Schedule) {
 					best = cand
 				}
 			}

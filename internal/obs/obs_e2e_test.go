@@ -127,8 +127,8 @@ func TestServeDoesNotChangeSchedule(t *testing.T) {
 }
 
 // TestScrapedArtifactsValidate is the CI live-observability hook: when
-// NOCSCHED_PROM_FILE points at a /metrics scrape of a running
-// batchbench sweep it must be valid exposition containing the batch
+// NOCSCHED_PROM_FILE points at a /metrics scrape of a running schedd
+// daemon it must be valid exposition containing the batch
 // queue/latency, sched probe, energy-split and runtime collector
 // series; NOCSCHED_OBS_SNAPSHOT (optional) must be a valid /snapshot
 // document; NOCSCHED_OBS_STREAM (optional) must be a valid JSONL

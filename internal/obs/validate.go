@@ -17,9 +17,9 @@ import (
 // and histogram families are structurally sound (cumulative
 // non-decreasing `_bucket` series per label set ending in `le="+Inf"`,
 // with the +Inf bucket equal to `_count`, and both `_sum` and `_count`
-// present). It returns the number of sample lines. The CI live
-// observability lane runs this against a real scrape of a running
-// batchbench sweep so a malformed exposition fails the build.
+// present). It returns the number of sample lines. The CI service lane
+// runs this against a real scrape of a running schedd daemon so a
+// malformed exposition fails the build.
 func ValidateExposition(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"io"
 
 	"nocsched/internal/noc"
 	"nocsched/internal/telemetry"
@@ -62,12 +61,4 @@ func (s *Schedule) EmitChromeTrace(sink *telemetry.ChromeSink) {
 			})
 		}
 	}
-}
-
-// WriteChromeTrace writes the schedule's Chrome trace_event rendering
-// (see EmitChromeTrace) to w and returns the first write error.
-func (s *Schedule) WriteChromeTrace(w io.Writer) error {
-	sink := telemetry.NewChromeSink(w)
-	s.EmitChromeTrace(sink)
-	return sink.Close()
 }

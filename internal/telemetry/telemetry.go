@@ -323,40 +323,6 @@ func (h *Histogram) Sample(name string) HistogramSample {
 	return hs
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of the sampled
-// distribution by nearest rank over the bucket counts: it returns the
-// upper bound of the bucket holding the ceil(q*count)-th observation —
-// an upper bound on the true quantile, exact when observations sit on
-// bucket bounds. Observations that landed in the overflow bucket are
-// clamped to the last finite bound (a lower bound on the true value,
-// like Prometheus's histogram_quantile). An empty sample returns 0; q
-// is clamped to [0, 1].
-func (h HistogramSample) Quantile(q float64) float64 {
-	if h.Count <= 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(h.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, n := range h.Counts {
-		cum += n
-		if cum >= rank {
-			if i >= len(h.Bounds) {
-				break // overflow bucket: clamp below
-			}
-			return float64(h.Bounds[i])
-		}
-	}
-	return float64(h.Bounds[len(h.Bounds)-1])
-}
-
 // GridCell is one non-zero cell of a grid snapshot.
 type GridCell struct {
 	Row   int   `json:"row"`

@@ -279,86 +279,6 @@ func TestWriteTextMentionsEveryMetric(t *testing.T) {
 	}
 }
 
-// TestHistogramSampleQuantile pins the nearest-rank estimator's
-// boundary behaviour: quantiles resolve to bucket upper bounds, the
-// rank at an exact bucket edge stays in that bucket, and overflow
-// observations clamp to the last finite bound.
-func TestHistogramSampleQuantile(t *testing.T) {
-	h, err := NewHistogram([]int64{10, 20, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 observations in le=10, 4 in le=20, 2 in le=40.
-	for i := 0; i < 4; i++ {
-		h.Observe(5)
-		h.Observe(15)
-	}
-	h.Observe(30)
-	h.Observe(40)
-	s := h.Sample("lat")
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 10},    // rank clamps to 1 -> first bucket
-		{0.1, 10},  // rank 1
-		{0.4, 10},  // rank 4: last observation of the first bucket
-		{0.41, 20}, // rank 5 crosses into the second bucket
-		{0.5, 20},
-		{0.8, 20},
-		{0.81, 40},
-		{0.99, 40},
-		{1, 40},
-	}
-	for _, c := range cases {
-		if got := s.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	// Out-of-range q clamps rather than misbehaving.
-	if got := s.Quantile(-1); got != 10 {
-		t.Errorf("Quantile(-1) = %g, want 10", got)
-	}
-	if got := s.Quantile(2); got != 40 {
-		t.Errorf("Quantile(2) = %g, want 40", got)
-	}
-}
-
-// TestHistogramSampleQuantileOverflow: when the nearest rank lands in
-// the overflow bucket the estimate clamps to the last finite bound —
-// the value stays finite (JSON-encodable) and is a documented lower
-// bound on the true quantile.
-func TestHistogramSampleQuantileOverflow(t *testing.T) {
-	h, err := NewHistogram([]int64{10, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Observe(5)
-	h.Observe(1000) // overflow
-	h.Observe(2000) // overflow
-	s := h.Sample("x")
-	if got := s.Quantile(0.34); got != 20 {
-		t.Errorf("overflow Quantile(0.34) = %g, want clamp to 20", got)
-	}
-	if got := s.Quantile(1); got != 20 {
-		t.Errorf("overflow Quantile(1) = %g, want clamp to 20", got)
-	}
-	// Only-overflow distribution still clamps.
-	h2, _ := NewHistogram([]int64{10})
-	h2.Observe(99)
-	if got := h2.Sample("y").Quantile(0.5); got != 10 {
-		t.Errorf("all-overflow Quantile = %g, want 10", got)
-	}
-	// Empty and zero-value samples return 0.
-	if got := (HistogramSample{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty sample Quantile = %g, want 0", got)
-	}
-	var nilH *Histogram
-	if got := nilH.Sample("nil").Quantile(0.5); got != 0 {
-		t.Errorf("nil histogram Quantile = %g, want 0", got)
-	}
-}
-
 // TestSnapshotOrderingDeterministic pins the documented Snapshot
 // ordering guarantee: samples sorted ascending by name within each
 // kind regardless of registration or update order, and two snapshots

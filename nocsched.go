@@ -566,7 +566,7 @@ var StartMetricsStream = obs.StartSnapshotStream
 // WritePrometheus renders a telemetry snapshot in the Prometheus text
 // exposition format (version 0.0.4); ValidatePrometheus parses an
 // exposition document and returns its sample count (the CI
-// observability lane runs it against live batchbench scrapes);
+// service lane runs it against live schedd scrapes);
 // ValidateMetricsStream checks a JSONL snapshot time-series.
 var (
 	WritePrometheus       = obs.WritePrometheus
@@ -578,13 +578,12 @@ var (
 // Bench-regression watchdog (internal/benchcmp, cmd/benchdiff).
 
 // BenchDiffKind identifies which benchmark report schema a comparison
-// follows (sched, batch, resilience or serve).
+// follows (sched, resilience or serve).
 type BenchDiffKind = benchcmp.Kind
 
 // The benchmark report kinds.
 const (
 	BenchKindSched      = benchcmp.KindSched
-	BenchKindBatch      = benchcmp.KindBatch
 	BenchKindResilience = benchcmp.KindResilience
 	BenchKindServe      = benchcmp.KindServe
 )

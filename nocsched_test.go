@@ -521,13 +521,13 @@ func TestPublicAPIObservability(t *testing.T) {
 }
 
 // TestPublicAPIBenchDiff exercises the watchdog facade on a synthetic
-// batch report pair.
+// serve report pair.
 func TestPublicAPIBenchDiff(t *testing.T) {
-	base := []byte(`{"cells":[{"mesh":"3x3","tasks":10,"workers":1,
-		"serial_ms":70,"batch_ms":54,"instances_per_sec":430,"speedup":1.3,
-		"p50_latency_us":1000,"p99_latency_us":5000,"identical":true}]}`)
+	base := []byte(`{"cells":[{"mesh":"3x3","tasks":10,"solves":8,
+		"status_5xx":0,"hit_ratio":0.96,"throughput_rps":430,"p50_ms":3,
+		"p99_ms":20,"identical":true,"verified":true}]}`)
 	kind, err := nocsched.DetectBenchKind(base)
-	if err != nil || kind != nocsched.BenchKindBatch {
+	if err != nil || kind != nocsched.BenchKindServe {
 		t.Fatalf("DetectBenchKind = %q, %v", kind, err)
 	}
 	rep, err := nocsched.BenchDiff(kind, base, base, nocsched.BenchDiffOptions{TimingThreshold: 0.05})
