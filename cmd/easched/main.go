@@ -122,9 +122,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return fmt.Errorf("reading %s: %w", *platSpec, err)
 		}
 	} else {
-		var w, h int
-		if _, err := fmt.Sscanf(*meshSpec, "%dx%d", &w, &h); err != nil {
-			return fmt.Errorf("bad -mesh %q (want WIDTHxHEIGHT): %w", *meshSpec, err)
+		w, h, err := noc.ParseMesh(*meshSpec)
+		if err != nil {
+			return fmt.Errorf("-mesh: %w", err)
 		}
 		scheme := noc.RouteXY
 		switch *routing {

@@ -108,6 +108,7 @@ func TestRunErrors(t *testing.T) {
 		"missing graph": {},
 		"bad file":      {"-graph", filepath.Join(dir, "nope.json")},
 		"bad mesh":      {"-graph", graph, "-mesh", "abc"},
+		"trailing mesh": {"-graph", graph, "-mesh", "2x2junk"},
 		"bad routing":   {"-graph", graph, "-routing", "zigzag"},
 		"bad sched":     {"-graph", graph, "-mesh", "2x2", "-sched", "magic"},
 		"pe mismatch":   {"-graph", graph, "-mesh", "4x4"},

@@ -60,11 +60,12 @@ func TestRunSweepDeterministic(t *testing.T) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	for name, args := range map[string][]string{
-		"bad mesh":   {"-mesh", "abc"},
-		"bad graphs": {"-graphs", "0"},
-		"bad kmax":   {"-kmax", "0"},
-		"bad trials": {"-trials", "-1"},
-		"bad flag":   {"-nonsense"},
+		"bad mesh":      {"-mesh", "abc"},
+		"trailing mesh": {"-mesh", "3x3junk"},
+		"bad graphs":    {"-graphs", "0"},
+		"bad kmax":      {"-kmax", "0"},
+		"bad trials":    {"-trials", "-1"},
+		"bad flag":      {"-nonsense"},
 	} {
 		if err := run(args, &stdout, &stderr); err == nil {
 			t.Errorf("%s accepted", name)

@@ -123,9 +123,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	// The diagnostics session is live: flip /readyz for -serve probes.
 	sess.MarkReady()
 	telem := sess.Collector()
-	var w, h int
-	if _, err := fmt.Sscanf(*meshSpec, "%dx%d", &w, &h); err != nil {
-		return fmt.Errorf("bad -mesh %q (want WIDTHxHEIGHT): %w", *meshSpec, err)
+	w, h, err := noc.ParseMesh(*meshSpec)
+	if err != nil {
+		return fmt.Errorf("-mesh: %w", err)
 	}
 	if *graphs < 1 || *trials < 1 {
 		return errors.New("-graphs and -trials must be >= 1")

@@ -99,6 +99,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	for name, args := range map[string][]string{
 		"bad mesh":       {"-mesh", "abc"},
+		"trailing mesh":  {"-mesh", "3x3junk"},
 		"bad graphs":     {"-graphs", "0"},
 		"bad rate":       {"-rates", "0"},
 		"rate too big":   {"-rates", "1.5"},

@@ -116,6 +116,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("bad -tasks: %w", err)
 	}
 	meshes := strings.Split(*meshSpec, ",")
+	dims := make([][2]int, len(meshes))
+	for i, mesh := range meshes {
+		w, h, err := noc.ParseMesh(mesh)
+		if err != nil {
+			return fmt.Errorf("-meshes: %w", err)
+		}
+		dims[i] = [2]int{w, h}
+	}
 	scheds := strings.Split(*schedSpec, ",")
 	for _, s := range scheds {
 		if s != "eas" && s != "edf" && s != "dls" {
@@ -127,12 +135,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	report := Report{GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: *seed, Laxity: *laxity, Reps: *reps}
-	for _, mesh := range meshes {
-		var w, h int
-		if _, err := fmt.Sscanf(mesh, "%dx%d", &w, &h); err != nil {
-			return fmt.Errorf("bad mesh %q (want WIDTHxHEIGHT): %w", mesh, err)
-		}
-		platform, err := noc.NewHeterogeneousMesh(w, h, noc.RouteXY, 256)
+	for i, mesh := range meshes {
+		platform, err := noc.NewHeterogeneousMesh(dims[i][0], dims[i][1], noc.RouteXY, 256)
 		if err != nil {
 			return err
 		}

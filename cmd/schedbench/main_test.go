@@ -47,6 +47,7 @@ func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-tasks", "abc"},
 		{"-meshes", "4by4"},
+		{"-meshes", "3x3,4x4extra"},
 		{"-scheds", "heft"},
 		{"-reps", "0"},
 	} {

@@ -118,9 +118,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var w, h int
-	if _, err := fmt.Sscanf(*meshSpec, "%dx%d", &w, &h); err != nil {
-		return fmt.Errorf("bad -mesh %q (want WIDTHxHEIGHT): %w", *meshSpec, err)
+	w, h, err := noc.ParseMesh(*meshSpec)
+	if err != nil {
+		return fmt.Errorf("-mesh: %w", err)
 	}
 	scheds := strings.Split(*schedSpec, ",")
 	for _, s := range scheds {
@@ -298,7 +298,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				c.Identical = false
 			}
 		}
-		if rep := verify.Check(s1); !structurallyClean(rep) {
+		if rep := verify.Check(s1); len(rep.Structural()) > 0 {
 			c.Verified = false
 		}
 	}
@@ -395,17 +395,6 @@ func submit(client *http.Client, baseURL string, body []byte) (*serve.Response, 
 			return nil, 0, retries, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 		}
 	}
-}
-
-// structurallyClean reports whether a verify report carries only
-// deadline findings (a legitimate outcome) or none at all.
-func structurallyClean(rep *verify.Report) bool {
-	for i := range rep.Findings {
-		if rep.Findings[i].Class != verify.ClassDeadline {
-			return false
-		}
-	}
-	return true
 }
 
 func mean(xs []float64) float64 {

@@ -60,6 +60,7 @@ func TestLoadAgainstInProcessDaemon(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mesh", "4by4"},
+		{"-mesh", "3x3junk"},
 		{"-scheds", "eas,annealer"},
 		{"-workloads", "0"},
 		{"-requests", "0"},

@@ -113,9 +113,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return fmt.Errorf("reading %s: %w", *platSpec, err)
 		}
 	} else {
-		var w, h int
-		if _, err := fmt.Sscanf(*meshSpec, "%dx%d", &w, &h); err != nil {
-			return fmt.Errorf("bad -mesh %q (want WIDTHxHEIGHT): %w", *meshSpec, err)
+		w, h, err := noc.ParseMesh(*meshSpec)
+		if err != nil {
+			return fmt.Errorf("-mesh: %w", err)
 		}
 		scheme := noc.RouteXY
 		switch *routing {
@@ -160,11 +160,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	} else {
 		fmt.Fprintf(stdout, "%d findings:\n%s", len(rep.Findings), rep)
 	}
-	failing := len(rep.Findings)
+	failing := rep.Findings
 	if *ignoreDl {
-		failing -= rep.Count(verify.ClassDeadline)
+		failing = rep.Structural()
 	}
-	if failing > 0 {
+	if len(failing) > 0 {
 		return errFindings
 	}
 	return nil

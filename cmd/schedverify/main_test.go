@@ -135,6 +135,9 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run([]string{"-graph", graphPath, "-schedule", schedPath, "-mesh", "banana"}, &out, &errBuf); err == nil {
 		t.Fatal("bad mesh spec accepted")
 	}
+	if err := run([]string{"-graph", graphPath, "-schedule", schedPath, "-mesh", "4x4junk"}, &out, &errBuf); err == nil {
+		t.Fatal("mesh spec with trailing input accepted")
+	}
 	if err := run([]string{"-graph", graphPath, "-schedule", schedPath, "-routing", "zz"}, &out, &errBuf); err == nil {
 		t.Fatal("bad routing scheme accepted")
 	}

@@ -65,9 +65,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}()
 
-	var w, h int
-	if _, err := fmt.Sscanf(*meshSpec, "%dx%d", &w, &h); err != nil {
-		return fmt.Errorf("bad -mesh %q: %w", *meshSpec, err)
+	w, h, err := noc.ParseMesh(*meshSpec)
+	if err != nil {
+		return fmt.Errorf("-mesh: %w", err)
 	}
 	platform, err := noc.NewHeterogeneousMesh(w, h, noc.RouteXY, 256)
 	if err != nil {

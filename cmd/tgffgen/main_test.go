@@ -63,11 +63,12 @@ func TestRunSPToFile(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := map[string][]string{
-		"bad mesh":     {"-mesh", "x"},
-		"bad shape":    {"-shape", "spiral"},
-		"bad category": {"-category", "III"},
-		"bad tasks":    {"-tasks", "0"},
-		"bad flag":     {"-bogus"},
+		"bad mesh":      {"-mesh", "x"},
+		"trailing mesh": {"-mesh", "3x3junk"},
+		"bad shape":     {"-shape", "spiral"},
+		"bad category":  {"-category", "III"},
+		"bad tasks":     {"-tasks", "0"},
+		"bad flag":      {"-bogus"},
 	}
 	for name, args := range cases {
 		var out, errb bytes.Buffer

@@ -177,9 +177,6 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Workers returns the engine's resolved instance-level worker count.
-func (e *Engine) Workers() int { return e.opts.Workers }
-
 // Plan returns the engine's shared route plan for the ACG, computing
 // it on first use. Safe for concurrent use; the returned plan is
 // immutable.

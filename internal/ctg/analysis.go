@@ -3,162 +3,9 @@ package ctg
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
-
-// CriticalPath returns the longest source-to-sink path through the
-// graph when each task is weighted by weight(task) and each arc by
-// edgeWeight(edge), together with its total length. Typical uses:
-// mean-execution critical path (weight = mean exec, edgeWeight = 0) or
-// communication-aware critical path (edgeWeight = transfer time).
-// It returns an error for cyclic graphs.
-func (g *Graph) CriticalPath(weight func(*Task) float64, edgeWeight func(*Edge) float64) ([]TaskID, float64, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	dist := make([]float64, g.NumTasks())
-	// via[t] records the arc that realizes dist[t], or -1 for sources.
-	via := make([]EdgeID, g.NumTasks())
-	for i := range via {
-		via[i] = -1
-	}
-	for _, t := range order {
-		best, bestVia := 0.0, EdgeID(-1)
-		for _, eid := range g.In(t) {
-			e := g.Edge(eid)
-			cand := dist[e.Src] + edgeWeight(e)
-			if cand > best || (cand == best && bestVia < 0) {
-				best, bestVia = cand, eid
-			}
-		}
-		dist[t] = best + weight(g.Task(t))
-		via[t] = bestVia
-	}
-	// Locate the global maximum and walk back.
-	end := TaskID(0)
-	for i := 1; i < g.NumTasks(); i++ {
-		if dist[i] > dist[end] {
-			end = TaskID(i)
-		}
-	}
-	var path []TaskID
-	for t := end; ; {
-		path = append(path, t)
-		if via[t] < 0 {
-			break
-		}
-		t = g.Edge(via[t]).Src
-	}
-	// Reverse into source-to-sink order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, dist[end], nil
-}
-
-// MeanExecCriticalPath is CriticalPath weighted by each task's mean
-// execution time over its runnable PEs, ignoring communication — the
-// quantity the paper's slack budgeting reasons about.
-func (g *Graph) MeanExecCriticalPath() ([]TaskID, float64, error) {
-	return g.CriticalPath(func(t *Task) float64 {
-		sum, n := 0.0, 0
-		for k, r := range t.ExecTime {
-			if r >= 0 {
-				sum += float64(t.ExecTime[k])
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
-	}, func(*Edge) float64 { return 0 })
-}
-
-// Stats summarizes a graph for reports and generators.
-type Stats struct {
-	Tasks         int
-	Edges         int
-	ControlEdges  int
-	DataEdges     int
-	TotalVolume   int64
-	Sources       int
-	Sinks         int
-	DeadlineTasks int
-	MaxLevel      int
-	// MeanExecCP is the mean-execution critical path length.
-	MeanExecCP float64
-	// MinLaxity is the tightest deadline / critical-path-to-it ratio
-	// over deadline tasks (+Inf when no deadline exists).
-	MinLaxity float64
-}
-
-// ComputeStats returns the graph's summary statistics.
-func (g *Graph) ComputeStats() (Stats, error) {
-	s := Stats{
-		Tasks:       g.NumTasks(),
-		Edges:       g.NumEdges(),
-		TotalVolume: g.TotalVolume(),
-		Sources:     len(g.Sources()),
-		Sinks:       len(g.Sinks()),
-		MinLaxity:   math.Inf(1),
-	}
-	for _, e := range g.Edges() {
-		if e.Volume == 0 {
-			s.ControlEdges++
-		} else {
-			s.DataEdges++
-		}
-	}
-	levels, err := g.Levels()
-	if err != nil {
-		return s, err
-	}
-	for _, l := range levels {
-		if l > s.MaxLevel {
-			s.MaxLevel = l
-		}
-	}
-	_, cp, err := g.MeanExecCriticalPath()
-	if err != nil {
-		return s, err
-	}
-	s.MeanExecCP = cp
-
-	// Per-deadline laxity: deadline / longest mean path to that task.
-	order, _ := g.TopoOrder()
-	longest := make([]float64, g.NumTasks())
-	for _, t := range order {
-		task := g.Task(t)
-		mean, n := 0.0, 0
-		for k, r := range task.ExecTime {
-			if r >= 0 {
-				mean += float64(task.ExecTime[k])
-				n++
-			}
-		}
-		mean /= float64(n)
-		best := 0.0
-		for _, p := range g.Pred(t) {
-			if longest[p] > best {
-				best = longest[p]
-			}
-		}
-		longest[t] = best + mean
-	}
-	for _, d := range g.DeadlineTasks() {
-		s.DeadlineTasks++
-		if longest[d] > 0 {
-			if lax := float64(g.Task(d).Deadline) / longest[d]; lax < s.MinLaxity {
-				s.MinLaxity = lax
-			}
-		}
-	}
-	return s, nil
-}
 
 // WriteDOT renders the graph in Graphviz DOT format: tasks as nodes
 // (deadline tasks doubled-outlined, annotated with their deadline),

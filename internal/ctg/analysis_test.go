@@ -2,7 +2,6 @@ package ctg
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -36,82 +35,6 @@ func analysisGraph(t *testing.T) (*Graph, [5]TaskID) {
 		}
 	}
 	return g, ids
-}
-
-func TestCriticalPath(t *testing.T) {
-	g, ids := analysisGraph(t)
-	path, length, err := g.MeanExecCriticalPath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Longest: a(10) b(30) d(20) e(1) = 61.
-	if length != 61 {
-		t.Errorf("critical path length = %v, want 61", length)
-	}
-	want := []TaskID{ids[0], ids[1], ids[3], ids[4]}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-}
-
-func TestCriticalPathWithEdgeWeights(t *testing.T) {
-	g, _ := analysisGraph(t)
-	// Giving arcs weight = volume/10 shifts nothing here (the heavy
-	// arcs lie on the already-critical path) but must increase length:
-	// 61 + (100+50)/10 = 76.
-	_, length, err := g.CriticalPath(
-		func(task *Task) float64 { return float64(task.ExecTime[0]) },
-		func(e *Edge) float64 { return float64(e.Volume) / 10 },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if length != 76 {
-		t.Errorf("weighted critical path = %v, want 76", length)
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	g, _ := analysisGraph(t)
-	s, err := g.ComputeStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Tasks != 5 || s.Edges != 5 || s.ControlEdges != 2 || s.DataEdges != 3 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.TotalVolume != 160 || s.Sources != 1 || s.Sinks != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.DeadlineTasks != 1 || s.MaxLevel != 3 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.MeanExecCP != 61 {
-		t.Errorf("MeanExecCP = %v", s.MeanExecCP)
-	}
-	// Laxity: deadline 100 / longest-to-e 61.
-	if math.Abs(s.MinLaxity-100.0/61.0) > 1e-9 {
-		t.Errorf("MinLaxity = %v", s.MinLaxity)
-	}
-}
-
-func TestComputeStatsNoDeadline(t *testing.T) {
-	g := New("nd")
-	if _, err := g.AddTask("a", []int64{5}, []float64{1}, NoDeadline); err != nil {
-		t.Fatal(err)
-	}
-	s, err := g.ComputeStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(s.MinLaxity, 1) {
-		t.Errorf("MinLaxity = %v, want +Inf", s.MinLaxity)
-	}
 }
 
 func TestWriteDOT(t *testing.T) {

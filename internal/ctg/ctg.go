@@ -263,26 +263,6 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 	return order, nil
 }
 
-// Levels returns, for every task, its level: the length (in task count)
-// of the longest chain of predecessors ending at the task. Sources have
-// level 0. It returns an error if the graph is cyclic.
-func (g *Graph) Levels() ([]int, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	levels := make([]int, len(g.tasks))
-	for _, t := range order {
-		for _, eid := range g.succ[t] {
-			d := g.edges[eid].Dst
-			if levels[t]+1 > levels[d] {
-				levels[d] = levels[t] + 1
-			}
-		}
-	}
-	return levels, nil
-}
-
 // Validate checks structural invariants: the graph is a non-empty DAG,
 // every task's per-PE arrays have the same length, and every task can run
 // on at least one PE. It returns the first violation found.

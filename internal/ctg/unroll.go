@@ -75,12 +75,3 @@ func Unroll(g *Graph, n int, period int64, cross []CrossDep) (*Graph, error) {
 	}
 	return out, nil
 }
-
-// IterationOf returns which unrolled iteration a task of an
-// Unroll-produced graph belongs to, given the original task count.
-func IterationOf(t TaskID, baseTasks int) int {
-	if baseTasks <= 0 {
-		return 0
-	}
-	return int(t) / baseTasks
-}

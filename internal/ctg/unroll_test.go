@@ -51,12 +51,9 @@ func TestUnrollStructure(t *testing.T) {
 	if u.Task(ids[0]).HasDeadline() || u.Task(TaskID(3)+ids[0]).HasDeadline() {
 		t.Error("unconstrained task acquired a deadline")
 	}
-	// Naming and iteration recovery.
+	// Naming.
 	if u.Task(TaskID(3)+ids[1]).Name != "work#1" {
 		t.Errorf("name = %q", u.Task(TaskID(3)+ids[1]).Name)
-	}
-	if IterationOf(TaskID(7), 3) != 2 {
-		t.Error("IterationOf wrong")
 	}
 	// The cross dependency links work#0 -> work#1.
 	found := false

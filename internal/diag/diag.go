@@ -42,8 +42,7 @@ type Flags struct {
 
 	// Serve is the listen address of the live ops HTTP server
 	// (/metrics, /healthz, /readyz, /snapshot, /debug/pprof/); empty
-	// leaves it off. ":0" picks a free port — read it back with
-	// Session.ObsURL.
+	// leaves it off.
 	Serve string
 	// MetricsStream is the JSONL snapshot time-series output: one
 	// timestamped telemetry snapshot per line, sampled every
@@ -172,16 +171,6 @@ func (s *Session) MarkReady() {
 		return
 	}
 	s.ready.Store(true)
-}
-
-// ObsURL returns the base URL of the -serve ops server ("" when the
-// flag was not set), with the actual bound port resolved — useful with
-// -serve :0. Valid on a nil session.
-func (s *Session) ObsURL() string {
-	if s == nil || s.obsServer == nil {
-		return ""
-	}
-	return s.obsServer.URL()
 }
 
 // Collector returns the telemetry collector to thread into scheduler

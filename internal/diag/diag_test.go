@@ -149,10 +149,10 @@ func TestSessionServe(t *testing.T) {
 	if sess.Collector() == nil {
 		t.Fatal("-serve did not imply telemetry collection")
 	}
-	base := sess.ObsURL()
-	if base == "" {
-		t.Fatal("no ops URL with -serve set")
+	if sess.obsServer == nil {
+		t.Fatal("no ops server with -serve set")
 	}
+	base := sess.obsServer.URL()
 	sess.Collector().Registry.Counter("diag_test_total").Add(7)
 
 	get := func(path string) (int, string) {
@@ -198,12 +198,9 @@ func TestSessionServe(t *testing.T) {
 		t.Error("stream artifact missing the test counter")
 	}
 
-	// MarkReady and ObsURL are nil-safe.
+	// MarkReady is nil-safe.
 	var nilSess *Session
 	nilSess.MarkReady()
-	if nilSess.ObsURL() != "" {
-		t.Error("nil session has an ops URL")
-	}
 }
 
 // TestStartFailsOnBadServeAddr: an unusable -serve address fails Start

@@ -148,15 +148,9 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	return s, nil
 }
 
-// StaticLevels returns SL(t) for every task: the largest sum of mean
-// execution times along any path from t to a sink, inclusive of t.
-func StaticLevels(g *ctg.Graph) ([]float64, error) {
-	return staticLevels(g, meanExecTimes(g))
-}
-
 // meanExecTimes returns every task's mean execution time over the PEs
-// that can run it (0 when none can): stats.MeanInt64's sum, in the same
-// order, without collecting the times first.
+// that can run it (0 when none can), summed in PE order without
+// collecting the times first.
 func meanExecTimes(g *ctg.Graph) []float64 {
 	means := make([]float64, g.NumTasks())
 	for i := range means {
@@ -174,7 +168,9 @@ func meanExecTimes(g *ctg.Graph) []float64 {
 	return means
 }
 
-// staticLevels is StaticLevels over precomputed mean execution times.
+// staticLevels returns SL(t) for every task: the largest sum of mean
+// execution times (meanExec) along any path from t to a sink,
+// inclusive of t.
 func staticLevels(g *ctg.Graph, meanExec []float64) ([]float64, error) {
 	order, err := g.TopoOrder()
 	if err != nil {

@@ -52,7 +52,7 @@ func TestStaticLevels(t *testing.T) {
 	c := mk("c", 50)
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, c, 0)
-	sl, err := StaticLevels(g)
+	sl, err := staticLevels(g, meanExecTimes(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestStaticLevelsCycleRejected(t *testing.T) {
 	b, _ := g.AddTask("b", []int64{1}, []float64{1}, ctg.NoDeadline)
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, a, 0)
-	if _, err := StaticLevels(g); err == nil {
+	if _, err := staticLevels(g, meanExecTimes(g)); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }

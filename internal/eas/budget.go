@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"nocsched/internal/ctg"
-	"nocsched/internal/stats"
 )
 
 // WeightFunc computes a task's slack-allocation weight from its per-PE
@@ -34,12 +33,12 @@ type WeightFunc func(execTimes []int64, energies []float64) float64
 
 // WeightVarEVarR is the paper's weight, W_t = VAR_e * VAR_r.
 func WeightVarEVarR(execTimes []int64, energies []float64) float64 {
-	return stats.Variance(energies) * stats.VarianceInt64(execTimes)
+	return variance(energies) * varianceInt64(execTimes)
 }
 
 // WeightVarE uses only the energy variance (ablation).
 func WeightVarE(execTimes []int64, energies []float64) float64 {
-	return stats.Variance(energies)
+	return variance(energies)
 }
 
 // WeightUniform gives every task the same weight, i.e. slack is split
@@ -60,12 +59,8 @@ type Budget struct {
 	BD []int64
 }
 
-// Constrained reports whether task t has a finite budgeted deadline.
-func (b *Budget) Constrained(t ctg.TaskID) bool { return b.BD[t] != ctg.NoDeadline }
-
 // ComputeBudget runs Step 1 of EAS on graph g with the given weight
-// function (nil selects the paper's WeightVarEVarR). It is
-// ComputeBudgetScaled with the paper's full slack (scale 1).
+// function (nil selects the paper's WeightVarEVarR).
 //
 // For every deadline-carrying task d and every task t on a path to d,
 // the slack of the longest (mean-execution-time) source-to-d path
@@ -75,30 +70,22 @@ func (b *Budget) Constrained(t ctg.TaskID) bool { return b.BD[t] != ctg.NoDeadli
 // tightest downstream constraint wins. This reproduces the paper's
 // Fig. 2 example exactly (weights 100/200/100 over a 400-unit slack give
 // budgeted deadlines 400/800/1300).
-func ComputeBudget(g *ctg.Graph, weight WeightFunc) (*Budget, error) {
-	return ComputeBudgetScaled(g, weight, 1.0)
-}
-
-// ComputeBudgetScaled is ComputeBudget with the distributed slack
-// multiplied by scale in [0, 1]. Scale 1 is the paper's Step 1; smaller
-// scales tighten every budgeted deadline uniformly, pushing the level
-// scheduler toward faster (hungrier) placements. Scale 0 makes every
-// task maximally urgent (BD = its longest mean path), approaching a
-// performance-greedy schedule. The EAS driver retries with shrinking
-// scales when search-and-repair cannot eliminate all deadline misses.
-func ComputeBudgetScaled(g *ctg.Graph, weight WeightFunc, scale float64) (*Budget, error) {
-	return ComputeBudgetCommAware(g, weight, scale, 0)
-}
-
-// ComputeBudgetCommAware extends the slack budgeting with expected
-// communication time: when commBandwidth > 0, every arc contributes
+//
+// The distributed slack is multiplied by scale in [0, 1]. Scale 1 is
+// the paper's Step 1; smaller scales tighten every budgeted deadline
+// uniformly, pushing the level scheduler toward faster (hungrier)
+// placements. Scale 0 makes every task maximally urgent (BD = its
+// longest mean path), approaching a performance-greedy schedule.
+//
+// When commBandwidth > 0, every arc also contributes
 // volume/commBandwidth time units to the path lengths used for slack
 // computation (the paper's Step 1 budgets over mean execution times
-// only, which overestimates slack on communication-heavy paths — frame-
-// sized transfers on a NoC take hundreds of cycles). The EAS driver
-// falls back to this variant when the paper-faithful budget leaves
-// unrepairable deadline misses. commBandwidth <= 0 disables the term.
-func ComputeBudgetCommAware(g *ctg.Graph, weight WeightFunc, scale float64, commBandwidth int64) (*Budget, error) {
+// only, which overestimates slack on communication-heavy paths —
+// frame-sized transfers on a NoC take hundreds of cycles);
+// commBandwidth <= 0 disables the term. The EAS driver retries with
+// the communication term, then with shrinking scales, when
+// search-and-repair cannot eliminate all deadline misses.
+func ComputeBudget(g *ctg.Graph, weight WeightFunc, scale float64, commBandwidth int64) (*Budget, error) {
 	if weight == nil {
 		weight = WeightVarEVarR
 	}
@@ -128,7 +115,7 @@ func ComputeBudgetCommAware(g *ctg.Graph, weight WeightFunc, scale float64, comm
 	for i := 0; i < n; i++ {
 		t := g.Task(ctg.TaskID(i))
 		times, energies := runnableArrays(t)
-		b.Mean[i] = stats.Mean(times2f(times))
+		b.Mean[i] = mean(times2f(times))
 		b.Weight[i] = weight(times, energies)
 		if b.Weight[i] < 0 || math.IsNaN(b.Weight[i]) {
 			return nil, fmt.Errorf("eas: task %d: invalid weight %g", i, b.Weight[i])
@@ -245,4 +232,51 @@ func times2f(xs []int64) []float64 {
 		out[i] = float64(x)
 	}
 	return out
+}
+
+// mean returns the arithmetic mean of xs, or 0 for empty input.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// variance returns the population variance of xs (dividing by N, not
+// N-1): the paper's weights W = VAR_e * VAR_r are variances over the
+// finite set of PEs. It returns 0 for fewer than two elements.
+func variance(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := mean(xs)
+	sum := 0.0
+	for _, x := range xs {
+		d := x - m
+		sum += d * d
+	}
+	return sum / float64(len(xs))
+}
+
+// varianceInt64 is variance over int64 samples, summed in float64 in
+// the same order.
+func varianceInt64(xs []int64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := 0.0
+	for _, x := range xs {
+		m += float64(x)
+	}
+	m /= float64(len(xs))
+	sum := 0.0
+	for _, x := range xs {
+		d := float64(x) - m
+		sum += d * d
+	}
+	return sum / float64(len(xs))
 }

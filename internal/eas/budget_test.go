@@ -33,7 +33,7 @@ func TestBudgetMinOverDeadlines(t *testing.T) {
 	g.AddEdge(b, c, 0)
 	g.AddEdge(b, d, 0)
 
-	budget, err := ComputeBudget(g, nil)
+	budget, err := ComputeBudget(g, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestBudgetUnconstrainedTask(t *testing.T) {
 	g.AddEdge(a, b, 0)
 	g.AddEdge(a, free, 0)
 
-	budget, err := ComputeBudget(g, nil)
+	budget, err := ComputeBudget(g, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if budget.Constrained(free) {
+	if budget.BD[free] != ctg.NoDeadline {
 		t.Errorf("free task constrained: BD=%d", budget.BD[free])
 	}
-	if !budget.Constrained(a) || !budget.Constrained(b) {
+	if budget.BD[a] == ctg.NoDeadline || budget.BD[b] == ctg.NoDeadline {
 		t.Error("constrained tasks not marked")
 	}
 }
@@ -91,7 +91,7 @@ func TestBudgetZeroWeightFallback(t *testing.T) {
 	b := mk("b", 300, 800)
 	g.AddEdge(a, b, 0)
 
-	budget, err := ComputeBudget(g, nil)
+	budget, err := ComputeBudget(g, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestBudgetInfeasiblePathClampsSlack(t *testing.T) {
 	b := addWeighted(t, g, "b", 200, 1, 300)
 	g.AddEdge(a, b, 0)
 
-	budget, err := ComputeBudget(g, nil)
+	budget, err := ComputeBudget(g, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBudgetWeightsRespectIncapablePEs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget, err := ComputeBudget(g, nil)
+	budget, err := ComputeBudget(g, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestBudgetCycleRejected(t *testing.T) {
 	b := addWeighted(t, g, "b", 100, 1, ctg.NoDeadline)
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, a, 0)
-	if _, err := ComputeBudget(g, nil); err == nil {
+	if _, err := ComputeBudget(g, nil, 1, 0); err == nil {
 		t.Fatal("cycle not rejected")
 	}
 }

@@ -18,11 +18,11 @@ func TestCommAwareBudgetTightens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := ComputeBudgetCommAware(g, nil, 1, 0)
+	plain, err := ComputeBudget(g, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := ComputeBudgetCommAware(g, nil, 1, 256)
+	aware, err := ComputeBudget(g, nil, 1, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestScaleZeroRemovesSlack(t *testing.T) {
 	a := addWeighted(t, g, "a", 100, 1, ctg.NoDeadline)
 	b := addWeighted(t, g, "b", 100, 1, 1000)
 	g.AddEdge(a, b, 0)
-	budget, err := ComputeBudgetScaled(g, nil, 0)
+	budget, err := ComputeBudget(g, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestScaleValidation(t *testing.T) {
 	g := ctg.New("v")
 	addWeighted(t, g, "a", 100, 1, 500)
 	for _, bad := range []float64{-0.1, 1.5} {
-		if _, err := ComputeBudgetScaled(g, nil, bad); err == nil {
+		if _, err := ComputeBudget(g, nil, bad, 0); err == nil {
 			t.Errorf("scale %v accepted", bad)
 		}
 	}
@@ -78,8 +78,8 @@ func TestControlEdgesAddNoCommTime(t *testing.T) {
 	a := addWeighted(t, g, "a", 100, 1, ctg.NoDeadline)
 	b := addWeighted(t, g, "b", 100, 1, 1000)
 	g.AddEdge(a, b, 0)
-	plain, _ := ComputeBudgetCommAware(g, nil, 1, 0)
-	aware, err := ComputeBudgetCommAware(g, nil, 1, 256)
+	plain, _ := ComputeBudget(g, nil, 1, 0)
+	aware, err := ComputeBudget(g, nil, 1, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestDebugScaleSweep(t *testing.T) {
 		scale float64
 		bw    int64
 	}{{1, 0}, {1, 256}, {0.5, 256}, {0, 256}} {
-		budget, err := ComputeBudgetCommAware(g, nil, p.scale, p.bw)
+		budget, err := ComputeBudget(g, nil, p.scale, p.bw)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ type Options struct {
 	// DisableTightenRetry turns off the slack-tightening fallback:
 	// when search-and-repair cannot eliminate every deadline miss, the
 	// driver normally re-runs Steps 1-3 with uniformly reduced slack
-	// shares (ComputeBudgetScaled), trading energy for feasibility,
+	// shares (ComputeBudget's scale), trading energy for feasibility,
 	// and returns the best schedule found. Disable to get the paper's
 	// single-pass behavior exactly.
 	DisableTightenRetry bool
@@ -121,7 +121,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	for passNo, p := range passes {
 		endPass := tr.Span(fmt.Sprintf("pass %d (scale=%g bw=%d)", passNo, p.scale, p.commBW), "eas")
 		endStep := tr.Span("step1:budget", "eas phases")
-		budget, err := ComputeBudgetCommAware(g, opts.Weight, p.scale, p.commBW)
+		budget, err := ComputeBudget(g, opts.Weight, p.scale, p.commBW)
 		endStep()
 		if err != nil {
 			endPass()

@@ -146,11 +146,11 @@ func TestQuickBudgetMonotoneInScale(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, err := ComputeBudgetScaled(g, nil, s1)
+		lo, err := ComputeBudget(g, nil, s1, 0)
 		if err != nil {
 			return false
 		}
-		hi, err := ComputeBudgetScaled(g, nil, s2)
+		hi, err := ComputeBudget(g, nil, s2, 0)
 		if err != nil {
 			return false
 		}

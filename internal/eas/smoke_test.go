@@ -40,7 +40,7 @@ func TestBudgetFig2(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := ComputeBudget(g, nil)
+	b, err := ComputeBudget(g, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,15 +66,6 @@ func (m Model) BitEnergy(nhops int) float64 {
 	return float64(nhops)*m.ESbit + float64(nhops-1)*m.ELbit
 }
 
-// VolumeEnergy returns the energy to move volume bits across nhops
-// routers.
-func (m Model) VolumeEnergy(volume int64, nhops int) float64 {
-	if volume <= 0 {
-		return 0
-	}
-	return float64(volume) * m.BitEnergy(nhops)
-}
-
 // ACG is the Architecture Characterization Graph of Definition 2: for
 // every ordered PE pair (pi, pj) it stores the route r_ij, its per-bit
 // energy e(r_ij) and its bandwidth b(r_ij). Routes are precomputed once
@@ -178,11 +169,6 @@ func (a *ACG) CommEnergy(volume int64, i, j int) float64 {
 	}
 	return float64(volume) * a.ebit[i*a.n+j]
 }
-
-// Bandwidth returns b(r_ij) in bits per time unit. Wormhole routing
-// pipelines flits, so a route's sustained bandwidth equals the uniform
-// link bandwidth.
-func (a *ACG) Bandwidth(i, j int) int64 { return a.platform.LinkBandwidth }
 
 // TransferTime returns the network occupancy time of a volume-bit
 // transaction from PE i to PE j (zero when i == j or volume == 0).

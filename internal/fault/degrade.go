@@ -211,11 +211,6 @@ type Triage struct {
 	SeveredTransactions []ctg.EdgeID
 }
 
-// Affected reports whether the scenario invalidates anything at all.
-func (t Triage) Affected() bool {
-	return len(t.StrandedTasks) > 0 || len(t.SeveredTransactions) > 0
-}
-
 // Triage inspects a fault-free schedule against the degraded platform
 // and reports which of its placements the scenario invalidates.
 func (d *Degraded) Triage(s *sched.Schedule) Triage {

@@ -164,7 +164,7 @@ func TestTriage(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := d.Triage(s)
-	if !tr.Affected() {
+	if len(tr.StrandedTasks)+len(tr.SeveredTransactions) == 0 {
 		t.Fatal("triage found nothing despite targeted faults")
 	}
 	found := false
@@ -199,7 +199,7 @@ func TestTriage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := d0.Triage(s); tr.Affected() {
+	if tr := d0.Triage(s); len(tr.StrandedTasks)+len(tr.SeveredTransactions) > 0 {
 		t.Errorf("empty scenario triaged %+v", tr)
 	}
 }

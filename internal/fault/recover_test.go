@@ -137,7 +137,7 @@ func TestRecoverEmptyScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Triage.Affected() {
+	if len(rec.Triage.StrandedTasks)+len(rec.Triage.SeveredTransactions) > 0 {
 		t.Fatalf("empty scenario triaged %+v", rec.Triage)
 	}
 	if rec.Stats.TasksMigrated != 0 {

@@ -164,9 +164,6 @@ func (d *DegradedTopology) routeIntact(src, dst TileID) bool {
 	return true
 }
 
-// Base returns the underlying fault-free topology.
-func (d *DegradedTopology) Base() Topology { return d.base }
-
 // DeadRouter reports whether the router at tile t failed.
 func (d *DegradedTopology) DeadRouter(t TileID) bool { return d.deadTile[t] }
 

@@ -1,6 +1,10 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // RoutingScheme selects one of the deterministic dimension-ordered
 // routing functions supported by Mesh.
@@ -42,6 +46,23 @@ type Mesh struct {
 	linkIndex map[[2]TileID]LinkID
 }
 
+// ParseMesh parses a "WIDTHxHEIGHT" mesh spec such as "4x4". Both
+// parts must be positive decimal integers and nothing may follow the
+// height.
+func ParseMesh(spec string) (width, height int, err error) {
+	ws, hs, ok := strings.Cut(spec, "x")
+	if ok {
+		width, err = strconv.Atoi(ws)
+		if err == nil {
+			height, err = strconv.Atoi(hs)
+		}
+	}
+	if !ok || err != nil || width < 1 || height < 1 {
+		return 0, 0, fmt.Errorf("noc: bad mesh %q (want WIDTHxHEIGHT, both positive)", spec)
+	}
+	return width, height, nil
+}
+
 // NewMesh builds a width x height mesh with the given routing scheme.
 func NewMesh(width, height int, scheme RoutingScheme) (*Mesh, error) {
 	if width < 1 || height < 1 {
@@ -81,15 +102,6 @@ func NewMesh(width, height int, scheme RoutingScheme) (*Mesh, error) {
 func (m *Mesh) Name() string {
 	return fmt.Sprintf("mesh%dx%d-%s", m.width, m.height, m.scheme)
 }
-
-// Width returns the mesh width (number of columns).
-func (m *Mesh) Width() int { return m.width }
-
-// Height returns the mesh height (number of rows).
-func (m *Mesh) Height() int { return m.height }
-
-// Scheme returns the mesh's routing scheme.
-func (m *Mesh) Scheme() RoutingScheme { return m.scheme }
 
 // NumTiles implements Topology.
 func (m *Mesh) NumTiles() int { return m.width * m.height }

@@ -17,6 +17,33 @@ func TestNewMeshValidation(t *testing.T) {
 	}
 }
 
+func TestParseMesh(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		w, h int
+		ok   bool
+	}{
+		{"4x4", 4, 4, true},
+		{"1x8", 1, 8, true},
+		{"12x3", 12, 3, true},
+		{"3x3junk", 0, 0, false},
+		{"4x4x4", 0, 0, false},
+		{"4x", 0, 0, false},
+		{"x4", 0, 0, false},
+		{"0x4", 0, 0, false},
+		{"-1x4", 0, 0, false},
+		{"4x0", 0, 0, false},
+		{"4by4", 0, 0, false},
+		{" 4x4", 0, 0, false},
+		{"", 0, 0, false},
+	} {
+		w, h, err := ParseMesh(c.spec)
+		if (err == nil) != c.ok || w != c.w || h != c.h {
+			t.Errorf("ParseMesh(%q) = %d, %d, %v; want %d, %d, ok=%v", c.spec, w, h, err, c.w, c.h, c.ok)
+		}
+	}
+}
+
 func TestMeshStructure(t *testing.T) {
 	m := mustMesh(t, 4, 3, RouteXY)
 	if m.NumTiles() != 12 {

@@ -82,16 +82,6 @@ func (s *SnapshotStream) Sample() {
 	}
 }
 
-// Err returns the stream's first write error, if any.
-func (s *SnapshotStream) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
 // Close stops the ticker after one final sample and returns the first
 // write error. Safe to call more than once; nil closes cleanly.
 func (s *SnapshotStream) Close() error {

@@ -56,17 +56,24 @@ func (w *errAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// streamErr returns the stream's recorded write error.
+func streamErr(s *SnapshotStream) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
 // TestSnapshotStreamErrorSticks: the first write error is recorded,
 // later samples are dropped, Close returns it.
 func TestSnapshotStreamErrorSticks(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("c").Inc()
 	s := StartSnapshotStream(&errAfter{n: 1 << 20}, reg, time.Hour)
-	if s.Err() != nil {
-		t.Fatalf("unexpected early error: %v", s.Err())
+	if streamErr(s) != nil {
+		t.Fatalf("unexpected early error: %v", streamErr(s))
 	}
 	s2 := StartSnapshotStream(&errAfter{n: 0}, reg, time.Hour)
-	if s2.Err() == nil {
+	if streamErr(s2) == nil {
 		t.Fatal("write error not recorded")
 	}
 	s2.Sample() // must not panic or overwrite
@@ -98,7 +105,7 @@ func TestValidateSnapshotStreamRejects(t *testing.T) {
 	}
 	var nilS *SnapshotStream
 	nilS.Sample()
-	if nilS.Close() != nil || nilS.Err() != nil {
+	if nilS.Close() != nil {
 		t.Error("nil stream misbehaves")
 	}
 }

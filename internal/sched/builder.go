@@ -447,9 +447,6 @@ func (b *Builder) BlockPast(t int64) error {
 	return nil
 }
 
-// Blocked returns the end of the BlockPast prefix (0 when unblocked).
-func (b *Builder) Blocked() int64 { return b.blocked }
-
 // CommitFrozen records a placement checkpointed from an earlier
 // schedule without re-deriving its timing: the task keeps its PE, start
 // and finish, and the given incoming transactions keep theirs. No link

@@ -286,8 +286,8 @@ func TestBlockPastReservesPrefix(t *testing.T) {
 	if err := bld.BlockPast(50); err != nil {
 		t.Fatal(err)
 	}
-	if bld.Blocked() != 50 {
-		t.Fatalf("Blocked() = %d, want 50", bld.Blocked())
+	if bld.blocked != 50 {
+		t.Fatalf("blocked = %d, want 50", bld.blocked)
 	}
 	p, err := bld.Commit(a, 0)
 	if err != nil {
@@ -312,8 +312,8 @@ func TestBlockPastReservesPrefix(t *testing.T) {
 	if err := bld3.BlockPast(0); err != nil {
 		t.Fatal(err)
 	}
-	if bld3.Blocked() != 0 {
-		t.Fatalf("Blocked() = %d after no-op block", bld3.Blocked())
+	if bld3.blocked != 0 {
+		t.Fatalf("blocked = %d after no-op block", bld3.blocked)
 	}
 }
 

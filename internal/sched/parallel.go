@@ -50,7 +50,7 @@ const DefaultSequentialFloor = 128
 // <= 0 selects runtime.GOMAXPROCS(0). The builder's route cache is
 // pre-warmed so concurrent probers never race on a lazy fill (a no-op
 // when the builder carries a shared RoutePlan). The pool starts with
-// the DefaultSequentialFloor auto policy; SetSequentialFloor tunes it.
+// the DefaultSequentialFloor auto policy.
 func NewProbePool(b *Builder, workers int) *ProbePool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -62,15 +62,6 @@ func NewProbePool(b *Builder, workers int) *ProbePool {
 	}
 	return p
 }
-
-// SetSequentialFloor adjusts the auto worker policy: batches carrying
-// fewer than n probes run sequentially on the caller's goroutine. 0
-// restores unconditional fan-out (the pre-policy behavior). Schedules
-// are bit-identical either way; only wall-clock changes.
-func (p *ProbePool) SetSequentialFloor(n int) { p.seqFloor = n }
-
-// Workers returns the pool's worker count.
-func (p *ProbePool) Workers() int { return len(p.probers) }
 
 // Probes returns the total F(i,k) probes evaluated by all workers.
 func (p *ProbePool) Probes() int64 {

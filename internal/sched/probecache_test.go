@@ -137,7 +137,7 @@ func driveRandom(t *testing.T, b *Builder, rng *rand.Rand, flipAt int, check fun
 		if rng.Intn(2) == 0 {
 			_, err = b.Commit(task, k)
 		} else {
-			_, err = b.CommitAfter(task, k, rng.Int63n(b.Blocked()+500))
+			_, err = b.CommitAfter(task, k, rng.Int63n(b.blocked+500))
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -330,8 +330,8 @@ func TestProbePoolRunCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 5} {
 		b := NewBuilder(g, acg, "test")
 		pool := NewProbePool(b, workers)
-		if pool.Workers() != workers {
-			t.Fatalf("Workers() = %d, want %d", pool.Workers(), workers)
+		if len(pool.probers) != workers {
+			t.Fatalf("%d probers, want %d", len(pool.probers), workers)
 		}
 		const n = 97
 		hits := make([]int32, n)

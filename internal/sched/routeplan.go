@@ -63,17 +63,6 @@ func NewRoutePlan(acg *energy.ACG) *RoutePlan {
 // computed for. Builders refuse plans computed for a different ACG.
 func (p *RoutePlan) ACG() *energy.ACG { return p.acg }
 
-// NumPEs returns the number of PEs the plan covers.
-func (p *RoutePlan) NumPEs() int { return p.n }
-
-// Links returns the link indices of the route from PE src to PE dst.
-// The slice aliases plan storage and must not be mutated; unroutable
-// pairs yield an empty slice.
-func (p *RoutePlan) Links(src, dst int) []int {
-	idx := src*p.n + dst
-	return p.ids[p.off[idx]:p.off[idx+1]:p.off[idx+1]]
-}
-
 // SetRoutePlan attaches a shared route plan to the builder, replacing
 // the lazy per-pair route cache: every routeTables lookup then slices
 // the plan's precomputed link IDs and a flat per-builder table-pointer

@@ -11,13 +11,14 @@ import (
 func TestRoutePlanMatchesACGRoutes(t *testing.T) {
 	_, acg := proberRig(t, 51, 10)
 	p := NewRoutePlan(acg)
-	if p.ACG() != acg || p.NumPEs() != acg.NumPEs() {
-		t.Fatalf("plan identity: ACG match %v, PEs %d want %d", p.ACG() == acg, p.NumPEs(), acg.NumPEs())
+	if p.ACG() != acg || p.n != acg.NumPEs() {
+		t.Fatalf("plan identity: ACG match %v, PEs %d want %d", p.ACG() == acg, p.n, acg.NumPEs())
 	}
 	for i := 0; i < acg.NumPEs(); i++ {
 		for j := 0; j < acg.NumPEs(); j++ {
 			route := acg.Route(i, j)
-			links := p.Links(i, j)
+			idx := i*p.n + j
+			links := p.ids[p.off[idx]:p.off[idx+1]]
 			if len(links) != len(route) {
 				t.Fatalf("pair (%d,%d): plan has %d links, route %d", i, j, len(links), len(route))
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"nocsched/internal/noc"
 )
@@ -113,42 +112,4 @@ func (s *Schedule) RenderUtilization(w io.Writer, topN int) {
 		fmt.Fprintf(w, "%-6d %3d->%-5d %6d %10d %6.1f%% %12d\n",
 			l.Link, l.From, l.To, l.Transactions, l.BusyTime, 100*l.Utilization, l.Volume)
 	}
-}
-
-// CriticalTasks returns the schedule's "critical" set in the paper's
-// Step 3 sense: tasks that miss their own deadline plus all their
-// ancestors, in start-time order.
-func (s *Schedule) CriticalTasks() []string {
-	var names []string
-	seen := make(map[string]bool)
-	for _, id := range s.DeadlineMisses() {
-		t := s.Graph.Task(id)
-		if !seen[t.Name] {
-			seen[t.Name] = true
-			names = append(names, t.Name)
-		}
-		for _, a := range s.Graph.Ancestors(id) {
-			n := s.Graph.Task(a).Name
-			if !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Summary renders a one-paragraph textual summary for CLI output.
-func (s *Schedule) Summary() string {
-	b := s.Breakdown()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s: %.1f nJ (%.1f comp + %.1f comm), makespan %d, %.2f avg hops/pkt",
-		s.Algorithm, b.Total, b.Computation, b.Communication, b.Makespan, b.AvgHops)
-	if b.Misses > 0 {
-		fmt.Fprintf(&sb, ", %d DEADLINE MISSES", b.Misses)
-	} else {
-		sb.WriteString(", all deadlines met")
-	}
-	return sb.String()
 }

@@ -66,34 +66,6 @@ func TestRenderUtilization(t *testing.T) {
 	}
 }
 
-func TestCriticalTasksNames(t *testing.T) {
-	g, acg, ids := testRig(t)
-	s := handSchedule(t, g, acg, ids)
-	if crit := s.CriticalTasks(); len(crit) != 0 {
-		t.Errorf("feasible schedule has critical tasks %v", crit)
-	}
-	// Push c past its deadline: a, b, c all become critical.
-	s.Tasks[ids[2]].Start = 2000
-	s.Tasks[ids[2]].Finish = 2010
-	crit := s.CriticalTasks()
-	if len(crit) != 3 {
-		t.Errorf("critical = %v", crit)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	g, acg, ids := testRig(t)
-	s := handSchedule(t, g, acg, ids)
-	if !strings.Contains(s.Summary(), "all deadlines met") {
-		t.Errorf("summary: %s", s.Summary())
-	}
-	s.Tasks[ids[2]].Start = 2000
-	s.Tasks[ids[2]].Finish = 2010
-	if !strings.Contains(s.Summary(), "DEADLINE MISS") {
-		t.Errorf("summary: %s", s.Summary())
-	}
-}
-
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	g, acg, ids := testRig(t)
 	s := handSchedule(t, g, acg, ids)

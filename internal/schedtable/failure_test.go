@@ -20,7 +20,7 @@ func TestReserveAllRollbackPanicImpossible(t *testing.T) {
 	if err := ReserveAll([]*Table{&a, &b, &c}, 0, 8); err == nil {
 		t.Fatal("expected conflict")
 	}
-	if a.Len() != 0 || b.Len() != 0 || c.Len() != 1 {
+	if len(a.busy) != 0 || len(b.busy) != 0 || len(c.busy) != 1 {
 		t.Error("rollback left residue")
 	}
 }
@@ -38,7 +38,7 @@ func TestReserveAllAliasedTables(t *testing.T) {
 	if err := ReserveAll([]*Table{&tb, &other, &tb}, 0, 5); err == nil {
 		t.Fatal("aliased reservation succeeded")
 	}
-	if tb.Len() != 0 || other.Len() != 0 {
+	if len(tb.busy) != 0 || len(other.busy) != 0 {
 		t.Error("rollback left residue in aliased tables")
 	}
 }
@@ -58,7 +58,7 @@ func TestRollbackPanicsUnreachableUnderWellFormedOps(t *testing.T) {
 		snapshot := func() [][]Interval {
 			out := make([][]Interval, len(tables))
 			for i, tb := range tables {
-				out[i] = append([]Interval(nil), tb.Busy()...)
+				out[i] = append([]Interval(nil), tb.busy...)
 			}
 			return out
 		}

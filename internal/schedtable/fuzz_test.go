@@ -47,7 +47,7 @@ func FuzzTableOps(f *testing.F) {
 				committed = append(committed[:idx], committed[idx+1:]...)
 			}
 			// Invariants on the busy list.
-			busy := tb.Busy()
+			busy := tb.busy
 			for j := 1; j < len(busy); j++ {
 				if busy[j-1].Start > busy[j].Start {
 					t.Fatal("busy list unsorted")

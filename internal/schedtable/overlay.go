@@ -46,15 +46,6 @@ func (o *Overlay) Add(id int, start, dur int64) {
 	o.pending[id] = append(o.pending[id], Interval{Start: start, End: start + dur})
 }
 
-// Len returns the number of tentative reservations currently recorded.
-func (o *Overlay) Len() int {
-	n := 0
-	for _, id := range o.touched {
-		n += len(o.pending[id])
-	}
-	return n
-}
-
 // conflict advances start past every pending interval of resource id
 // overlapping [start, start+dur) and reports whether it moved. Pending
 // lists are unsorted but tiny (bounded by a task's in-degree), so a

@@ -77,27 +77,36 @@ func TestFindEarliestAllManyTables(t *testing.T) {
 	}
 }
 
-// TestOverlayBasics covers Reset/Add/Len bookkeeping.
+// pendingLen counts the tentative reservations an overlay records.
+func pendingLen(o *Overlay) int {
+	n := 0
+	for _, id := range o.touched {
+		n += len(o.pending[id])
+	}
+	return n
+}
+
+// TestOverlayBasics covers Reset/Add bookkeeping.
 func TestOverlayBasics(t *testing.T) {
 	o := NewOverlay(4)
-	if o.Len() != 0 {
-		t.Fatalf("fresh overlay Len = %d, want 0", o.Len())
+	if pendingLen(o) != 0 {
+		t.Fatalf("fresh overlay Len = %d, want 0", pendingLen(o))
 	}
 	o.Add(1, 10, 5)
 	o.Add(1, 20, 5)
 	o.Add(3, 0, 2)
 	o.Add(2, 0, 0) // zero duration: no-op
-	if o.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", o.Len())
+	if pendingLen(o) != 3 {
+		t.Fatalf("Len = %d, want 3", pendingLen(o))
 	}
 	o.Reset()
-	if o.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", o.Len())
+	if pendingLen(o) != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", pendingLen(o))
 	}
 	// Reuse after reset must behave like a fresh overlay.
 	o.Add(1, 0, 4)
-	if o.Len() != 1 {
-		t.Fatalf("Len after reuse = %d, want 1", o.Len())
+	if pendingLen(o) != 1 {
+		t.Fatalf("Len after reuse = %d, want 1", pendingLen(o))
 	}
 }
 
@@ -120,8 +129,8 @@ func TestFindEarliestAllOverlayEquivalence(t *testing.T) {
 		reserved := make([]*Table, nt)
 		for i := range reserved {
 			cp := &Table{}
-			for _, iv := range tables[i].Busy() {
-				if err := cp.Reserve(iv.Start, iv.Len()); err != nil {
+			for _, iv := range tables[i].busy {
+				if err := cp.Reserve(iv.Start, iv.End-iv.Start); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -28,14 +28,6 @@ type Interval struct {
 	Start, End int64
 }
 
-// Len returns the interval duration.
-func (iv Interval) Len() int64 { return iv.End - iv.Start }
-
-// Overlaps reports whether two half-open intervals intersect.
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.Start < o.End && o.Start < iv.End
-}
-
 // Table is the schedule table of one shared resource. The zero value is
 // an empty (fully free) table. Tables are not safe for concurrent
 // mutation.
@@ -45,13 +37,6 @@ type Table struct {
 	// what Reserve inserted).
 	busy []Interval
 }
-
-// Busy returns the committed busy slots in start order. The slice
-// aliases table storage and must not be mutated.
-func (t *Table) Busy() []Interval { return t.busy }
-
-// Len returns the number of busy slots.
-func (t *Table) Len() int { return len(t.busy) }
 
 // Reset removes all reservations.
 func (t *Table) Reset() { t.busy = t.busy[:0] }

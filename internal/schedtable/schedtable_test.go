@@ -7,27 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestIntervalOverlaps(t *testing.T) {
-	cases := []struct {
-		a, b Interval
-		want bool
-	}{
-		{Interval{0, 10}, Interval{10, 20}, false}, // touching is not overlapping
-		{Interval{0, 10}, Interval{9, 20}, true},
-		{Interval{5, 6}, Interval{0, 100}, true},
-		{Interval{0, 1}, Interval{1, 2}, false},
-		{Interval{3, 7}, Interval{3, 7}, true},
-	}
-	for _, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-		if got := c.b.Overlaps(c.a); got != c.want {
-			t.Errorf("overlap not symmetric for %v, %v", c.a, c.b)
-		}
-	}
-}
-
 func TestReserveAndConflict(t *testing.T) {
 	var tb Table
 	if err := tb.Reserve(10, 5); err != nil {
@@ -45,14 +24,14 @@ func TestReserveAndConflict(t *testing.T) {
 	if err := tb.Reserve(0, 10); err != nil {
 		t.Fatalf("exactly-fitting gap should succeed: %v", err)
 	}
-	if got := tb.Len(); got != 3 {
+	if got := len(tb.busy); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
 	}
 	// Zero-duration is a no-op.
 	if err := tb.Reserve(12, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.Len(); got != 3 {
+	if got := len(tb.busy); got != 3 {
 		t.Fatalf("zero-duration reservation changed the table")
 	}
 	if err := tb.Reserve(5, -1); err == nil {
@@ -135,14 +114,14 @@ func TestReserveAllAtomic(t *testing.T) {
 	if err := ReserveAll([]*Table{&a, &b}, 0, 8); err == nil {
 		t.Fatal("ReserveAll should fail when one table conflicts")
 	}
-	if a.Len() != 0 {
+	if len(a.busy) != 0 {
 		t.Fatal("failed ReserveAll left a reservation behind in table a")
 	}
 	if err := ReserveAll([]*Table{&a, &b}, 20, 8); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 || b.Len() != 2 {
-		t.Fatalf("ReserveAll lengths: a=%d b=%d", a.Len(), b.Len())
+	if len(a.busy) != 1 || len(b.busy) != 2 {
+		t.Fatalf("ReserveAll lengths: a=%d b=%d", len(a.busy), len(b.busy))
 	}
 }
 
@@ -158,13 +137,13 @@ func TestJournalReserveAllRollsBackOnFailure(t *testing.T) {
 	tables := []*Table{&a, &b, &c}
 	before := make([][]Interval, len(tables))
 	for i, tb := range tables {
-		before[i] = append([]Interval(nil), tb.Busy()...)
+		before[i] = append([]Interval(nil), tb.busy...)
 	}
 	if err := ReserveAll(tables, 0, 5); err == nil {
 		t.Fatal("expected failure")
 	}
 	for i, tb := range tables {
-		if got := tb.Busy(); !reflect.DeepEqual(got, before[i]) {
+		if got := tb.busy; !reflect.DeepEqual(got, before[i]) {
 			t.Fatalf("failed ReserveAll left table %d as %v, want %v", i, got, before[i])
 		}
 	}
@@ -208,7 +187,7 @@ func TestPropertyAgainstOracle(t *testing.T) {
 				want := ref.findEarliest(from, dur)
 				if got != want {
 					t.Fatalf("trial %d op %d: FindEarliest(%d,%d)=%d oracle=%d busy=%v",
-						trial, op, from, dur, got, want, tb.Busy())
+						trial, op, from, dur, got, want, tb.busy)
 				}
 				if err := tb.Reserve(got, dur); err != nil {
 					t.Fatalf("reserving found slot failed: %v", err)

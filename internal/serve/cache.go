@@ -111,8 +111,6 @@ func (c *schedCache) evictOldest() {
 	c.evictions.Inc()
 }
 
-func (c *schedCache) len() int { return c.ll.Len() }
-
 func (c *schedCache) publish() {
 	c.entriesG.Set(float64(c.ll.Len()))
 	c.bytesG.Set(float64(c.bytes))

@@ -19,8 +19,8 @@ func TestCacheEntryBound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.put(testEntry(fmt.Sprintf("d%d", i), 100))
 	}
-	if c.len() != 3 {
-		t.Fatalf("len = %d, want 3", c.len())
+	if c.ll.Len() != 3 {
+		t.Fatalf("len = %d, want 3", c.ll.Len())
 	}
 	if c.get("d0") != nil {
 		t.Error("oldest entry d0 survived the entry bound")
@@ -82,8 +82,8 @@ func TestCacheReplaceSameDigest(t *testing.T) {
 	c := newSchedCache(8, 1<<20, telemetry.NewRegistry())
 	c.put(testEntry("d", 100))
 	c.put(testEntry("d", 200))
-	if c.len() != 1 {
-		t.Fatalf("len = %d, want 1", c.len())
+	if c.ll.Len() != 1 {
+		t.Fatalf("len = %d, want 1", c.ll.Len())
 	}
 	if c.bytes != 200 {
 		t.Errorf("bytes = %d, want 200 (replacement, not accumulation)", c.bytes)

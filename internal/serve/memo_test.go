@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"nocsched/internal/noc"
+	"nocsched/internal/sched"
 	"nocsched/internal/verify"
 )
 
@@ -47,7 +48,7 @@ func encoderBody(t *testing.T, s *Server, digest, src string, served []byte) []b
 	if err := json.Unmarshal(served, &got); err != nil {
 		t.Fatalf("decode served body: %v", err)
 	}
-	sc := s.cachedSchedule(digest)
+	sc := cachedSchedule(s, digest)
 	if sc == nil {
 		t.Fatalf("digest %s not cached", digest)
 	}
@@ -201,6 +202,23 @@ func memoLen(s *Server) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.memo.len()
+}
+
+func cacheLen(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache.ll.Len()
+}
+
+// cachedSchedule returns the cached schedule for digest, or nil.
+func cachedSchedule(s *Server, digest string) *sched.Schedule {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el := s.cache.byKey[digest]
+	if el == nil {
+		return nil
+	}
+	return el.Value.(*cacheEntry).schedule
 }
 
 // TestBodyMemoSkipsRejectedBodies: a rejected body gets the same 400

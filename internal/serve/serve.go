@@ -58,7 +58,6 @@ import (
 	"nocsched/internal/energy"
 	"nocsched/internal/noc"
 	"nocsched/internal/obs"
-	"nocsched/internal/sched"
 	"nocsched/internal/telemetry"
 	"nocsched/internal/tgff"
 	"nocsched/internal/verify"
@@ -622,10 +621,10 @@ func (s *Server) finish(f *flight, r *batch.Result) {
 		f.err = r.Err
 	default:
 		rep := verify.Check(r.Schedule)
-		if structural := structuralFindings(rep); structural > 0 {
+		if structural := rep.Structural(); len(structural) > 0 {
 			s.mVerifyFailures.Inc()
 			f.err = fmt.Errorf("%w: %d structural findings (first: %s)",
-				errVerifyFailed, structural, firstStructural(rep))
+				errVerifyFailed, len(structural), structural[0].String())
 		} else if entry, err := renderEntry(f.digest, r, rep); err != nil {
 			s.mSolveErrors.Inc()
 			f.err = err
@@ -641,29 +640,6 @@ func (s *Server) finish(f *flight, r *batch.Result) {
 	delete(s.flights, f.digest)
 	s.mu.Unlock()
 	close(f.done)
-}
-
-// structuralFindings counts oracle findings that make a schedule
-// unservable. Deadline findings are excluded: a deadline miss is a
-// legitimate, reported outcome of a feasibility-constrained workload,
-// exactly as the CLIs treat it (exit 1, not an error).
-func structuralFindings(rep *verify.Report) int {
-	n := 0
-	for i := range rep.Findings {
-		if rep.Findings[i].Class != verify.ClassDeadline {
-			n++
-		}
-	}
-	return n
-}
-
-func firstStructural(rep *verify.Report) string {
-	for i := range rep.Findings {
-		if rep.Findings[i].Class != verify.ClassDeadline {
-			return rep.Findings[i].String()
-		}
-	}
-	return ""
 }
 
 // cacheMark ends a rendered entry's head: the response's "cache" value
@@ -833,24 +809,4 @@ func writeError(w http.ResponseWriter, status int, code, detail string) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(ErrorResponse{Error: code, Detail: detail})
-}
-
-// cachedSchedule exposes a cached schedule for spot checks and tests
-// (nil when the digest is absent). The returned schedule is shared and
-// must be treated as read-only.
-func (s *Server) cachedSchedule(digest string) *sched.Schedule {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el := s.cache.byKey[digest]
-	if el == nil {
-		return nil
-	}
-	return el.Value.(*cacheEntry).schedule
-}
-
-// CacheLen returns the schedule cache's current entry count.
-func (s *Server) CacheLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.len()
 }

@@ -147,7 +147,7 @@ func TestServeSolveHitBitIdentical(t *testing.T) {
 	if d := sched.Diff(s1, s2); d != "" {
 		t.Errorf("hit diverged from miss:\n%s", d)
 	}
-	if rep := verify.Check(s1); structuralFindings(rep) != 0 {
+	if rep := verify.Check(s1); len(rep.Structural()) != 0 {
 		t.Errorf("served schedule fails the oracle: %+v", rep.Findings)
 	}
 	// The energy split must re-derive bit-exactly from the schedule.
@@ -181,7 +181,7 @@ func TestServeAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: re-load: %v", algo, err)
 		}
-		if rep := verify.Check(s); structuralFindings(rep) != 0 {
+		if rep := verify.Check(s); len(rep.Structural()) != 0 {
 			t.Errorf("%s: served schedule fails the oracle", algo)
 		}
 	}
@@ -239,7 +239,7 @@ func TestServeEvictionUnderPressure(t *testing.T) {
 			t.Fatalf("POST = %d", code)
 		}
 	}
-	if n := s.CacheLen(); n != 2 {
+	if n := cacheLen(s); n != 2 {
 		t.Fatalf("cache holds %d entries, want 2", n)
 	}
 	if ev := counterOf(s, MetricCacheEvictions); ev != 1 {
@@ -414,7 +414,7 @@ func TestServeRequestDeadline(t *testing.T) {
 		t.Errorf("504 code = %q, want deadline_exceeded", e.Error)
 	}
 	// The abandoned solve finishes in the background and is cached.
-	waitFor(t, 30*time.Second, func() bool { return s.CacheLen() == 1 })
+	waitFor(t, 30*time.Second, func() bool { return cacheLen(s) == 1 })
 	code, r, _ := post(t, ts.URL, body)
 	if code != http.StatusOK || r.Cache != CacheHit {
 		t.Fatalf("retry after deadline: %d %q, want 200 hit", code, r.Cache)
@@ -445,7 +445,7 @@ func TestServeDrain(t *testing.T) {
 		s.mu.Lock()
 		n := len(s.flights)
 		s.mu.Unlock()
-		return n == 1 || s.CacheLen() == 1
+		return n == 1 || cacheLen(s) == 1
 	})
 	if !s.Ready() {
 		t.Fatal("server not ready before drain")
@@ -498,8 +498,8 @@ func TestServeWarmupFlipsReadiness(t *testing.T) {
 	if !s.Ready() {
 		t.Fatal("server not ready after warmup")
 	}
-	if s.CacheLen() != 1 {
-		t.Errorf("warmup left %d cache entries, want 1", s.CacheLen())
+	if cacheLen(s) != 1 {
+		t.Errorf("warmup left %d cache entries, want 1", cacheLen(s))
 	}
 }
 

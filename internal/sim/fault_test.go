@@ -44,9 +44,6 @@ func TestFaultLinkKillsPacket(t *testing.T) {
 	if !p.Failed || p.Delivered != -1 {
 		t.Fatalf("lost packet not marked failed: %+v", p)
 	}
-	if got := res.FailedPackets(); len(got) != 1 || got[0].Edge != p.Edge {
-		t.Fatalf("FailedPackets = %+v", got)
-	}
 	// A lost packet is not a late delivery: failure is reported on its
 	// own axis.
 	if late := res.LateDeliveries(s); len(late) != 0 {

@@ -312,17 +312,6 @@ type Result struct {
 	TraceErr error
 }
 
-// FailedPackets returns the packets lost to injected faults.
-func (r *Result) FailedPackets() []PacketResult {
-	var failed []PacketResult
-	for _, p := range r.Packets {
-		if p.Failed {
-			failed = append(failed, p)
-		}
-	}
-	return failed
-}
-
 // LateDeliveries returns the packets that, even after the pipeline-fill
 // allowance, arrived after the receiving task's scheduled start time —
 // i.e. places where the analytic model lied about data readiness.

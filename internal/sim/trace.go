@@ -7,7 +7,6 @@ import (
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/noc"
-	"nocsched/internal/stats"
 	"nocsched/internal/telemetry"
 )
 
@@ -52,57 +51,4 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 		events = append(events, e)
 	}
 	return events, nil
-}
-
-// LatencySummary summarizes per-packet network latency (delivery minus
-// injection) over the replayed packets.
-func (r *Result) LatencySummary() stats.Summary {
-	lat := make([]float64, 0, len(r.Packets))
-	for _, p := range r.Packets {
-		lat = append(lat, float64(p.Delivered-p.Injected))
-	}
-	return stats.Summarize(lat)
-}
-
-// StallSummary summarizes per-packet stall cycles.
-func (r *Result) StallSummary() stats.Summary {
-	st := make([]float64, 0, len(r.Packets))
-	for _, p := range r.Packets {
-		st = append(st, float64(p.StallCycles))
-	}
-	return stats.Summarize(st)
-}
-
-// BusiestLinks returns the top-n links by flit traversals, as
-// (link, flits) pairs in descending order. It returns fewer entries when
-// fewer links carried traffic.
-func (r *Result) BusiestLinks(n int) []LinkFlits {
-	var out []LinkFlits
-	for l, flits := range r.LinkFlits {
-		if flits > 0 {
-			out = append(out, LinkFlits{Link: noc.LinkID(l), Flits: flits})
-		}
-	}
-	// Insertion sort by flits descending, link ascending — the list is
-	// small (NoC link counts).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			if out[j].Flits > out[j-1].Flits ||
-				(out[j].Flits == out[j-1].Flits && out[j].Link < out[j-1].Link) {
-				out[j], out[j-1] = out[j-1], out[j]
-			} else {
-				break
-			}
-		}
-	}
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
-
-// LinkFlits pairs a link with its total flit traversals.
-type LinkFlits struct {
-	Link  noc.LinkID
-	Flits int64
 }

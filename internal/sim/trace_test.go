@@ -89,26 +89,6 @@ func TestLinkFlitsAccounting(t *testing.T) {
 	if busy != 2 {
 		t.Errorf("busy links = %d, want 2", busy)
 	}
-	top := res.BusiestLinks(1)
-	if len(top) != 1 || top[0].Flits != 3 {
-		t.Errorf("BusiestLinks = %+v", top)
-	}
-	all := res.BusiestLinks(0)
-	if len(all) != 2 {
-		t.Errorf("BusiestLinks(0) = %+v", all)
-	}
-}
-
-func TestLatencyAndStallSummaries(t *testing.T) {
-	_, res, _ := tracedReplay(t)
-	lat := res.LatencySummary()
-	if lat.N != 1 || lat.Mean <= 0 {
-		t.Errorf("latency summary %+v", lat)
-	}
-	st := res.StallSummary()
-	if st.N != 1 || st.Mean != 0 {
-		t.Errorf("stall summary %+v", st)
-	}
 }
 
 func TestReadTraceRejectsGarbage(t *testing.T) {

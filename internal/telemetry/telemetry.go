@@ -174,14 +174,6 @@ func (g *CounterGrid) Add(r, c int, d int64) {
 	g.cells[r*g.cols+c].Add(d)
 }
 
-// Value returns cell (r, c), 0 when nil or out of range.
-func (g *CounterGrid) Value(r, c int) int64 {
-	if g == nil || r < 0 || r >= g.rows || c < 0 || c >= g.cols {
-		return 0
-	}
-	return g.cells[r*g.cols+c].Load()
-}
-
 // Registry is a concurrency-safe collection of named metrics. Metric
 // accessors get-or-create: repeated registration under one name returns
 // the same handle (with the first registration's layout), so library

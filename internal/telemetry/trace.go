@@ -84,14 +84,6 @@ func (t *Tracer) Span(name, track string) func() {
 	}
 }
 
-// Instant emits a zero-duration wall-clock marker on a track.
-func (t *Tracer) Instant(name, track string) {
-	if t == nil {
-		return
-	}
-	t.sink.Emit(&Event{Name: name, Track: track, Kind: 'I', Ts: t.now()})
-}
-
 // Collector bundles the two halves of the telemetry layer — a metrics
 // registry and a tracer — into the single optional handle the
 // schedulers, the fault-recovery path and the simulator accept. A nil

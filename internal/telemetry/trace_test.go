@@ -187,7 +187,7 @@ func TestTracerSpanAndInstant(t *testing.T) {
 	sink := NewJSONLSink(&buf)
 	tr := NewTracer(sink)
 	end := tr.Span("phase", "track")
-	tr.Instant("mark", "track")
+	tr.Emit(Event{Name: "mark", Track: "track", Kind: 'I'})
 	end()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -207,13 +207,12 @@ func TestNilTracerAllocatesNothing(t *testing.T) {
 	if tr.Enabled() {
 		t.Error("nil tracer claims enabled")
 	}
-	// Span and Instant are the calls on scheduler hot paths; Emit takes
-	// its Event by value whose address escapes into the sink call, so it
-	// is excluded from the zero-alloc guarantee.
+	// Span is the call on scheduler hot paths; Emit takes its Event by
+	// value whose address escapes into the sink call, so it is excluded
+	// from the zero-alloc guarantee.
 	allocs := testing.AllocsPerRun(100, func() {
 		end := tr.Span("x", "y")
 		end()
-		tr.Instant("x", "y")
 	})
 	if allocs != 0 {
 		t.Errorf("nil tracer allocates %.1f per run, want 0", allocs)

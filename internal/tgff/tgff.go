@@ -336,16 +336,3 @@ func SuiteParams(c Category, index int, platform *noc.Platform) Params {
 		Platform:            platform,
 	}
 }
-
-// Suite generates the full 10-benchmark suite of a category.
-func Suite(c Category, platform *noc.Platform) ([]*ctg.Graph, error) {
-	graphs := make([]*ctg.Graph, 0, SuiteSize)
-	for i := 0; i < SuiteSize; i++ {
-		g, err := Generate(SuiteParams(c, i, platform))
-		if err != nil {
-			return nil, fmt.Errorf("tgff: category %s benchmark %d: %w", c, i, err)
-		}
-		graphs = append(graphs, g)
-	}
-	return graphs, nil
-}

@@ -160,6 +160,21 @@ func (r *Report) Count(c Class) int {
 	return n
 }
 
+// Structural returns every finding except ClassDeadline, in check
+// order: the findings that make a schedule wrong rather than late. A
+// deadline miss is a legitimate, reported outcome of a
+// feasibility-constrained workload (the CLIs exit 1 on it; the
+// service still serves the schedule).
+func (r *Report) Structural() []Finding {
+	var out []Finding
+	for i := range r.Findings {
+		if r.Findings[i].Class != ClassDeadline {
+			out = append(out, r.Findings[i])
+		}
+	}
+	return out
+}
+
 // ByClass returns the findings of one class, in check order.
 func (r *Report) ByClass(c Class) []Finding {
 	var out []Finding

@@ -138,7 +138,7 @@ func Run(ws []workloadgen.Workload, opts Options) []Outcome {
 		s := r.Schedule
 		o.Schedule = s
 		o.Report = verify.Check(s)
-		o.StructuralFindings = len(o.Report.Findings) - o.Report.Count(verify.ClassDeadline)
+		o.StructuralFindings = len(o.Report.Structural())
 		o.DeadlineConsistent = deadlineConsistent(o.Report, s)
 		if !opts.SkipSim {
 			crossCheckSim(&o, s)
@@ -211,8 +211,12 @@ func Gate(outcomes []Outcome) error {
 		case o.Err != nil:
 			bad = append(bad, fmt.Sprintf("%s: scheduler error: %v", tag, o.Err))
 		case o.StructuralFindings > 0:
+			first := "(none)"
+			if fs := o.Report.Structural(); len(fs) > 0 {
+				first = fs[0].String()
+			}
 			bad = append(bad, fmt.Sprintf("%s: %d structural oracle findings; first: %s",
-				tag, o.StructuralFindings, firstStructural(o.Report)))
+				tag, o.StructuralFindings, first))
 		case !o.DeadlineConsistent:
 			bad = append(bad, fmt.Sprintf("%s: oracle deadline findings disagree with Schedule.DeadlineMisses", tag))
 		case o.SimErr != nil:
@@ -230,15 +234,4 @@ func Gate(outcomes []Outcome) error {
 	}
 	return fmt.Errorf("harness: %d non-conformant outcomes:\n  %s",
 		len(bad), strings.Join(bad, "\n  "))
-}
-
-// firstStructural returns the first non-deadline finding, for error
-// messages.
-func firstStructural(r *verify.Report) string {
-	for i := range r.Findings {
-		if r.Findings[i].Class != verify.ClassDeadline {
-			return r.Findings[i].String()
-		}
-	}
-	return "(none)"
 }

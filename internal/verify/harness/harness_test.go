@@ -91,7 +91,7 @@ func TestGateFlagsTamperedSchedule(t *testing.T) {
 	s.Tasks[0].Start += 5
 	s.Tasks[0].Finish += 5
 	outcomes[0].Report = verify.Check(s)
-	outcomes[0].StructuralFindings = len(outcomes[0].Report.Findings) - outcomes[0].Report.Count(verify.ClassDeadline)
+	outcomes[0].StructuralFindings = len(outcomes[0].Report.Structural())
 	if err := Gate(outcomes); err == nil {
 		t.Fatal("gate accepted a tampered schedule")
 	}

@@ -389,6 +389,28 @@ func TestReportPlumbing(t *testing.T) {
 	}
 }
 
+// TestReportStructural: Structural keeps every non-deadline finding,
+// in check order, and nothing else.
+func TestReportStructural(t *testing.T) {
+	rep := &verify.Report{Findings: []verify.Finding{
+		{Class: verify.ClassDeadline, Task: 1, Detail: "late"},
+		{Class: verify.ClassPEOverlap, Task: 2, Detail: "overlap"},
+		{Class: verify.ClassDeadline, Task: 3, Detail: "late"},
+		{Class: verify.ClassEnergy, Task: 4, Detail: "energy"},
+	}}
+	got := rep.Structural()
+	if len(got) != 2 || got[0].Class != verify.ClassPEOverlap || got[1].Class != verify.ClassEnergy {
+		t.Fatalf("Structural = %+v, want the PE-overlap then the energy finding", got)
+	}
+	if got := (&verify.Report{}).Structural(); len(got) != 0 {
+		t.Errorf("clean report: Structural = %+v", got)
+	}
+	deadlineOnly := &verify.Report{Findings: rep.ByClass(verify.ClassDeadline)}
+	if got := deadlineOnly.Structural(); len(got) != 0 {
+		t.Errorf("deadline-only report: Structural = %+v", got)
+	}
+}
+
 // TestNilSchedule: a nil or unbound schedule is a shape finding, not a
 // panic.
 func TestNilSchedule(t *testing.T) {

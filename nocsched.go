@@ -42,7 +42,6 @@ package nocsched
 
 import (
 	"nocsched/internal/batch"
-	"nocsched/internal/benchcmp"
 	"nocsched/internal/ctg"
 	"nocsched/internal/dls"
 	"nocsched/internal/eas"
@@ -53,7 +52,6 @@ import (
 	"nocsched/internal/noc"
 	"nocsched/internal/obs"
 	"nocsched/internal/sched"
-	"nocsched/internal/serve"
 	"nocsched/internal/sim"
 	"nocsched/internal/telemetry"
 	"nocsched/internal/tgff"
@@ -166,14 +164,6 @@ type PlatformSpec = noc.PlatformSpec
 
 // ReadPlatformSpec decodes and builds a platform from its JSON spec.
 var ReadPlatformSpec = noc.ReadPlatformSpec
-
-// DeadlockReport is the result of a wormhole deadlock-freedom analysis.
-type DeadlockReport = noc.DeadlockReport
-
-// CheckDeadlockFree analyzes a topology's deterministic routing
-// function for wormhole deadlock freedom (channel-dependency-graph
-// acyclicity, Dally & Seitz).
-var CheckDeadlockFree = noc.CheckDeadlockFree
 
 // NewHeterogeneousMesh builds a mesh platform whose tiles cycle through
 // the standard heterogeneous PE library.
@@ -573,77 +563,6 @@ var (
 	ValidatePrometheus    = obs.ValidateExposition
 	ValidateMetricsStream = obs.ValidateSnapshotStream
 )
-
-// ---------------------------------------------------------------------
-// Bench-regression watchdog (internal/benchcmp, cmd/benchdiff).
-
-// BenchDiffKind identifies which benchmark report schema a comparison
-// follows (sched, resilience or serve).
-type BenchDiffKind = benchcmp.Kind
-
-// The benchmark report kinds.
-const (
-	BenchKindSched      = benchcmp.KindSched
-	BenchKindResilience = benchcmp.KindResilience
-	BenchKindServe      = benchcmp.KindServe
-)
-
-// BenchDiffOptions tunes the regression gates: deterministic metrics
-// always gate (default 1e-9 relative), timing metrics only when a
-// threshold is set.
-type BenchDiffOptions = benchcmp.Options
-
-// BenchDiffDelta is one compared metric of one sweep cell, oriented so
-// positive RelDelta means worse.
-type BenchDiffDelta = benchcmp.Delta
-
-// BenchDiffReport is the typed outcome of one baseline comparison
-// (cells, deltas, regressions; Failed/Summary).
-type BenchDiffReport = benchcmp.Report
-
-// BenchDiff compares a candidate benchmark report against a baseline
-// of the same kind; DetectBenchKind infers the kind from a report's
-// shape.
-var (
-	BenchDiff       = benchcmp.Compare
-	DetectBenchKind = benchcmp.DetectKind
-)
-
-// ---------------------------------------------------------------------
-// Scheduling as a service (internal/serve, cmd/schedd, DESIGN.md §12).
-
-// ServeOptions configures a scheduling server: engine worker count and
-// admission queue depth, schedule-cache entry and byte bounds, the
-// per-request default timeout, and telemetry.
-type ServeOptions = serve.Options
-
-// ServeServer is the HTTP scheduling service: POST /v1/schedule over a
-// batch engine, fronted by a content-addressed schedule cache with
-// singleflight collapse, typed backpressure (429 queue-full, 503
-// draining, 504 deadline), and oracle spot-checks on every cold solve.
-type ServeServer = serve.Server
-
-// ServeRequest is the decoded body of one scheduling request (graph,
-// optional platform spec, algorithm, timeout).
-type ServeRequest = serve.Request
-
-// ServeResponse is one scheduling response: workload digest, cache
-// disposition, the schedule, the Eq. (2)/(3) energy split, makespan and
-// deadline misses.
-type ServeResponse = serve.Response
-
-// ServeEnergySplit is the response's energy breakdown: total, compute,
-// and communication split into switch (ESbit) and link (ELbit) shares.
-type ServeEnergySplit = serve.EnergySplit
-
-// NewServeServer builds a scheduling server (warm it with Warmup, mount
-// Handler, drain with Drain).
-var NewServeServer = serve.New
-
-// ServeWorkloadDigest canonicalizes a request and returns its
-// content-addressed cache key: JSON key order, whitespace and spelled
-// defaults hash equal; any semantic change rolls the digest.
-var ServeWorkloadDigest = serve.WorkloadDigest
 
 // ---------------------------------------------------------------------
 // Fault tolerance (internal/fault).

@@ -145,8 +145,7 @@ func TestPublicAPIMSB(t *testing.T) {
 }
 
 // TestPublicAPIBaselinesAndAnalysis exercises the remaining facade
-// surface: the DLS baseline, the deadlock-freedom checker, platform
-// specs, and the weighted ACG.
+// surface: the DLS baseline, platform specs, and the weighted ACG.
 func TestPublicAPIBaselinesAndAnalysis(t *testing.T) {
 	platform, err := nocsched.NewHeterogeneousMesh(2, 2, nocsched.RouteXY, 256)
 	if err != nil {
@@ -167,14 +166,6 @@ func TestPublicAPIBaselinesAndAnalysis(t *testing.T) {
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
-	}
-
-	report, err := nocsched.CheckDeadlockFree(platform.Topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Free {
-		t.Error("XY mesh reported deadlocking")
 	}
 
 	weighted, err := nocsched.BuildACGWeighted(platform,
@@ -517,32 +508,5 @@ func TestPublicAPIObservability(t *testing.T) {
 	}
 	if n, err := nocsched.ValidateMetricsStream(bytes.NewReader(stream.Bytes())); err != nil || n < 2 {
 		t.Errorf("stream = %d lines, %v", n, err)
-	}
-}
-
-// TestPublicAPIBenchDiff exercises the watchdog facade on a synthetic
-// serve report pair.
-func TestPublicAPIBenchDiff(t *testing.T) {
-	base := []byte(`{"cells":[{"mesh":"3x3","tasks":10,"solves":8,
-		"status_5xx":0,"hit_ratio":0.96,"throughput_rps":430,"p50_ms":3,
-		"p99_ms":20,"identical":true,"verified":true}]}`)
-	kind, err := nocsched.DetectBenchKind(base)
-	if err != nil || kind != nocsched.BenchKindServe {
-		t.Fatalf("DetectBenchKind = %q, %v", kind, err)
-	}
-	rep, err := nocsched.BenchDiff(kind, base, base, nocsched.BenchDiffOptions{TimingThreshold: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() {
-		t.Fatalf("self-compare failed: %s", rep.Summary())
-	}
-	degraded := bytes.Replace(base, []byte(`"identical":true`), []byte(`"identical":false`), 1)
-	rep, err = nocsched.BenchDiff(kind, base, degraded, nocsched.BenchDiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Failed() {
-		t.Error("identical-bit regression not flagged through the facade")
 	}
 }
