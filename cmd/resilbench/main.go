@@ -135,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("bad -rates: %w", err)
 	}
 	for _, r := range rates {
-		if r <= 0 || r > 1 {
+		if !(r > 0 && r <= 1) { // NaN fails this too
 			return fmt.Errorf("bad -rates: rate %v outside (0,1]", r)
 		}
 	}

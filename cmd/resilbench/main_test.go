@@ -103,6 +103,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"bad graphs":     {"-graphs", "0"},
 		"bad rate":       {"-rates", "0"},
 		"rate too big":   {"-rates", "1.5"},
+		"NaN rate":       {"-rates", "NaN"},
 		"no zero retry":  {"-retries", "1,2"},
 		"no live retry":  {"-retries", "0"},
 		"negative retry": {"-retries", "0,-1"},

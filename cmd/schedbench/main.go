@@ -1,37 +1,30 @@
-// Command schedbench is the scheduler performance harness: it sweeps
+// Command schedbench is the scheduler determinism harness: it sweeps
 // task count x mesh size x algorithm over TGFF-style graphs and, for
-// each configuration, times the probe pool at two widths —
-//
-//   - readonly-seq: one probe worker,
-//   - readonly-par: GOMAXPROCS probe workers,
-//
-// verifying that both produce bit-identical schedules, and writes a
-// machine-readable JSON report (see BENCH_sched.json at the repo root
-// for a committed baseline).
+// each configuration, schedules the graph with one probe worker and
+// with parWorkers, requires bit-identical schedules, and writes the
+// probe counts, energy and deadline misses as a JSON report (see
+// BENCH_sched.json at the repo root for the committed baseline).
 //
 // Usage:
 //
 //	schedbench [-tasks 100,250,500] [-meshes 4x4] [-scheds eas,edf,dls]
-//	           [-laxity 1.3] [-reps 3] [-seed 1] [-o BENCH_sched.json]
+//	           [-laxity 1.3] [-seed 1] [-o BENCH_sched.json]
 //	           [-cpuprofile f] [-memprofile f] [-trace f]
 //	           [-metrics] [-metrics-out f] [-trace-out f]
 //
-// Timing is best-of -reps per path. Allocation counts come from
-// runtime.MemStats deltas around a whole scheduling run, normalized by
-// the number of F(i,k) probes.
+// Every number in the report is a function of the flags alone, not of
+// the host, so a fresh report is checked against the baseline with
+// plain diff. Speed is measured by bench/run.sh (nocbench).
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/diag"
@@ -45,13 +38,16 @@ import (
 	"nocsched/internal/tgff"
 )
 
+// parWorkers is the probe-pool width of the parallel run, the width
+// TestEASDifferential uses. It is fixed rather than GOMAXPROCS so the
+// report does not depend on the host.
+const parWorkers = 4
+
 // Report is the top-level JSON document.
 type Report struct {
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Seed       int64    `json:"seed"`
-	Laxity     float64  `json:"laxity"`
-	Reps       int      `json:"reps"`
-	Configs    []Config `json:"configs"`
+	Seed    int64    `json:"seed"`
+	Laxity  float64  `json:"laxity"`
+	Configs []Config `json:"configs"`
 }
 
 // Config is one cell of the sweep.
@@ -60,17 +56,9 @@ type Config struct {
 	Tasks     int    `json:"tasks"`
 	Edges     int    `json:"edges"`
 	Algorithm string `json:"algorithm"`
-	Workers   int    `json:"workers"`
 
-	ReadonlySeqMS  float64 `json:"readonly_seq_ms"`
-	ReadonlyParMS  float64 `json:"readonly_par_ms"`
-	SpeedupPar     float64 `json:"speedup_par"`
 	Probes         int64   `json:"probes"`
 	ProbeReuses    int64   `json:"probe_reuses"`
-	ProbesPerSec   float64 `json:"probes_per_sec"`
-	AllocsPerProbe struct {
-		Readonly float64 `json:"readonly"`
-	} `json:"allocs_per_probe"`
 	EnergyNJ       float64 `json:"energy_nj"`
 	DeadlineMisses int     `json:"deadline_misses"`
 	Identical      bool    `json:"identical"`
@@ -91,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		meshSpec  = fs.String("meshes", "4x4", "comma-separated mesh sizes, WIDTHxHEIGHT")
 		schedSpec = fs.String("scheds", "eas,edf,dls", "comma-separated schedulers: eas, edf, dls")
 		laxity    = fs.Float64("laxity", 1.3, "deadline laxity of the generated graphs")
-		reps      = fs.Int("reps", 3, "repetitions per path; best time wins")
 		seed      = fs.Int64("seed", 1, "base RNG seed for graph generation")
 		out       = fs.String("o", "", "write the JSON report to this file (default stdout)")
 	)
@@ -130,11 +117,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return fmt.Errorf("bad -scheds entry %q (want eas, edf or dls)", s)
 		}
 	}
-	if *reps < 1 {
-		return errors.New("-reps must be >= 1")
-	}
 
-	report := Report{GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: *seed, Laxity: *laxity, Reps: *reps}
+	report := Report{Seed: *seed, Laxity: *laxity}
 	for i, mesh := range meshes {
 		platform, err := noc.NewHeterogeneousMesh(dims[i][0], dims[i][1], noc.RouteXY, 256)
 		if err != nil {
@@ -151,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 			for _, algo := range scheds {
 				fmt.Fprintf(stderr, "schedbench: %s %d tasks %s...\n", mesh, ntasks, algo)
-				cfg, err := benchConfig(g, acg, mesh, algo, *reps, sess)
+				cfg, err := benchConfig(g, acg, mesh, algo, sess)
 				if err != nil {
 					return err
 				}
@@ -190,95 +174,49 @@ func benchGraph(platform *noc.Platform, ntasks int, laxity float64, seed int64) 
 	return tgff.Generate(p)
 }
 
-// runOnce executes one scheduling run with the given probe worker count
-// and returns the schedule plus the wall time and Mallocs delta of the
-// run.
-func runOnce(g *ctg.Graph, acg *energy.ACG, algo string, workers int, telem *telemetry.Collector) (*sched.Schedule, time.Duration, uint64, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	started := time.Now()
-	var s *sched.Schedule
-	var err error
+// runOnce executes one scheduling run with the given probe worker
+// count.
+func runOnce(g *ctg.Graph, acg *energy.ACG, algo string, workers int, telem *telemetry.Collector) (*sched.Schedule, error) {
 	switch algo {
 	case "edf":
-		s, err = edf.ScheduleOpts(g, acg, edf.Options{Workers: workers, Telemetry: telem})
+		return edf.ScheduleOpts(g, acg, edf.Options{Workers: workers, Telemetry: telem})
 	case "dls":
-		s, err = dls.ScheduleWith(sched.NewWorkspace(workers, false), g, acg)
-	default:
-		var r *eas.Result
-		r, err = eas.Schedule(g, acg, eas.Options{Workers: workers, Telemetry: telem})
-		if r != nil {
-			s = r.Schedule
-		}
+		return dls.ScheduleWith(sched.NewWorkspace(workers, false), g, acg)
 	}
-	elapsed := time.Since(started)
-	runtime.ReadMemStats(&after)
+	r, err := eas.Schedule(g, acg, eas.Options{Workers: workers, Telemetry: telem})
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
-	return s, elapsed, after.Mallocs - before.Mallocs, nil
+	return r.Schedule, nil
 }
 
-// benchConfig measures one sweep cell: best-of-reps wall time at both
-// probe-pool widths, the schedule diff between them, and the derived
-// throughput metrics. Telemetry from the session (if enabled) is
-// attached to the timed runs on purpose — the harness then measures
-// what users with -metrics pay, and the zero-alloc guarantee holds in
-// both states.
-func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, reps int, sess *diag.Session) (Config, error) {
-	cfg := Config{
-		Mesh:      mesh,
-		Tasks:     g.NumTasks(),
-		Edges:     g.NumEdges(),
-		Algorithm: algo,
-		Workers:   runtime.GOMAXPROCS(0),
+// benchConfig runs one sweep cell at one probe worker and at
+// parWorkers, requires bit-identical schedules, and records the
+// sequential run's probe counts, energy and deadline misses. Telemetry
+// from the session (if enabled) is attached to both runs.
+func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, sess *diag.Session) (Config, error) {
+	seq, err := runOnce(g, acg, algo, 1, sess.Collector())
+	if err != nil {
+		return Config{}, err
 	}
-	type path struct {
-		workers int
-		bestMS  *float64
-		allocs  *float64
+	par, err := runOnce(g, acg, algo, parWorkers, sess.Collector())
+	if err != nil {
+		return Config{}, err
 	}
-	paths := []path{
-		{1, &cfg.ReadonlySeqMS, &cfg.AllocsPerProbe.Readonly},
-		{0, &cfg.ReadonlyParMS, nil},
+	if d := sched.Diff(seq, par); d != "" {
+		return Config{}, fmt.Errorf("%s %s %d tasks: probe paths disagree: %s", mesh, algo, g.NumTasks(), d)
 	}
-	var ref *sched.Schedule
-	cfg.Identical = true
-	for pi, p := range paths {
-		best := time.Duration(0)
-		var allocs uint64
-		var s *sched.Schedule
-		for r := 0; r < reps; r++ {
-			got, elapsed, mallocs, err := runOnce(g, acg, algo, p.workers, sess.Collector())
-			if err != nil {
-				return cfg, err
-			}
-			if r == 0 || elapsed < best {
-				best, allocs, s = elapsed, mallocs, got
-			}
-		}
-		*p.bestMS = float64(best.Microseconds()) / 1000
-		if p.allocs != nil && s.Probes > 0 {
-			*p.allocs = float64(allocs) / float64(s.Probes)
-		}
-		if pi == 0 {
-			ref = s
-			cfg.Probes = s.Probes
-			cfg.ProbeReuses = s.ProbeReuses
-			cfg.EnergyNJ = s.TotalEnergy()
-			cfg.DeadlineMisses = len(s.DeadlineMisses())
-		} else if d := sched.Diff(ref, s); d != "" {
-			cfg.Identical = false
-			return cfg, fmt.Errorf("%s %s %d tasks: probe paths disagree: %s", mesh, algo, g.NumTasks(), d)
-		}
-		if pi == 1 && best > 0 {
-			cfg.ProbesPerSec = float64(s.Probes) / best.Seconds()
-		}
-	}
-	if cfg.ReadonlyParMS > 0 {
-		cfg.SpeedupPar = cfg.ReadonlySeqMS / cfg.ReadonlyParMS
-	}
-	return cfg, nil
+	return Config{
+		Mesh:           mesh,
+		Tasks:          g.NumTasks(),
+		Edges:          g.NumEdges(),
+		Algorithm:      algo,
+		Probes:         seq.Probes,
+		ProbeReuses:    seq.ProbeReuses,
+		EnergyNJ:       seq.TotalEnergy(),
+		DeadlineMisses: len(seq.DeadlineMisses()),
+		Identical:      true,
+	}, nil
 }
 
 func parseInts(spec string) ([]int, error) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -13,8 +14,7 @@ func TestSweepSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	var stderr bytes.Buffer
 	err := run([]string{
-		"-tasks", "30,40", "-meshes", "3x3", "-scheds", "eas,edf,dls",
-		"-reps", "1", "-o", out,
+		"-tasks", "30,40", "-meshes", "3x3", "-scheds", "eas,edf,dls", "-o", out,
 	}, io.Discard, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
@@ -37,9 +37,26 @@ func TestSweepSmoke(t *testing.T) {
 		if c.Probes <= 0 {
 			t.Errorf("%s %s %d tasks: no probes recorded", c.Mesh, c.Algorithm, c.Tasks)
 		}
-		if c.ReadonlySeqMS <= 0 || c.ReadonlyParMS <= 0 {
-			t.Errorf("%s %s %d tasks: missing timings: %+v", c.Mesh, c.Algorithm, c.Tasks, c)
+	}
+}
+
+// TestReportIndependentOfHost: the report is a function of the flags
+// alone, so the committed baseline can be checked with diff on any
+// host. Run the same sweep at two GOMAXPROCS settings and require
+// byte-identical output.
+func TestReportIndependentOfHost(t *testing.T) {
+	args := []string{"-tasks", "30", "-meshes", "3x3", "-scheds", "eas,edf,dls"}
+	sweep := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v (stderr: %s)", procs, err, stderr.String())
 		}
+		return stdout.Bytes()
+	}
+	one, four := sweep(1), sweep(4)
+	if !bytes.Equal(one, four) {
+		t.Errorf("report differs between GOMAXPROCS=1 and 4:\n%s\n---\n%s", one, four)
 	}
 }
 
@@ -49,7 +66,6 @@ func TestBadFlags(t *testing.T) {
 		{"-meshes", "4by4"},
 		{"-meshes", "3x3,4x4extra"},
 		{"-scheds", "heft"},
-		{"-reps", "0"},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("args %v: expected error", args)

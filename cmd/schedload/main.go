@@ -1,26 +1,26 @@
-// Command schedload is the load generator for the schedd scheduling
+// Command schedload is the end-to-end driver for the schedd scheduling
 // daemon: it builds a fixed set of distinct TGFF-style workloads,
 // waits for the daemon's /readyz, solves each workload once (the cold
 // phase), then replays them in a concurrent warm burst that should be
 // answered almost entirely from the daemon's content-addressed cache.
-// The report (BENCH_serve.json schema) carries throughput, p50/p99
-// latency, the cache hit ratio, and the cold-vs-warm speedup.
+// The report carries status counts, solves and the cache hit ratio.
+// Service latency and throughput are measured by bench/run.sh
+// (nocbench serve-hit and serve-zipf).
 //
 // Usage:
 //
 //	schedload [-url http://127.0.0.1:9821] [-mesh 4x4] [-tasks 60]
 //	          [-workloads 8] [-requests 200] [-concurrency 8]
-//	          [-scheds eas,edf,dls] [-seed 1] [-wait 30s]
-//	          [-o BENCH_serve.json]
+//	          [-scheds eas,edf,dls] [-seed 1] [-wait 30s] [-o report.json]
 //
 // The report is gated before it is written: every response for a
 // workload must be bit-identical to that workload's cold solve (byte
 // equality plus sched.Diff on the re-loaded schedules), every schedule
 // must pass the internal/verify oracle, and any 5xx fails the run. A
-// report that exists is therefore a correctness witness, not just a
-// timing record. 429s do not fail the run — they are the daemon's
-// documented retryable backpressure and are retried with backoff and
-// counted in status_429_retries.
+// report that exists is therefore a correctness witness. 429s do not
+// fail the run — they are the daemon's documented retryable
+// backpressure and are retried with backoff and counted in
+// status_429_retries.
 package main
 
 import (
@@ -30,11 +30,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -48,9 +45,8 @@ import (
 	"nocsched/internal/verify"
 )
 
-// report is the top-level BENCH_serve.json document.
+// report is the top-level JSON document.
 type report struct {
-	GOMAXPROCS  int    `json:"gomaxprocs"`
 	Seed        int64  `json:"seed"`
 	Concurrency int    `json:"concurrency"`
 	Scheds      string `json:"scheds"`
@@ -69,13 +65,7 @@ type cell struct {
 	Status5xx int `json:"status_5xx"`
 	Solves    int `json:"solves"`
 
-	HitRatio      float64 `json:"hit_ratio"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	P50MS         float64 `json:"p50_ms"`
-	P99MS         float64 `json:"p99_ms"`
-	ColdMS        float64 `json:"cold_ms"`
-	WarmMS        float64 `json:"warm_ms"`
-	WarmSpeedup   float64 `json:"warm_speedup"`
+	HitRatio float64 `json:"hit_ratio"`
 
 	Identical bool `json:"identical"`
 	Verified  bool `json:"verified"`
@@ -168,23 +158,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	c := cell{
 		Mesh:      *meshSpec,
 		Tasks:     *tasks,
-		Requests:  2**nWorkloads + *nRequests,
+		Requests:  *nWorkloads + *nRequests,
 		Workloads: *nWorkloads,
 	}
 
 	// Cold phase: solve each workload once, sequentially, recording the
 	// bit-identity reference for the burst.
 	fmt.Fprintf(stderr, "schedload: cold phase: %d workloads...\n", *nWorkloads)
-	var coldMS []float64
 	for _, wl := range workloads {
-		r, latency, retries, err := submit(client, *baseURL, wl.body)
+		r, retries, err := submit(client, *baseURL, wl.body)
 		c.Status429 += retries
 		if err != nil {
 			c.Status5xx++
 			return fmt.Errorf("cold solve: %w", err)
 		}
 		c.Status2xx++
-		coldMS = append(coldMS, latency)
 		wl.digest = r.Digest
 		wl.schedule = r.Schedule
 		if r.Cache == serve.CacheMiss {
@@ -192,52 +180,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Warm latency pass: replay each workload once, sequentially, so
-	// warm_ms is measured under the same (unloaded) conditions as
-	// cold_ms and warm_speedup isolates the cache's benefit rather
-	// than burst-phase queueing.
-	fmt.Fprintf(stderr, "schedload: warm latency pass: %d workloads...\n", *nWorkloads)
-	var warmSeqMS []float64
-	for _, wl := range workloads {
-		r, latency, retries, err := submit(client, *baseURL, wl.body)
-		c.Status429 += retries
-		if err != nil {
-			c.Status5xx++
-			return fmt.Errorf("warm pass: %w", err)
-		}
-		c.Status2xx++
-		warmSeqMS = append(warmSeqMS, latency)
-		if r.Cache == serve.CacheMiss {
-			c.Solves++
-		}
-		wl.mu.Lock()
-		if r.Digest != wl.digest || !bytes.Equal(r.Schedule, wl.schedule) {
-			wl.diverged = true
-		}
-		if wl.warm == nil {
-			wl.warm = r.Schedule
-		}
-		wl.mu.Unlock()
-	}
-
 	// Warm burst: request i replays workload i%W concurrently; the
 	// daemon should answer from its cache.
 	fmt.Fprintf(stderr, "schedload: warm burst: %d requests at concurrency %d...\n", *nRequests, *concurrency)
 	var (
 		mu       sync.Mutex
-		warmMS   []float64
 		burstErr error
 	)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	burstStart := time.Now()
 	for g := 0; g < *concurrency; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
 				wl := workloads[i%len(workloads)]
-				r, latency, retries, err := submit(client, *baseURL, wl.body)
+				r, retries, err := submit(client, *baseURL, wl.body)
 				mu.Lock()
 				c.Status429 += retries
 				if err != nil {
@@ -249,7 +207,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 					continue
 				}
 				c.Status2xx++
-				warmMS = append(warmMS, latency)
 				if r.Cache == serve.CacheMiss {
 					c.Solves++
 				}
@@ -270,7 +227,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	close(idx)
 	wg.Wait()
-	burstWall := time.Since(burstStart)
 	if burstErr != nil {
 		return fmt.Errorf("warm burst: %w", burstErr)
 	}
@@ -310,17 +266,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	c.HitRatio = 1 - float64(c.Solves)/float64(c.Status2xx)
-	c.ThroughputRPS = float64(len(warmMS)) / burstWall.Seconds()
-	c.P50MS = quantile(warmMS, 0.50)
-	c.P99MS = quantile(warmMS, 0.99)
-	c.ColdMS = mean(coldMS)
-	c.WarmMS = mean(warmSeqMS)
-	if c.WarmMS > 0 {
-		c.WarmSpeedup = c.ColdMS / c.WarmMS
-	}
 
 	rep := report{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Seed:        *seed,
 		Concurrency: *concurrency,
 		Scheds:      *schedSpec,
@@ -363,64 +310,33 @@ func awaitReady(client *http.Client, baseURL string, wait time.Duration) error {
 }
 
 // submit posts one request, retrying 429s with backoff. It returns the
-// decoded response, the final attempt's latency in ms, and how many
-// retries backpressure cost.
-func submit(client *http.Client, baseURL string, body []byte) (*serve.Response, float64, int, error) {
+// decoded response and how many retries backpressure cost.
+func submit(client *http.Client, baseURL string, body []byte) (*serve.Response, int, error) {
 	backoff := 5 * time.Millisecond
 	for retries := 0; ; retries++ {
-		start := time.Now()
 		resp, err := client.Post(baseURL+"/v1/schedule", "application/json", bytes.NewReader(body))
 		if err != nil {
-			return nil, 0, retries, err
+			return nil, retries, err
 		}
 		raw, err := io.ReadAll(resp.Body)
 		_ = resp.Body.Close()
 		if err != nil {
-			return nil, 0, retries, err
+			return nil, retries, err
 		}
-		latency := float64(time.Since(start).Microseconds()) / 1e3
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			var r serve.Response
 			if err := json.Unmarshal(raw, &r); err != nil {
-				return nil, 0, retries, fmt.Errorf("decode response: %w", err)
+				return nil, retries, fmt.Errorf("decode response: %w", err)
 			}
-			return &r, latency, retries, nil
+			return &r, retries, nil
 		case resp.StatusCode == http.StatusTooManyRequests && retries < 50:
 			time.Sleep(backoff)
 			if backoff < 200*time.Millisecond {
 				backoff *= 2
 			}
 		default:
-			return nil, 0, retries, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
+			return nil, retries, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 		}
 	}
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// quantile is the nearest-rank quantile of xs.
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // TestLoadAgainstInProcessDaemon runs the full generator loop — readyz
-// poll, cold phase, warm pass, concurrent burst, bit-identity and
+// poll, cold phase, concurrent burst, bit-identity and
 // verify gates — against an in-process serve.Server.
 func TestLoadAgainstInProcessDaemon(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 2, Telemetry: telemetry.NewCollector(nil)})
@@ -45,8 +45,8 @@ func TestLoadAgainstInProcessDaemon(t *testing.T) {
 		t.Fatalf("report schema: %v", err)
 	}
 	c := rep.Cells[0]
-	if c.Requests != 2*3+18 {
-		t.Errorf("requests = %d, want 24", c.Requests)
+	if c.Requests != 3+18 {
+		t.Errorf("requests = %d, want 21", c.Requests)
 	}
 	if c.Solves != 3 {
 		t.Errorf("solves = %d, want one per distinct workload", c.Solves)
@@ -72,11 +72,11 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestCommittedBaseline validates the committed BENCH_serve.json when
-// NOCSCHED_SERVE_FILE points at it (the CI service lane sets it), so
-// the checked-in baseline can never drift from the schema, record a
-// 5xx, or lose its correctness gates.
-func TestCommittedBaseline(t *testing.T) {
+// TestArtifactValidates validates a schedload -o report when
+// NOCSCHED_SERVE_FILE points at it (the CI service lane sets it to the
+// report of its run against the real daemon), so that run can never
+// record a 5xx or lose its correctness gates.
+func TestArtifactValidates(t *testing.T) {
 	path := os.Getenv("NOCSCHED_SERVE_FILE")
 	if path == "" {
 		t.Skip("NOCSCHED_SERVE_FILE not set")
@@ -94,12 +94,9 @@ func TestCommittedBaseline(t *testing.T) {
 	}
 }
 
-// checkReport enforces the BENCH_serve.json invariants shared by the
-// in-process test and the committed-baseline validator.
+// checkReport enforces the report invariants shared by the in-process
+// test and the artifact validator.
 func checkReport(rep *report) error {
-	if rep.GOMAXPROCS < 1 {
-		return fmt.Errorf("gomaxprocs = %d", rep.GOMAXPROCS)
-	}
 	if len(rep.Cells) == 0 {
 		return fmt.Errorf("no cells")
 	}
@@ -117,12 +114,6 @@ func checkReport(rep *report) error {
 			return fmt.Errorf("cell %d: solves = %d", i, c.Solves)
 		case c.HitRatio <= 0 || c.HitRatio >= 1:
 			return fmt.Errorf("cell %d: hit_ratio = %g, want within (0,1)", i, c.HitRatio)
-		case c.ThroughputRPS <= 0:
-			return fmt.Errorf("cell %d: throughput_rps = %g", i, c.ThroughputRPS)
-		case c.P50MS <= 0 || c.P99MS < c.P50MS:
-			return fmt.Errorf("cell %d: p50/p99 = %g/%g", i, c.P50MS, c.P99MS)
-		case c.ColdMS <= 0 || c.WarmMS <= 0 || c.WarmSpeedup <= 0:
-			return fmt.Errorf("cell %d: cold/warm/speedup = %g/%g/%g", i, c.ColdMS, c.WarmMS, c.WarmSpeedup)
 		case !c.Identical:
 			return fmt.Errorf("cell %d: responses were not bit-identical", i)
 		case !c.Verified:

@@ -68,6 +68,7 @@ func TestRunErrors(t *testing.T) {
 		"bad shape":     {"-shape", "spiral"},
 		"bad category":  {"-category", "III"},
 		"bad tasks":     {"-tasks", "0"},
+		"inf laxity":    {"-laxity", "Inf"},
 		"bad flag":      {"-bogus"},
 	}
 	for name, args := range cases {

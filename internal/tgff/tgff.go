@@ -92,14 +92,15 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("tgff: bad exec range [%d,%d]", p.ExecMin, p.ExecMax)
 	case p.VolumeMin < 0 || p.VolumeMax < p.VolumeMin:
 		return fmt.Errorf("tgff: bad volume range [%d,%d]", p.VolumeMin, p.VolumeMax)
-	case p.DeadlineLaxity <= 0:
-		return fmt.Errorf("tgff: non-positive deadline laxity %g", p.DeadlineLaxity)
-	case p.DeadlineFraction < 0 || p.DeadlineFraction > 1:
+	// The float checks are written so that NaN fails them too.
+	case !(p.DeadlineLaxity > 0) || math.IsInf(p.DeadlineLaxity, 1):
+		return fmt.Errorf("tgff: deadline laxity %g is not a positive finite number", p.DeadlineLaxity)
+	case !(p.DeadlineFraction >= 0 && p.DeadlineFraction <= 1):
 		return fmt.Errorf("tgff: deadline fraction %g outside [0,1]", p.DeadlineFraction)
-	case p.ControlEdgeFraction < 0 || p.ControlEdgeFraction > 1:
+	case !(p.ControlEdgeFraction >= 0 && p.ControlEdgeFraction <= 1):
 		return fmt.Errorf("tgff: control edge fraction %g outside [0,1]", p.ControlEdgeFraction)
-	case p.HeteroSpread < 0:
-		return fmt.Errorf("tgff: negative hetero spread %g", p.HeteroSpread)
+	case !(p.HeteroSpread >= 0) || math.IsInf(p.HeteroSpread, 1):
+		return fmt.Errorf("tgff: hetero spread %g is not a non-negative finite number", p.HeteroSpread)
 	case p.Shape != ShapeLayered && p.Shape != ShapeSeriesParallel:
 		return fmt.Errorf("tgff: unknown shape %v", p.Shape)
 	case p.Platform == nil:
@@ -155,11 +156,14 @@ func Generate(p Params) (*ctg.Graph, error) {
 				a = classAffinity()
 				aff[c.Name] = a
 			}
-			t := float64(ref) * c.SpeedFactor * a
+			t := math.Round(float64(ref) * c.SpeedFactor * a)
 			if t < 1 {
 				t = 1
 			}
-			tt.exec[k] = int64(math.Round(t))
+			if t >= math.MaxInt64 {
+				return nil, fmt.Errorf("tgff: execution time on PE class %q overflows int64 (hetero spread %g)", c.Name, p.HeteroSpread)
+			}
+			tt.exec[k] = int64(t)
 			tt.energy[k] = float64(ref) * c.EnergyFactor() * a
 		}
 		types[i] = tt
@@ -265,7 +269,13 @@ func assignDeadlines(g *ctg.Graph, rng *rand.Rand, p Params) error {
 		if rng.Float64() >= p.DeadlineFraction {
 			continue
 		}
-		d := int64(math.Round(longest[sink] * p.DeadlineLaxity))
+		v := math.Round(longest[sink] * p.DeadlineLaxity)
+		// float64(math.MaxInt64) rounds up to 2^63, the first value
+		// that does not fit.
+		if v >= math.MaxInt64 {
+			return fmt.Errorf("tgff: deadline of sink %q overflows int64 (laxity %g)", g.Task(sink).Name, p.DeadlineLaxity)
+		}
+		d := int64(v)
 		if d < 1 {
 			d = 1
 		}

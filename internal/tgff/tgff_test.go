@@ -1,8 +1,10 @@
 package tgff
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -48,6 +50,13 @@ func TestParamsValidation(t *testing.T) {
 		"cfrac":    func(q *Params) { q.ControlEdgeFraction = -0.1 },
 		"spread":   func(q *Params) { q.HeteroSpread = -1 },
 		"platform": func(q *Params) { q.Platform = nil },
+
+		"laxity NaN":  func(q *Params) { q.DeadlineLaxity = math.NaN() },
+		"laxity +Inf": func(q *Params) { q.DeadlineLaxity = math.Inf(1) },
+		"dfrac NaN":   func(q *Params) { q.DeadlineFraction = math.NaN() },
+		"cfrac NaN":   func(q *Params) { q.ControlEdgeFraction = math.NaN() },
+		"spread NaN":  func(q *Params) { q.HeteroSpread = math.NaN() },
+		"spread +Inf": func(q *Params) { q.HeteroSpread = math.Inf(1) },
 	}
 	for name, f := range mutations {
 		bad := baseParams(p)
@@ -57,6 +66,26 @@ func TestParamsValidation(t *testing.T) {
 		}
 		if _, err := Generate(bad); err == nil {
 			t.Errorf("%s: Generate accepted invalid params", name)
+		}
+	}
+}
+
+// TestGenerateRejectsOverflow: finite parameters that pass Validate
+// but scale a deadline or an execution time past int64 are an error,
+// not a wrapped-around value.
+func TestGenerateRejectsOverflow(t *testing.T) {
+	p := platform(t)
+	for name, f := range map[string]func(*Params){
+		"laxity": func(q *Params) { q.DeadlineLaxity = 1e300 },
+		"spread": func(q *Params) { q.HeteroSpread = 1e300 },
+	} {
+		q := baseParams(p)
+		f(&q)
+		if err := q.Validate(); err != nil {
+			t.Fatalf("%s: finite params rejected by Validate: %v", name, err)
+		}
+		if _, err := Generate(q); err == nil || !strings.Contains(err.Error(), "overflows int64") {
+			t.Errorf("%s: Generate error = %v, want an int64 overflow", name, err)
 		}
 	}
 }
