@@ -16,11 +16,14 @@ package nocsched_test
 import (
 	"testing"
 
+	"nocsched/internal/ctg"
+	"nocsched/internal/dls"
 	"nocsched/internal/eas"
 	"nocsched/internal/edf"
 	"nocsched/internal/experiments"
 	"nocsched/internal/msb"
 	"nocsched/internal/noc"
+	"nocsched/internal/sched"
 	"nocsched/internal/sim"
 	"nocsched/internal/tgff"
 
@@ -296,6 +299,48 @@ func BenchmarkEDFScheduler(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDLSScheduler measures the DLS baseline, the solver whose
+// rows the lazy scan prunes hardest: six 300-task Category I graphs on
+// the 4x4 mesh, one probe worker, one workspace reused across solves as
+// a batch worker reuses it, warmed by one solve of each graph so that
+// B/op is the steady state. probes/op counts every F(i,k) answer,
+// evaluated/op only those the probe cache could not serve.
+func BenchmarkDLSScheduler(b *testing.B) {
+	platform, acg, err := experiments.RandomPlatform()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var graphs []*ctg.Graph
+	for i := 0; i < 6; i++ {
+		p := tgff.SuiteParams(tgff.CategoryI, i, platform)
+		p.NumTasks = 300
+		g, err := tgff.Generate(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	ws := sched.NewWorkspace(1, false)
+	for _, g := range graphs {
+		if _, err := dls.ScheduleWith(ws, g, acg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var probes, evaluated int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := dls.ScheduleWith(ws, graphs[i%len(graphs)], acg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes += s.Probes
+		evaluated += s.Probes - s.ProbeReuses
+	}
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
 }
 
 // BenchmarkWormholeReplay measures the flit-level simulator replaying

@@ -373,6 +373,12 @@ func (e *Engine) worker(ctx context.Context, id int, in <-chan job, done chan<- 
 		}
 		e.mInstances.Inc()
 		done <- r
+		// Let the reorder goroutine and the consumer take the result
+		// now. The send only queues them behind this worker, which
+		// would otherwise run on until its time slice ends: with
+		// solves shorter than a slice, finished results, each holding
+		// its graph and schedule, pile up in the engine.
+		runtime.Gosched()
 	}
 }
 

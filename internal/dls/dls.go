@@ -7,8 +7,8 @@
 // accounts for interprocessor communication in its priority function,
 // making it the stronger performance-oriented comparator.
 //
-// At every step DLS evaluates the dynamic level of every (ready task,
-// PE) pair:
+// At every step DLS commits the (ready task, PE) pair with the largest
+// dynamic level:
 //
 //	DL(t, p) = SL(t) - max(DA(t, p), TF(p)) + Delta(t, p)
 //
@@ -17,8 +17,9 @@
 // here with the exact Fig. 3 link-contention model, so DLS competes on
 // equal footing), TF the moment p finishes its committed work, and
 // Delta(t, p) = meanExec(t) - exec(t, p) the generalization Sih & Lee
-// introduce for heterogeneous processors. The pair with the largest
-// dynamic level is committed.
+// introduce for heterogeneous processors. Each ready task's best level
+// is found by a lazy row scan (scanRow) that probes only the PEs whose
+// level bound can still win, and equals the full scan's bit for bit.
 package dls
 
 import (
@@ -61,17 +62,9 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	if err != nil {
 		return nil, err
 	}
-	npe := acg.NumPEs()
 	// peFree[k] tracks TF(p): when PE k's committed work ends.
-	peFree := make([]int64, npe)
+	peFree := make([]int64, acg.NumPEs())
 
-	// row is one ready task's best dynamic level and the PE it occurs
-	// on, ties to the lower PE.
-	type row struct {
-		dl  float64
-		pe  int
-		err error
-	}
 	var rtl []ctg.TaskID
 	var rows []row
 	// evalRow fills rows[i] for rtl[i]. Built once — it reads rtl, rows
@@ -79,29 +72,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	// between pool runs.
 	evalRow := func(pr *sched.Prober, i int) {
 		t := rtl[i]
-		task := g.Task(t)
-		r := row{dl: math.Inf(-1), pe: -1}
-		for k := 0; k < npe; k++ {
-			if !task.RunnableOn(k) {
-				continue
-			}
-			p, err := pr.ProbeCached(t, k)
-			if err != nil {
-				rows[i] = row{err: err}
-				return
-			}
-			// max(DA, TF) is the probe's start time by construction
-			// (earliest slot after data-ready on the PE table).
-			startCost := float64(p.Start)
-			if f := float64(peFree[k]); f > startCost {
-				startCost = f
-			}
-			delta := meanExec[t] - float64(task.ExecTime[k])
-			if dl := sl[t] - startCost + delta; dl > r.dl {
-				r.dl, r.pe = dl, k
-			}
-		}
-		rows[i] = r
+		rows[i] = scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree)
 	}
 
 	for b.Committed() < g.NumTasks() {
@@ -111,24 +82,11 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 				b.Committed(), g.NumTasks())
 		}
 		rows = slices.Grow(rows[:0], len(rtl))[:len(rtl)]
-		pool.RunWeighted(len(rtl), npe, evalRow)
+		pool.Run(len(rtl), evalRow)
 
-		// Sequential reduction in ascending task order: the first
-		// largest level wins, ties to the lower task then the lower PE.
-		bestDL := math.Inf(-1)
-		bestTask := ctg.TaskID(-1)
-		bestPE := -1
-		for i, t := range rtl {
-			r := &rows[i]
-			if r.err != nil {
-				return nil, r.err
-			}
-			if r.dl > bestDL {
-				bestDL, bestTask, bestPE = r.dl, t, r.pe
-			}
-		}
-		if bestTask < 0 {
-			return nil, fmt.Errorf("dls: no schedulable (task, PE) pair")
+		bestTask, bestPE, err := choose(rtl, rows)
+		if err != nil {
+			return nil, err
 		}
 		p, err := b.Commit(bestTask, bestPE)
 		if err != nil {
@@ -146,6 +104,100 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	s.ProbeReuses = pool.ProbeReuses()
 	s.Elapsed = time.Since(started)
 	return s, nil
+}
+
+// row is one ready task's best dynamic level and the PE it occurs on,
+// ties to the lower PE.
+type row struct {
+	dl  float64
+	pe  int
+	err error
+}
+
+// scanRow finds ready task t's best dynamic level, given its static
+// level sl, mean execution time mean and the PEs' finish times peFree,
+// probing only the PEs that could still reach it. A probe's start is at
+// least the row's data-ready bound drtLB (sched.Row), so each PE's level
+// has two upper bounds that need no probe:
+//
+//	SB_k = SL - drtLB_k + Delta_k               (static: the scan order)
+//	UB_k = SL - max(drtLB_k, TF(k)) + Delta_k   (this round)
+//
+// written in the level's own float expression order, so rounding keeps
+// SB_k >= UB_k >= DL(t, k). The PE with the highest UB_k is probed
+// first: it most often holds the best level, which then prunes the
+// most. The rest are visited by descending SB_k; the scan stops when
+// SB_k falls below the best level found and skips a PE whose UB_k
+// cannot beat it (ties to the lower PE). The result is the full scan's
+// bit for bit.
+func scanRow(pr *sched.Prober, task *ctg.Task, t ctg.TaskID, sl, mean float64, peFree []int64) row {
+	r := pr.Row(t, sched.RowByLevel, func(k int, drtLB int64, _ float64) float64 {
+		return -(sl - float64(drtLB) + (mean - float64(task.ExecTime[k])))
+	})
+	delta := func(k int) float64 { return mean - float64(task.ExecTime[k]) }
+	ub := func(k int) float64 {
+		return sl - max(float64(r.DRTBound(k)), float64(peFree[k])) + delta(k)
+	}
+	best := row{dl: math.Inf(-1), pe: -1}
+	visit := func(k int) error {
+		p, err := pr.ProbeCached(t, k)
+		if err != nil {
+			return err
+		}
+		// max(DA, TF) is the probe's start time by construction
+		// (earliest slot after data-ready on the PE table).
+		startCost := max(float64(p.Start), float64(peFree[k]))
+		if dl := sl - startCost + delta(k); dl > best.dl || (dl == best.dl && k < best.pe) {
+			best.dl, best.pe = dl, k
+		}
+		return nil
+	}
+	first, firstUB := -1, math.Inf(-1)
+	for _, k32 := range r.Order {
+		if k, u := int(k32), ub(int(k32)); first < 0 || u > firstUB {
+			first, firstUB = k, u
+		}
+	}
+	if first < 0 {
+		return best
+	}
+	if err := visit(first); err != nil {
+		return row{err: err}
+	}
+	for _, k32 := range r.Order {
+		k := int(k32)
+		if sl-float64(r.DRTBound(k))+delta(k) < best.dl {
+			break
+		}
+		if u := ub(k); k == first || u < best.dl || (u == best.dl && k > best.pe) {
+			continue
+		}
+		if err := visit(k); err != nil {
+			return row{err: err}
+		}
+	}
+	return best
+}
+
+// choose reduces one round's rows in ascending task order: the first
+// largest level wins, ties to the lower task then the lower PE.
+func choose(rtl []ctg.TaskID, rows []row) (ctg.TaskID, int, error) {
+	bestDL := math.Inf(-1)
+	bestTask := ctg.TaskID(-1)
+	bestPE := -1
+	for i, t := range rtl {
+		r := &rows[i]
+		if r.err != nil {
+			return 0, 0, r.err
+		}
+		if r.dl > bestDL {
+			bestDL, bestTask, bestPE = r.dl, t, r.pe
+		}
+	}
+	if bestTask < 0 {
+		return 0, 0, fmt.Errorf("dls: no schedulable (task, PE) pair")
+	}
+	return bestTask, bestPE, nil
 }
 
 // meanExecTimes returns every task's mean execution time over the PEs

@@ -217,14 +217,16 @@ func deadlineFirstSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, a
 	return s, nil
 }
 
-// rowEval is the outcome of probing one ready task on every PE: the
-// per-task half of the Step 2 decision, computed independently per RTL
-// row so rows can be evaluated concurrently. All cross-task comparisons
-// (which task commits) happen later, in the sequential reduction.
+// rowEval is one ready task's half of the Step 2 decision, computed
+// independently per RTL row so rows can be evaluated concurrently. All
+// cross-task comparisons (which task commits) happen later, in the
+// sequential reduction.
 type rowEval struct {
 	// minF/minFPE: Eq. 4, the earliest finish over capable PEs (ties to
 	// the lower PE) and where it occurs; minFComm is that placement's
-	// communication energy (for the degenerate-e1 guard).
+	// communication energy (for the degenerate-e1 guard). Exact only
+	// when the reduction reads them: the task is over budget
+	// (minF >= BD_i) or no PE met the budget.
 	minF     int64
 	minFPE   int
 	minFComm float64
@@ -235,13 +237,101 @@ type rowEval struct {
 	err    error
 }
 
+// scanRow evaluates ready task ti's row under budget bd, probing only
+// the PEs that can change its answer. It visits the task's PEs by
+// ascending cost e_i[k] + comm(i,k), a sched.Row key that needs no
+// probe:
+//   - a PE whose finish bound drtLB + exec exceeds BD_i cannot meet the
+//     budget and is not probed;
+//   - the first two PEs that meet the budget are E1 and E2, and once
+//     one of the probed PEs finishes strictly before BD_i the task is
+//     not over budget (Step 2.3 tests minF >= BD_i), so the scan stops;
+//   - a task without a deadline meets its budget everywhere and is
+//     never probed.
+//
+// Only when the scan ends with the task over budget, or with no PE in
+// L_i, does the reduction read minF; then the PEs the budget bound
+// skipped are probed too, unless their bound already loses to minF.
+// The result equals the full scan's wherever the reduction reads it.
+func scanRow(pr *sched.Prober, task *ctg.Task, ti ctg.TaskID, bd int64) rowEval {
+	row := rowEval{minF: math.MaxInt64, minFPE: -1,
+		e1: math.Inf(1), e2: math.Inf(1), e1PE: -1}
+	r := pr.Row(ti, sched.RowByCost, func(k int, _ int64, comm float64) float64 {
+		return task.Energy[k] + comm
+	})
+	if len(r.Order) == 0 {
+		row.err = fmt.Errorf("eas: task %d runnable on no PE", ti)
+		return row
+	}
+	deadline := bd != ctg.NoDeadline
+	probe := func(k int) (int64, error) {
+		p, err := pr.ProbeCached(ti, k)
+		if err != nil {
+			return 0, err
+		}
+		if p.Finish < row.minF || (p.Finish == row.minF && k < row.minFPE) {
+			row.minF, row.minFPE, row.minFComm = p.Finish, k, p.CommEnergy
+		}
+		return p.Finish, nil
+	}
+	for _, k32 := range r.Order {
+		k := int(k32)
+		if deadline {
+			// L_i membership: F(i,k) <= BD_i.
+			if r.DRTBound(k)+task.ExecTime[k] > bd {
+				continue
+			}
+			f, err := probe(k)
+			if err != nil {
+				row.err = err
+				return row
+			}
+			if f > bd {
+				continue
+			}
+		}
+		// The E1/E2 running minima, with the full scan's update rule.
+		cost := task.Energy[k] + r.Comm(k)
+		switch {
+		case cost < row.e1:
+			row.e2 = row.e1
+			row.e1, row.e1PE = cost, k
+		case cost < row.e2:
+			row.e2 = cost
+		}
+		// Later PEs cost at least e2, so E1 and E2 are settled.
+		if !math.IsInf(row.e2, 1) && (!deadline || row.minF < bd) {
+			return row
+		}
+	}
+	if row.e1PE >= 0 && (!deadline || row.minF < bd) {
+		return row
+	}
+	// minF is read: probe what the first pass skipped.
+	for _, k32 := range r.Order {
+		k := int(k32)
+		lb := r.DRTBound(k) + task.ExecTime[k]
+		if deadline && lb <= bd {
+			continue // probed above
+		}
+		if row.minFPE >= 0 && (lb > row.minF || (lb == row.minF && k > row.minFPE)) {
+			continue
+		}
+		if _, err := probe(k); err != nil {
+			row.err = err
+			return row
+		}
+	}
+	return row
+}
+
 // levelSchedule is Step 2: level-based list scheduling over the Ready
-// Task List. Every round, the RTL x PE probe matrix is evaluated row-
-// per-task across the pool's workers; the rows are then reduced in
-// ascending RTL order on this goroutine, which reproduces the original
-// sequential scan's tie-breaks exactly (first-wins under ascending task
-// IDs is equivalent to the historical "ti < best" tie conditions), so
-// the schedule is bit-identical at any worker count.
+// Task List. Every round, each RTL row is evaluated by scanRow across
+// the pool's workers; the rows are then reduced in ascending RTL order
+// on this goroutine, which reproduces the original sequential scan's
+// tie-breaks exactly (first-wins under ascending task IDs is equivalent
+// to the historical "ti < best" tie conditions), so the schedule is
+// bit-identical at any worker count.
 func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *Budget, algorithm string, opts Options) (*sched.Schedule, error) {
 	b, pool, err := ws.Prepare(g, acg, algorithm)
 	if err != nil {
@@ -252,7 +342,6 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 	if opts.NaiveContention {
 		b.SetContentionAware(false)
 	}
-	npe := acg.NumPEs()
 
 	var rtl []ctg.TaskID
 	var rows []rowEval
@@ -261,41 +350,7 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 	// between pool.Run calls.
 	evalRow := func(pr *sched.Prober, i int) {
 		ti := rtl[i]
-		task := g.Task(ti)
-		bd := budget.BD[ti]
-		row := rowEval{minF: math.MaxInt64, minFPE: -1,
-			e1: math.Inf(1), e2: math.Inf(1), e1PE: -1}
-		for k := 0; k < npe; k++ {
-			if !task.RunnableOn(k) {
-				continue
-			}
-			p, err := pr.ProbeCached(ti, k)
-			if err != nil {
-				row.err = err
-				rows[i] = row
-				return
-			}
-			if p.Finish < row.minF {
-				row.minF, row.minFPE, row.minFComm = p.Finish, k, p.CommEnergy
-			}
-			// L_i membership (F(i,k) <= BD_i) and the E1/E2 running
-			// minima; independent of minF, so one pass suffices.
-			if bd != ctg.NoDeadline && p.Finish > bd {
-				continue
-			}
-			cost := task.Energy[k] + p.CommEnergy
-			switch {
-			case cost < row.e1:
-				row.e2 = row.e1
-				row.e1, row.e1PE = cost, k
-			case cost < row.e2:
-				row.e2 = cost
-			}
-		}
-		if row.minFPE < 0 {
-			row.err = fmt.Errorf("eas: task %d runnable on no PE", ti)
-		}
-		rows[i] = row
+		rows[i] = scanRow(pr, g.Task(ti), ti, budget.BD[ti])
 	}
 
 	for b.Committed() < g.NumTasks() {
@@ -306,58 +361,11 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 		}
 		metrics.ObserveReadyDepth(len(rtl))
 		rows = slices.Grow(rows[:0], len(rtl))[:len(rtl)]
-		pool.RunWeighted(len(rtl), npe, evalRow)
+		pool.Run(len(rtl), evalRow)
 
-		// Sequential reduction in ascending RTL order.
-		var (
-			overTask  ctg.TaskID = -1 // most over-budget task (Step 2.3)
-			overBy    int64      = math.MinInt64
-			overPE    int
-			bestTask  ctg.TaskID = -1 // largest energy-regret task (Step 2.4)
-			bestDelta            = math.Inf(-1)
-			bestE1               = math.Inf(1)
-			bestPE    int
-		)
-		for i, ti := range rtl {
-			row := &rows[i]
-			if row.err != nil {
-				return nil, row.err
-			}
-			bd := budget.BD[ti]
-			if bd != ctg.NoDeadline && row.minF >= bd {
-				// Paper Step 2.3: over budget even on its best PE —
-				// urgency beats energy. Track the worst offender.
-				if row.minF-bd > overBy {
-					overBy, overTask, overPE = row.minF-bd, ti, row.minFPE
-				}
-				continue
-			}
-			e1, e2, e1PE := row.e1, row.e2, row.e1PE
-			if e1PE < 0 {
-				// minF < bd guarantees at least minFPE qualifies;
-				// reaching here means bd == NoDeadline path had no
-				// candidates, which cannot happen. Guard anyway.
-				e1PE = row.minFPE
-				e1 = g.Task(ti).Energy[row.minFPE] + row.minFComm
-				e2 = e1
-			}
-			if math.IsInf(e2, 1) {
-				e2 = e1 // single feasible PE: zero regret
-			}
-			delta := e2 - e1
-			if delta > bestDelta || (delta == bestDelta && e1 < bestE1) {
-				bestDelta, bestE1, bestTask, bestPE = delta, e1, ti, e1PE
-			}
-		}
-
-		// Over-budget tasks take precedence (Step 2.3); otherwise the
-		// largest-regret task goes to its cheapest feasible PE (2.4).
-		var commitTask ctg.TaskID
-		var commitPE int
-		if overTask >= 0 {
-			commitTask, commitPE = overTask, overPE
-		} else {
-			commitTask, commitPE = bestTask, bestPE
+		commitTask, commitPE, err := choose(g, budget, rtl, rows)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := b.Commit(commitTask, commitPE); err != nil {
 			return nil, err
@@ -370,4 +378,54 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 	s.Probes = pool.Probes()
 	s.ProbeReuses = pool.ProbeReuses()
 	return s, nil
+}
+
+// choose is Step 2's sequential reduction of one round's rows, in
+// ascending RTL order: the most over-budget task goes to its
+// earliest-finish PE (Step 2.3); failing that, the largest-regret task
+// goes to its cheapest feasible PE (2.4).
+func choose(g *ctg.Graph, budget *Budget, rtl []ctg.TaskID, rows []rowEval) (ctg.TaskID, int, error) {
+	var (
+		overTask  ctg.TaskID = -1 // most over-budget task (Step 2.3)
+		overBy    int64      = math.MinInt64
+		overPE    int
+		bestTask  ctg.TaskID = -1 // largest energy-regret task (Step 2.4)
+		bestDelta            = math.Inf(-1)
+		bestE1               = math.Inf(1)
+		bestPE    int
+	)
+	for i, ti := range rtl {
+		row := &rows[i]
+		if row.err != nil {
+			return 0, 0, row.err
+		}
+		bd := budget.BD[ti]
+		if bd != ctg.NoDeadline && row.minF >= bd {
+			// Paper Step 2.3: over budget even on its best PE —
+			// urgency beats energy. Track the worst offender.
+			if row.minF-bd > overBy {
+				overBy, overTask, overPE = row.minF-bd, ti, row.minFPE
+			}
+			continue
+		}
+		e1, e2, e1PE := row.e1, row.e2, row.e1PE
+		if e1PE < 0 {
+			// minF < bd guarantees at least minFPE qualifies, unless
+			// its cost is not a number below +Inf. Guard anyway.
+			e1PE = row.minFPE
+			e1 = g.Task(ti).Energy[row.minFPE] + row.minFComm
+			e2 = e1
+		}
+		if math.IsInf(e2, 1) {
+			e2 = e1 // single feasible PE: zero regret
+		}
+		delta := e2 - e1
+		if delta > bestDelta || (delta == bestDelta && e1 < bestE1) {
+			bestDelta, bestE1, bestTask, bestPE = delta, e1, ti, e1PE
+		}
+	}
+	if overTask >= 0 {
+		return overTask, overPE, nil
+	}
+	return bestTask, bestPE, nil
 }

@@ -23,24 +23,16 @@ type ProbePool struct {
 	b       *Builder
 	probers []*Prober
 
-	// seqFloor is the auto worker policy: batches carrying fewer than
-	// this many probes run on the caller's goroutine even when the pool
+	// seqFloor is the auto worker policy: batches of fewer than this
+	// many items run on the caller's goroutine even when the pool
 	// has idle workers, because goroutine fan-out costs more than it
 	// saves at that size. 0 disables the policy.
 	// Purely a performance knob — the sequential and parallel paths are
 	// bit-identical by construction.
 	seqFloor int
-
-	// Scratch for EarliestFinishPE, sized NumPEs on first use. efEval
-	// is built once and reads efTask, so the per-call closure does not
-	// escape to the heap (the zero-alloc guard test covers this).
-	results []ProbeResult
-	errs    []error
-	efTask  ctg.TaskID
-	efEval  func(pr *Prober, k int)
 }
 
-// DefaultSequentialFloor is the probe-count threshold of the auto
+// DefaultSequentialFloor is the item-count threshold of the auto
 // worker policy: Run batches below it stay on the caller's goroutine.
 // At ~150ns per warm probe, a batch this small finishes in well under
 // the cost of waking the worker set.
@@ -96,20 +88,12 @@ func (p *ProbePool) ResetProbes() {
 // across the pool's workers. eval must write its result into storage
 // indexed by i (never shared accumulators) so that the caller can
 // reduce deterministically afterwards. eval must not touch the Builder
-// except through the prober. Each item is assumed to cost one probe for
-// the auto worker policy; callers whose items evaluate several probes
-// apiece should use RunWeighted.
+// except through the prober. The auto worker policy counts each item as
+// one probe. That holds for a row scan (Prober.Row): it stops once its
+// answer is settled, after about one evaluated probe and a few cached
+// ones, so a ready list fans out only from DefaultSequentialFloor rows.
 func (p *ProbePool) Run(n int, eval func(pr *Prober, i int)) {
-	p.RunWeighted(n, 1, eval)
-}
-
-// RunWeighted is Run for items that each evaluate probesPerItem F(i,k)
-// probes: the auto worker policy compares n*probesPerItem — the batch's
-// total probe count — against the sequential floor, so a 10-task ready
-// list probing 16 PEs per task fans out while a 16-PE single-task scan
-// stays sequential.
-func (p *ProbePool) RunWeighted(n, probesPerItem int, eval func(pr *Prober, i int)) {
-	if len(p.probers) == 1 || n < 2 || n*probesPerItem < p.seqFloor {
+	if len(p.probers) == 1 || n < 2 || n < p.seqFloor {
 		for i := 0; i < n; i++ {
 			eval(p.probers[0], i)
 		}
@@ -137,41 +121,43 @@ func (p *ProbePool) RunWeighted(n, probesPerItem int, eval func(pr *Prober, i in
 	wg.Wait()
 }
 
-// EarliestFinishPE probes task t on every PE and returns the placement
-// with the strictly earliest finish, ties broken toward the lowest PE
-// index — the EDF/DLS inner loop. PEs that cannot run the task are
-// skipped; if none can, an error is returned. With multiple workers the
-// per-PE probes run concurrently; the reduction is sequential in PE
-// order, so the answer matches the sequential scan bit for bit.
+// EarliestFinishPE returns the placement of task t with the strictly
+// earliest finish over the PEs that can run it, ties broken toward the
+// lowest PE index — the EDF inner loop. If no PE can run t, an error is
+// returned.
+//
+// It scans t's row (Prober.Row) by ascending finish bound drtLB + exec
+// and stops once the bound passes the best finish found, so it probes
+// only the PEs that could still win; the answer is the full scan's bit
+// for bit. The scan runs on the caller's goroutine with plain Probe: a
+// row of NumPEs probes is below DefaultSequentialFloor, and EDF commits
+// the task right after, so a cached probe would never be reused.
 func (p *ProbePool) EarliestFinishPE(t ctg.TaskID) (ProbeResult, error) {
-	npe := p.b.acg.NumPEs()
-	if len(p.results) < npe {
-		p.results = make([]ProbeResult, npe)
-		p.errs = make([]error, npe)
-	}
-	if p.efEval == nil {
-		p.efEval = func(pr *Prober, k int) {
-			task := p.efTask
-			if !p.b.g.Task(task).RunnableOn(k) {
-				p.results[k] = ProbeResult{PE: -1}
-				return
-			}
-			p.results[k], p.errs[k] = pr.Probe(task, k)
-		}
-	}
-	p.efTask = t
-	p.Run(npe, p.efEval)
-	results, errs := p.results, p.errs
+	pr := p.probers[0]
+	task := p.b.g.Task(t)
+	row := pr.Row(t, rowByFinish, func(k int, drtLB int64, _ float64) float64 {
+		return float64(drtLB + task.ExecTime[k])
+	})
 	best := ProbeResult{PE: -1}
-	for k := 0; k < npe; k++ {
-		if errs[k] != nil {
-			return ProbeResult{}, errs[k]
+	for _, k32 := range row.Order {
+		k := int(k32)
+		if best.PE >= 0 {
+			bound := row.DRTBound(k) + task.ExecTime[k]
+			// The order is by float64(bound), which is monotone, so past
+			// a larger float no later PE can finish by best.Finish.
+			if float64(bound) > float64(best.Finish) {
+				break
+			}
+			if bound > best.Finish || (bound == best.Finish && k > best.PE) {
+				continue
+			}
 		}
-		if results[k].PE < 0 {
-			continue
+		r, err := pr.Probe(t, k)
+		if err != nil {
+			return ProbeResult{}, err
 		}
-		if best.PE < 0 || results[k].Finish < best.Finish {
-			best = results[k]
+		if best.PE < 0 || r.Finish < best.Finish || (r.Finish == best.Finish && k < best.PE) {
+			best = r
 		}
 	}
 	if best.PE < 0 {

@@ -23,6 +23,8 @@ import (
 // takes a slot when AppendReady first lists it and frees it on commit,
 // so the storage is the peak ready-list depth x NumPEs, not tasks x PEs.
 // Slots change hands only on the caller's goroutine, between pool runs.
+// Each row also holds the task's row-scan keys and PE order (rowscan.go),
+// which, unlike the cached probes, never go stale.
 type probeCache struct {
 	stamp, base uint64
 	peStamp     []uint64
@@ -31,14 +33,19 @@ type probeCache struct {
 	slot      []int32 // per task: its row while ready, else -1
 	freeSlots []int32
 	cache     []cacheEntry // rows of NumPEs entries
+	orders    []int32      // rows of NumPEs: the slot's scan order
+	heads     []rowHead    // per slot: how its order is sorted
 }
 
-// cacheEntry is one cached probe; Finish is Start plus the task's
-// execution time on the entry's PE.
+// cacheEntry is one PE of a slot row: the task's keys on the PE, set
+// when the slot is taken, and the cached probe, exact while its stamp
+// is fresh. The probe's Finish is start plus the task's execution time
+// on the PE, and its CommEnergy is comm, which the key computes bit for
+// bit.
 type cacheEntry struct {
 	stamp      uint64
 	start, drt int64
-	comm       float64
+	keys       rowKeys
 }
 
 // invalidate makes every cached entry stale.
@@ -62,10 +69,13 @@ func (b *Builder) resetSlots(n int) {
 	}
 	b.freeSlots = b.freeSlots[:0]
 	b.cache = b.cache[:0]
+	b.orders = b.orders[:0]
+	b.heads = b.heads[:0]
 	b.invalidate()
 }
 
-// takeSlot gives ready task t an empty row.
+// takeSlot gives ready task t a row holding its keys and no cached
+// probe.
 func (b *Builder) takeSlot(t ctg.TaskID) {
 	npe := len(b.peTables)
 	var s int
@@ -73,10 +83,15 @@ func (b *Builder) takeSlot(t ctg.TaskID) {
 		s = int(b.freeSlots[n-1])
 		b.freeSlots = b.freeSlots[:n-1]
 	} else {
-		s = len(b.cache) / npe
+		s = len(b.heads)
 		b.cache = slices.Grow(b.cache, npe)[:len(b.cache)+npe]
+		b.orders = slices.Grow(b.orders, npe)[:len(b.orders)+npe]
+		b.heads = append(b.heads, rowHead{})
 	}
-	clear(b.cache[s*npe : (s+1)*npe])
+	row := b.cache[s*npe : (s+1)*npe]
+	clear(row)
+	b.fillKeys(t, row, &b.lct)
+	b.heads[s] = rowHead{}
 	b.slot[t] = int32(s)
 }
 
@@ -130,7 +145,7 @@ func (p *Prober) ProbeCached(t ctg.TaskID, k int) (ProbeResult, error) {
 	if !b.fresh(e.stamp, t, k) {
 		r, err := p.Probe(t, k)
 		if err == nil {
-			*e = cacheEntry{stamp: b.stamp, start: r.Start, drt: r.DRT, comm: r.CommEnergy}
+			e.stamp, e.start, e.drt = b.stamp, r.Start, r.DRT
 		}
 		return r, err
 	}
@@ -144,5 +159,5 @@ func (p *Prober) ProbeCached(t ctg.TaskID, k int) (ProbeResult, error) {
 		}
 	}
 	return ProbeResult{Task: t, PE: k, Start: e.start, Finish: e.start + b.g.Task(t).ExecTime[k],
-		DRT: e.drt, CommEnergy: e.comm}, nil
+		DRT: e.drt, CommEnergy: e.keys.comm}, nil
 }

@@ -41,6 +41,13 @@ type Prober struct {
 	lct     []ctg.EdgeID
 	probes  int64
 	reuses  int64
+
+	// Row scratch: the keys and order of a task without a slot, and the
+	// sort keys of the row being sorted.
+	rowEntries []cacheEntry
+	rowOrder   []int32
+	rowHead    rowHead
+	rowKey     []float64
 }
 
 // NewProber returns a read-only prober for the builder.

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -407,6 +408,11 @@ func (s *Server) resolve(req *Request) (*workload, error) {
 	algorithm, err := normalizeAlgorithm(req.Algorithm)
 	if err != nil {
 		return nil, err
+	}
+	// A larger timeout would wrap negative as a time.Duration and
+	// expire before the solve starts.
+	if req.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
+		return nil, fmt.Errorf("timeout_ms %d exceeds the maximum %d", req.TimeoutMS, math.MaxInt64/int64(time.Millisecond))
 	}
 	spec := DefaultPlatform()
 	if req.Platform != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -290,6 +291,15 @@ func TestServeBadRequests(t *testing.T) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		t.Fatal(err)
 	}
+	// A timeout that would wrap negative as a time.Duration, and so
+	// expire before the solve starts, is rejected before queueing.
+	req.TimeoutMS = math.MaxInt64
+	overflow, _ := json.Marshal(req)
+	if code, _, e := post(t, ts.URL, overflow); code != http.StatusBadRequest || e.Error != "bad_request" ||
+		!strings.Contains(e.Detail, "timeout_ms") {
+		t.Errorf("timeout_ms overflow: status %d %+v, want 400 bad_request naming timeout_ms", code, e)
+	}
+	req.TimeoutMS = 0
 	req.Platform = &noc.PlatformSpec{Topology: "mesh", Width: 4, Height: 4, Bandwidth: 256}
 	mismatch, _ := json.Marshal(req)
 	if code, _, e := post(t, ts.URL, mismatch); code != http.StatusBadRequest || e.Error != "bad_request" {

@@ -435,3 +435,31 @@ func Corpus(seed int64) ([]Workload, error) {
 	}
 	return out, nil
 }
+
+// Golden is the corpus the schedule-digest tests pin: Corpus(1)
+// followed by three 300-task Category I suite graphs on a 4x4
+// heterogeneous mesh under the default energy model.
+func Golden() ([]Workload, error) {
+	ws, err := Corpus(1)
+	if err != nil {
+		return nil, err
+	}
+	platform, err := mesh(4, 4, 100)
+	if err != nil {
+		return nil, err
+	}
+	acg, err := energy.BuildACG(platform, energy.DefaultModel())
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < 3; i++ {
+		p := tgff.SuiteParams(tgff.CategoryI, i, platform)
+		p.NumTasks = 300
+		g, err := tgff.Generate(p)
+		if err != nil {
+			return nil, fmt.Errorf("workloadgen: golden suite graph %d: %w", i, err)
+		}
+		ws = append(ws, Workload{Name: g.Name, Graph: g, Platform: platform, ACG: acg})
+	}
+	return ws, nil
+}
