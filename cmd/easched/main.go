@@ -7,7 +7,6 @@
 //
 //	easched -graph app.json [-mesh 4x4] [-routing xy] [-bandwidth 256]
 //	        [-sched eas] [-gantt] [-verify] [-util]
-//	        [-faults scenario.json]
 //	        [-json-out sched.json] [-dot-out graph.dot]
 //	        [-metrics] [-metrics-out metrics.json] [-trace-out trace.json]
 //
@@ -16,11 +15,6 @@
 // the same data as JSON. -trace-out writes a Chrome trace_event file —
 // scheduler phase spans plus the committed schedule as one track per PE
 // and per link — loadable in Perfetto (see README, "Observability").
-//
-// With -faults, the fault scenario (see internal/fault) is applied after
-// the fault-free schedule is built: the schedule is recovered onto the
-// degraded platform and the recovery is reported (and replayed, with the
-// faults injected, under -verify).
 //
 // The exit status is 0 when all deadlines are met, 1 otherwise.
 package main
@@ -37,7 +31,6 @@ import (
 	"nocsched/internal/eas"
 	"nocsched/internal/edf"
 	"nocsched/internal/energy"
-	"nocsched/internal/fault"
 	"nocsched/internal/noc"
 	"nocsched/internal/sched"
 	"nocsched/internal/sim"
@@ -76,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		dotOut    = fs.String("dot-out", "", "write the task graph in Graphviz DOT format to this file")
 		svgOut    = fs.String("svg-out", "", "write the schedule as an SVG Gantt chart to this file")
 		buffers   = fs.Bool("buffers", false, "print per-PE message buffer requirements")
-		faultsIn  = fs.String("faults", "", "fault scenario JSON file: recover the schedule onto the degraded platform")
 		workers   = fs.Int("workers", 0, "probe worker pool size (0 = GOMAXPROCS); any value gives bit-identical schedules")
 	)
 	dflags := diag.Register(fs)
@@ -180,31 +172,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("scheduler produced an invalid schedule: %w", err)
 	}
 
-	var simFaults []sim.Fault
-	if *faultsIn != "" {
-		ff, err := os.Open(*faultsIn)
-		if err != nil {
-			return err
-		}
-		sc, err := fault.ReadScenario(ff)
-		ff.Close()
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", *faultsIn, err)
-		}
-		rec, err := fault.Recover(s, sc, fault.Options{EAS: eas.Options{Telemetry: telem}})
-		if err != nil {
-			return fmt.Errorf("fault recovery: %w", err)
-		}
-		st := rec.Stats
-		fmt.Fprintf(stdout, "faults:        %s (%d faults): %d tasks stranded, %d transactions severed\n",
-			scenarioName(sc), sc.NumFaults(), st.StrandedTasks, st.SeveredTransactions)
-		fmt.Fprintf(stdout, "recovery:      %d tasks migrated, misses %d -> %d, energy overhead %+.1f%%%s\n",
-			st.TasksMigrated, st.MissesBefore, st.MissesAfter, 100*st.EnergyOverhead(),
-			map[bool]string{true: " (full reschedule)", false: ""}[st.FullReschedule])
-		s = rec.Schedule
-		simFaults = sc.SimFaults()
-	}
-
 	b := s.Breakdown()
 	fmt.Fprintf(stdout, "graph:         %s (%d tasks, %d transactions)\n", g.Name, g.NumTasks(), g.NumEdges())
 	fmt.Fprintf(stdout, "platform:      %s, bandwidth %d bit/tu\n", platform.Topo.Name(), platform.LinkBandwidth)
@@ -223,13 +190,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		s.RenderUtilization(stdout, 10)
 	}
 	if *verify {
-		res, err := sim.Replay(s, sim.Options{Faults: simFaults, Telemetry: telem})
+		res, err := sim.Replay(s, sim.Options{Telemetry: telem})
 		if err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
 		late := res.LateDeliveries(s)
-		fmt.Fprintf(stdout, "replay:        %d packets, %d stall cycles, %d late deliveries, %d lost to faults, measured comm energy %.1f nJ\n",
-			len(res.Packets), res.TotalStalls, len(late), res.Failures, res.MeasuredCommEnergy)
+		fmt.Fprintf(stdout, "replay:        %d packets, %d stall cycles, %d late deliveries, measured comm energy %.1f nJ\n",
+			len(res.Packets), res.TotalStalls, len(late), res.MeasuredCommEnergy)
 		if res.TraceErr != nil {
 			return fmt.Errorf("replay trace: %w", res.TraceErr)
 		}
@@ -253,8 +220,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintln(stdout)
 		s.RenderBufferRequirements(stdout)
 	}
-	// Telemetry artifacts cover the final schedule (post fault
-	// recovery) and are written even when deadlines are missed.
+	// Telemetry artifacts cover the final schedule and are written even
+	// when deadlines are missed.
 	s.EmitChromeTrace(sess.ChromeSink())
 	if dflags.Metrics {
 		fmt.Fprintln(stdout)
@@ -266,14 +233,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return errDeadlineMiss
 	}
 	return nil
-}
-
-// scenarioName labels a scenario for output, defaulting unnamed ones.
-func scenarioName(sc *fault.Scenario) string {
-	if sc.Name == "" {
-		return "unnamed"
-	}
-	return sc.Name
 }
 
 // writeTo creates path and streams write into it, closing cleanly.

@@ -152,49 +152,6 @@ func TestJSONRoundTripThroughCLI(t *testing.T) {
 	}
 }
 
-func TestRunWithFaults(t *testing.T) {
-	dir := t.TempDir()
-	graph := writeTestGraph(t, dir, 3.0)
-	scen := filepath.Join(dir, "faults.json")
-	// Kill PE 3 on the 2x2 mesh; the router keeps forwarding so the
-	// scenario is always recoverable topologically.
-	if err := os.WriteFile(scen, []byte(`{"name":"pe3-down","pes":[3]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	err := run([]string{"-graph", graph, "-mesh", "2x2",
-		"-faults", scen, "-verify"}, &out, &errb)
-	if err != nil && !errors.Is(err, errDeadlineMiss) {
-		t.Fatalf("%v\n%s", err, errb.String())
-	}
-	for _, want := range []string{"faults:", "pe3-down", "recovery:", "replay:", "lost to faults"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-	if strings.Contains(out.String(), "1 lost to faults") {
-		t.Errorf("recovered schedule lost packets:\n%s", out.String())
-	}
-
-	// A disconnecting scenario must produce a typed CLI error, not a
-	// panic or a bogus schedule.
-	island := filepath.Join(dir, "island.json")
-	// Routers 1 and 2 isolate corner tile 0 on the 2x2 mesh.
-	os.WriteFile(island, []byte(`{"routers":[1,2]}`), 0o644)
-	if err := run([]string{"-graph", graph, "-mesh", "2x2", "-faults", island}, &out, &errb); err == nil {
-		t.Error("disconnecting scenario accepted")
-	}
-	// Broken scenario file.
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"pes":"zero"}`), 0o644)
-	if err := run([]string{"-graph", graph, "-mesh", "2x2", "-faults", bad}, &out, &errb); err == nil {
-		t.Error("malformed scenario accepted")
-	}
-	if err := run([]string{"-graph", graph, "-mesh", "2x2", "-faults", filepath.Join(dir, "nope.json")}, &out, &errb); err == nil {
-		t.Error("missing scenario file accepted")
-	}
-}
-
 func TestRunWithPlatformSpec(t *testing.T) {
 	dir := t.TempDir()
 	graph := writeTestGraph(t, dir, 1.6)

@@ -7,9 +7,9 @@
 //	            [-cpuprofile f] [-memprofile f] [-trace f]
 //
 // The profiler flags are the shared diagnostics set (internal/diag).
-// The per-run telemetry flags (-metrics, -trace-out) live on easched,
-// schedbench and faultbench, whose scheduler options are reachable from
-// the command line; the experiment suites fix their options internally.
+// The per-run telemetry flags (-metrics, -trace-out) live on easched
+// and schedbench, whose scheduler options are reachable from the
+// command line; the experiment suites fix their options internally.
 //
 // where name is one of: fig5, fig6, table1, table2, table3, fig7, hops,
 // repair, weights, contention, routing, honeycomb, scaling, laxity, all

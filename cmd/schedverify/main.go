@@ -11,15 +11,13 @@
 //	schedverify -graph app.json -schedule sched.json
 //	            [-mesh 4x4] [-routing xy] [-bandwidth 256]
 //	            [-platform spec.json]
-//	            [-json] [-horizon N] [-max N] [-ignore-deadlines]
+//	            [-json] [-max N] [-ignore-deadlines]
 //
 // The schedule is loaded leniently: malformed placements are reported
-// as typed findings rather than load errors. -horizon marks a hybrid
-// schedule's checkpoint time (see fault.ReplayStream): placements
-// starting before it are verified as committed history. With
-// -ignore-deadlines, deadline findings are still printed but do not
-// affect the exit status (mirroring Validate vs. Feasible: EAS-base
-// legitimately emits deadline-missing but well-formed schedules).
+// as typed findings rather than load errors. With -ignore-deadlines,
+// deadline findings are still printed but do not affect the exit status
+// (mirroring Validate vs. Feasible: EAS-base legitimately emits
+// deadline-missing but well-formed schedules).
 //
 // The exit status is 0 for a conformant schedule, 1 when the oracle
 // reports findings, and 2 on usage or I/O errors.
@@ -67,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		routing   = fs.String("routing", "xy", "routing scheme: xy or yx")
 		bandwidth = fs.Int64("bandwidth", 256, "link bandwidth in bits per time unit")
 		jsonOut   = fs.Bool("json", false, "print the report as JSON instead of text")
-		horizon   = fs.Int64("horizon", 0, "frozen-checkpoint horizon for hybrid (post-fault) schedules")
 		maxFind   = fs.Int("max", 0, "cap on reported findings (0 = default)")
 		ignoreDl  = fs.Bool("ignore-deadlines", false, "report deadline misses but do not fail on them")
 	)
@@ -149,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("reading %s: %w", *schedPath, err)
 	}
 
-	rep := verify.CheckOptions(s, verify.Options{FrozenHorizon: *horizon, MaxFindings: *maxFind})
+	rep := verify.CheckOptions(s, verify.Options{MaxFindings: *maxFind})
 	if *jsonOut {
 		if err := rep.WriteJSON(stdout); err != nil {
 			return err

@@ -3,7 +3,6 @@ package ctg
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -35,50 +34,4 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Ancestors returns the set of tasks from which t is reachable
-// (excluding t itself), in ascending ID order.
-func (g *Graph) Ancestors(t TaskID) []TaskID {
-	seen := make(map[TaskID]bool)
-	stack := []TaskID{t}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.Pred(cur) {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	out := make([]TaskID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// Descendants returns the set of tasks reachable from t (excluding t
-// itself), in ascending ID order.
-func (g *Graph) Descendants(t TaskID) []TaskID {
-	seen := make(map[TaskID]bool)
-	stack := []TaskID{t}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Succ(cur) {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	out := make([]TaskID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func analysisGraph(t *testing.T) (*Graph, [5]TaskID) {
+func analysisGraph(t *testing.T) *Graph {
 	t.Helper()
 	// a(10) -> b(30) -> d(20)
 	//   \-> c(5) ---/     \-> e(1, d=100)
@@ -34,11 +34,11 @@ func analysisGraph(t *testing.T) (*Graph, [5]TaskID) {
 			t.Fatal(err)
 		}
 	}
-	return g, ids
+	return g
 }
 
 func TestWriteDOT(t *testing.T) {
-	g, _ := analysisGraph(t)
+	g := analysisGraph(t)
 	var buf bytes.Buffer
 	if err := g.WriteDOT(&buf); err != nil {
 		t.Fatal(err)
@@ -51,23 +51,5 @@ func TestWriteDOT(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestAncestorsDescendants(t *testing.T) {
-	g, ids := analysisGraph(t)
-	anc := g.Ancestors(ids[3]) // d: a, b, c
-	if len(anc) != 3 {
-		t.Errorf("Ancestors(d) = %v", anc)
-	}
-	if got := g.Ancestors(ids[0]); len(got) != 0 {
-		t.Errorf("Ancestors(source) = %v", got)
-	}
-	desc := g.Descendants(ids[0]) // a: everyone else
-	if len(desc) != 4 {
-		t.Errorf("Descendants(a) = %v", desc)
-	}
-	if got := g.Descendants(ids[4]); len(got) != 0 {
-		t.Errorf("Descendants(sink) = %v", got)
 	}
 }

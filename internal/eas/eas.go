@@ -151,7 +151,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 			cand.RepairStats = stats
 		}
 		endPass()
-		if best == nil || MetricBetter(cand.Schedule, best.Schedule) {
+		if best == nil || metricBetter(cand.Schedule, best.Schedule) {
 			best = cand
 		}
 		if best.Schedule.Feasible() {
@@ -173,7 +173,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 			if err == nil {
 				cand := &Result{Schedule: refined, Budget: best.Budget, RefineStats: stats}
 				cand.RepairStats = best.RepairStats
-				if MetricBetter(cand.Schedule, best.Schedule) {
+				if metricBetter(cand.Schedule, best.Schedule) {
 					best = cand
 				}
 			}

@@ -91,7 +91,7 @@ func neighborhood(cur *layout, curSched *sched.Schedule) []*layout {
 	}
 	for _, t1 := range movers {
 		src := cur.assign[t1]
-		for _, dst := range PEsByEnergy(g, acg, cur.assign, t1, nil) {
+		for _, dst := range pesByEnergy(g, acg, cur.assign, t1) {
 			if dst == src || (len(crit) == 0 && g.Task(t1).Energy[dst] >= g.Task(t1).Energy[src]) {
 				continue
 			}
@@ -135,7 +135,7 @@ func TestRebuildEarlyRejectDifferential(t *testing.T) {
 		for tried < perCase {
 			curMetric := metricOf(curSched)
 			// Repair accepts a strictly better metric; RefineEnergy and
-			// MetricBetter reject only a strictly worse one.
+			// metricBetter reject only a strictly worse one.
 			rules := []struct {
 				name   string
 				bound  metric

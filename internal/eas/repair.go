@@ -71,7 +71,7 @@ func rebuild(b *sched.Builder, l *layout, naive bool, bound *metric) (*sched.Sch
 		c := cutoff{b: b, bound: *bound}
 		stop = c.stop
 	}
-	if err := b.CommitOrder(l.order, nil, stop); err != nil {
+	if err := b.CommitOrder(l.order, stop); err != nil {
 		return nil, err
 	}
 	return b.Finish()
@@ -90,20 +90,6 @@ type cutoff struct {
 func (c *cutoff) stop(t ctg.TaskID) bool {
 	c.partial.add(c.b.Graph().Task(t), c.b.TaskPlacement(t).Finish)
 	return !c.partial.better(c.bound)
-}
-
-// AbandonWorse returns a Builder.CommitOrder stop callback for candidates
-// accepted on MetricBetter: it ends the rebuild once everything b has
-// committed, tasks committed before the call included, is strictly
-// worse than incumbent, which no completion can undo.
-func AbandonWorse(b *sched.Builder, incumbent *sched.Schedule) func(ctg.TaskID) bool {
-	c := &cutoff{b: b, bound: worseThan(metricOf(incumbent))}
-	for i := 0; i < b.Graph().NumTasks(); i++ {
-		if t := ctg.TaskID(i); b.Placed(t) {
-			c.partial.add(b.Graph().Task(t), b.TaskPlacement(t).Finish)
-		}
-	}
-	return c.stop
 }
 
 // metric is the lexicographic objective search-and-repair minimizes:
@@ -143,6 +129,18 @@ func (m metric) better(o metric) bool {
 // integer), so "not better than worseThan(m)" means "strictly worse than
 // m" — the cutoff bound of acceptance rules that admit an equal metric.
 func worseThan(m metric) metric { return metric{m.misses, m.lateness + 1} }
+
+// metricBetter reports whether schedule a beats schedule b under the
+// repair objective (fewer deadline misses, then less total lateness),
+// breaking ties toward lower total energy. ScheduleWith picks among its
+// budget passes and the fallback with it.
+func metricBetter(a, b *sched.Schedule) bool {
+	am, bm := metricOf(a), metricOf(b)
+	if am != bm {
+		return am.better(bm)
+	}
+	return a.TotalEnergy() < b.TotalEnergy()
+}
 
 // criticalTasks returns the tasks that miss their own deadline plus all
 // their ancestors, in descending-lateness-then-start order of usefulness
@@ -323,7 +321,7 @@ func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 		tryMigrate := func(t1 ctg.TaskID) bool {
 			task := g.Task(t1)
 			srcPE := cur.assign[t1]
-			for _, dstPE := range PEsByEnergy(g, acg, cur.assign, t1, nil) {
+			for _, dstPE := range pesByEnergy(g, acg, cur.assign, t1) {
 				if dstPE == srcPE || !task.RunnableOn(dstPE) {
 					continue
 				}
@@ -386,14 +384,12 @@ func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 	return bestSched, stats, nil
 }
 
-// PEsByEnergy orders the PEs task t can run on by increasing
+// pesByEnergy orders the PEs task t can run on by increasing
 // execution-plus-communication energy under assign (ties to the lower
 // PE), the order the paper prescribes for GTM ("the destination PEs are
 // tried in the increasing order of the execution and communication
-// energy"). PEs marked in dead (nil: none) are skipped, and so is the
-// communication with neighbors assigned to them.
-func PEsByEnergy(g *ctg.Graph, acg *energy.ACG, assign []int, t ctg.TaskID, dead []bool) []int {
-	alive := func(k int) bool { return dead == nil || !dead[k] }
+// energy").
+func pesByEnergy(g *ctg.Graph, acg *energy.ACG, assign []int, t ctg.TaskID) []int {
 	task := g.Task(t)
 	type cand struct {
 		pe   int
@@ -401,19 +397,17 @@ func PEsByEnergy(g *ctg.Graph, acg *energy.ACG, assign []int, t ctg.TaskID, dead
 	}
 	var cands []cand
 	for k := 0; k < acg.NumPEs(); k++ {
-		if !alive(k) || !task.RunnableOn(k) {
+		if !task.RunnableOn(k) {
 			continue
 		}
 		cost := task.Energy[k]
 		for _, eid := range g.In(t) {
-			if e := g.Edge(eid); alive(assign[e.Src]) {
-				cost += acg.CommEnergy(e.Volume, assign[e.Src], k)
-			}
+			e := g.Edge(eid)
+			cost += acg.CommEnergy(e.Volume, assign[e.Src], k)
 		}
 		for _, eid := range g.Out(t) {
-			if e := g.Edge(eid); alive(assign[e.Dst]) {
-				cost += acg.CommEnergy(e.Volume, k, assign[e.Dst])
-			}
+			e := g.Edge(eid)
+			cost += acg.CommEnergy(e.Volume, k, assign[e.Dst])
 		}
 		cands = append(cands, cand{pe: k, cost: cost})
 	}

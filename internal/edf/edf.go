@@ -131,7 +131,10 @@ func EffectiveDeadlines(g *ctg.Graph) ([]int64, error) {
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
-		for _, s := range g.Succ(t) {
+		// A min over successors ignores their order and duplicates, so
+		// the out-edges serve without Succ's deduplicated copy.
+		for _, eid := range g.Out(t) {
+			s := g.Edge(eid).Dst
 			if dEff[s] == ctg.NoDeadline {
 				continue
 			}

@@ -151,6 +151,31 @@ func TestEDFSchedulesRandomGraphValidly(t *testing.T) {
 	}
 }
 
+// TestEffectiveDeadlinesAllocs pins EffectiveDeadlines to TopoOrder's
+// allocations plus the result slice: the backward pass reads out-edges
+// in place instead of allocating a successor list per task.
+func TestEffectiveDeadlinesAllocs(t *testing.T) {
+	p, err := noc.NewHeterogeneousMesh(4, 4, noc.RouteXY, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := tgff.Generate(tgff.Params{
+		Name: "edf-allocs", Seed: 5, NumTasks: 300, MaxInDegree: 3,
+		LocalityWindow: 16, TaskTypes: 10, ExecMin: 20, ExecMax: 200,
+		HeteroSpread: 0.5, VolumeMin: 256, VolumeMax: 8192,
+		ControlEdgeFraction: 0.1, DeadlineLaxity: 1.4, DeadlineFraction: 1,
+		Platform: p,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := testing.AllocsPerRun(20, func() { g.TopoOrder() })
+	eff := testing.AllocsPerRun(20, func() { EffectiveDeadlines(g) })
+	if eff != topo+1 {
+		t.Fatalf("EffectiveDeadlines allocates %v per call, want TopoOrder's %v + 1", eff, topo)
+	}
+}
+
 func TestEDFRejectsBadInput(t *testing.T) {
 	acg := rig(t)
 	g := ctg.New("bad")

@@ -16,7 +16,6 @@ package energy
 
 import (
 	"fmt"
-	"math"
 
 	"nocsched/internal/noc"
 )
@@ -81,24 +80,8 @@ type ACG struct {
 }
 
 // BuildACG precomputes the ACG for a platform under an energy model.
-// Every PE pair must be routable; use BuildACGPartial for degraded
-// platforms with out-of-service tiles.
+// Every PE pair must be routable.
 func BuildACG(p *noc.Platform, m Model) (*ACG, error) {
-	return buildACG(p, m, false)
-}
-
-// BuildACGPartial precomputes an ACG for a platform whose topology may
-// leave some PE pairs unroutable (a fault-degraded platform with dead
-// routers). Unroutable pairs get no route, Hops -1 and an infinite
-// per-bit energy so any accidental use is glaring; callers must keep
-// tasks off the affected PEs (the fault package does this by marking
-// them incapable in the degraded CTG) and can test pairs with
-// Reachable.
-func BuildACGPartial(p *noc.Platform, m Model) (*ACG, error) {
-	return buildACG(p, m, true)
-}
-
-func buildACG(p *noc.Platform, m Model, partial bool) (*ACG, error) {
 	if p == nil {
 		return nil, fmt.Errorf("energy: nil platform")
 	}
@@ -119,13 +102,7 @@ func buildACG(p *noc.Platform, m Model, partial bool) (*ACG, error) {
 			idx := i*n + j
 			route, err := p.Topo.Route(noc.TileID(i), noc.TileID(j))
 			if err != nil {
-				if !partial {
-					return nil, fmt.Errorf("energy: ACG route %d->%d: %w", i, j, err)
-				}
-				a.routes[idx] = nil
-				a.hops[idx] = -1
-				a.ebit[idx] = math.Inf(1)
-				continue
+				return nil, fmt.Errorf("energy: ACG route %d->%d: %w", i, j, err)
 			}
 			a.routes[idx] = route
 			a.hops[idx] = p.Topo.Hops(noc.TileID(i), noc.TileID(j))
@@ -133,13 +110,6 @@ func buildACG(p *noc.Platform, m Model, partial bool) (*ACG, error) {
 		}
 	}
 	return a, nil
-}
-
-// Reachable reports whether PE j can be reached from PE i on the ACG's
-// platform. It is true for every pair of a fully-connected ACG and
-// false exactly for the unroutable pairs of a partial (degraded) ACG.
-func (a *ACG) Reachable(i, j int) bool {
-	return i == j || a.hops[i*a.n+j] >= 0
 }
 
 // Platform returns the platform the ACG was built for.

@@ -5,6 +5,16 @@ import (
 	"testing/quick"
 )
 
+// mustMesh builds a mesh, failing the test on a geometry error.
+func mustMesh(t *testing.T, width, height int, scheme RoutingScheme) *Mesh {
+	t.Helper()
+	m, err := NewMesh(width, height, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestNewMeshValidation(t *testing.T) {
 	if _, err := NewMesh(0, 4, RouteXY); err == nil {
 		t.Error("zero width accepted")

@@ -80,10 +80,6 @@ type Builder struct {
 	// metrics holds pre-resolved telemetry handles (nil when telemetry
 	// is off); probers copy the handles they need at construction.
 	metrics *Metrics
-
-	// blocked is the end of the BlockPast prefix reservation (0 when
-	// the builder starts from an empty timeline).
-	blocked int64
 }
 
 // Placement is the outcome of probing or committing one task on one PE.
@@ -194,7 +190,6 @@ func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 	}
 	b.schedule = New(g, acg, b.algorithm)
 	b.nCommitted = 0
-	b.blocked = 0
 	b.contention = true
 	b.metrics = nil
 	b.resetReady()
@@ -218,7 +213,7 @@ func (b *Builder) resetReady() {
 
 // markPlaced records t as committed, frees its cache slot, and appends
 // every successor whose last pending predecessor this was to the ready
-// list (AppendReady drops the ones CommitFrozen already placed).
+// list.
 func (b *Builder) markPlaced(t ctg.TaskID) {
 	b.placed[t] = true
 	b.nCommitted++
@@ -235,11 +230,10 @@ func (b *Builder) markPlaced(t ctg.TaskID) {
 }
 
 // routeTables returns the cached link-table slice and link indices of
-// the ACG route from PE src to PE dst. Unroutable pairs of a partial
-// (degraded) ACG yield empty slices, mirroring the nil route. With a
-// shared RoutePlan attached the lookup is a pure read (two slicings of
-// precomputed storage); without one it lazily fills the per-builder
-// cache.
+// the ACG route from PE src to PE dst; a PE's route to itself is empty.
+// With a shared RoutePlan attached the lookup is a pure read (two
+// slicings of precomputed storage); without one it lazily fills the
+// per-builder cache.
 func (b *Builder) routeTables(src, dst int) ([]*schedtable.Table, []int) {
 	if p := b.plan; p != nil {
 		idx := src*p.n + dst
@@ -291,14 +285,11 @@ func (b *Builder) Graph() *ctg.Graph { return b.g }
 // ACG returns the architecture characterization graph in use.
 func (b *Builder) ACG() *energy.ACG { return b.acg }
 
-// Placed reports whether the task has been committed.
-func (b *Builder) Placed(t ctg.TaskID) bool { return b.placed[t] }
-
 // Committed returns the number of committed tasks.
 func (b *Builder) Committed() int { return b.nCommitted }
 
 // TaskPlacement returns the committed placement of task t; it is only
-// meaningful when Placed(t) is true.
+// meaningful once t is committed.
 func (b *Builder) TaskPlacement(t ctg.TaskID) TaskPlacement { return b.schedule.Tasks[t] }
 
 // Ready reports whether every predecessor of t has been committed and t
@@ -418,71 +409,6 @@ func (b *Builder) place(t ctg.TaskID, k int, floor int64) (Placement, error) {
 	return p, nil
 }
 
-// BlockPast reserves [0, t) on every PE and every link table, so
-// everything committed afterwards can only occupy time at or after t.
-// Fault-recovery checkpointing uses it to make the elapsed prefix of an
-// interrupted schedule inviolable: when a fault lands mid-run at time
-// t, the past cannot be rescheduled — post-fault execution and traffic
-// start no earlier than t. It must be called on a fresh builder, before
-// any probe or commit.
-func (b *Builder) BlockPast(t int64) error {
-	if t <= 0 {
-		return nil
-	}
-	if b.nCommitted > 0 || b.blocked > 0 {
-		return fmt.Errorf("sched: BlockPast(%d) on a builder already in use", t)
-	}
-	b.invalidate()
-	for i := range b.peTables {
-		if err := b.peTables[i].Reserve(0, t); err != nil {
-			return fmt.Errorf("sched: block PE %d prefix: %w", i, err)
-		}
-	}
-	for i := range b.linkTables {
-		if err := b.linkTables[i].Reserve(0, t); err != nil {
-			return fmt.Errorf("sched: block link %d prefix: %w", i, err)
-		}
-	}
-	b.blocked = t
-	return nil
-}
-
-// CommitFrozen records a placement checkpointed from an earlier
-// schedule without re-deriving its timing: the task keeps its PE, start
-// and finish, and the given incoming transactions keep theirs. No link
-// slots are reserved — callers must only freeze tasks whose inputs were
-// fully delivered before the blocked prefix ended, which holds for any
-// task that started before the checkpoint (a transaction finishes no
-// later than its consumer starts). The still-running tail of an
-// in-flight task (finish past the blocked prefix) is reserved on its PE
-// so newly scheduled work cannot overlap the execution already under
-// way.
-func (b *Builder) CommitFrozen(tp TaskPlacement, trans []TransactionPlacement) error {
-	t := tp.Task
-	if t < 0 || int(t) >= len(b.placed) {
-		return fmt.Errorf("sched: freeze unknown task %d", t)
-	}
-	if b.placed[t] {
-		return fmt.Errorf("sched: task %d committed twice", t)
-	}
-	if tp.Start >= b.blocked {
-		return fmt.Errorf("sched: freezing task %d starting at %d, at or past the blocked prefix %d",
-			t, tp.Start, b.blocked)
-	}
-	b.invalidate()
-	if tp.Finish > b.blocked {
-		if err := b.peTables[tp.PE].Reserve(b.blocked, tp.Finish-b.blocked); err != nil {
-			return fmt.Errorf("sched: reserve in-flight tail of task %d on PE %d: %w", t, tp.PE, err)
-		}
-	}
-	b.schedule.Tasks[t] = tp
-	for _, tr := range trans {
-		b.schedule.Transactions[tr.Edge] = tr
-	}
-	b.markPlaced(t)
-	return nil
-}
-
 // Commit permanently places task t on PE k with no ordering floor.
 func (b *Builder) Commit(t ctg.TaskID, k int) (Placement, error) {
 	return b.CommitAfter(t, k, 0)
@@ -517,16 +443,14 @@ var (
 
 // CommitOrder re-times a layout: it commits the tasks of order, each PE's
 // queue in its given sequence, every task starting no earlier than its
-// PE's previous one finishes (floor[pe] for the first; nil means 0).
-// Among the ready queue heads it commits the one with the smallest
-// max-predecessor finish (ties to the lower task ID), so link contention
-// resolves the way it would at run time. Tasks committed before the call
-// (fault recovery's frozen prefix) count as finished predecessors.
+// PE's previous one finishes. Among the ready queue heads it commits the
+// one with the smallest max-predecessor finish (ties to the lower task
+// ID), so link contention resolves the way it would at run time.
 //
 // stop, when non-nil, is called after each commit with the committed
 // task; returning true ends the rebuild with ErrStopped, leaving the
 // builder partially committed.
-func (b *Builder) CommitOrder(order [][]ctg.TaskID, floor []int64, stop func(ctg.TaskID) bool) error {
+func (b *Builder) CommitOrder(order [][]ctg.TaskID, stop func(ctg.TaskID) bool) error {
 	npe := len(order)
 	if cap(b.orderPos) < npe {
 		b.orderPos, b.orderLast = make([]int, npe), make([]int64, npe)
@@ -534,7 +458,6 @@ func (b *Builder) CommitOrder(order [][]ctg.TaskID, floor []int64, stop func(ctg
 	pos, last := b.orderPos[:npe], b.orderLast[:npe]
 	clear(pos)
 	clear(last)
-	copy(last, floor)
 	for b.nCommitted < b.g.NumTasks() {
 		best, bestPE, bestKey := ctg.TaskID(-1), -1, int64(math.MaxInt64)
 		for pe := range order {

@@ -278,93 +278,3 @@ func TestRunnableConstraint(t *testing.T) {
 		t.Errorf("commit on capable PE failed: %v", err)
 	}
 }
-
-func TestBlockPastReservesPrefix(t *testing.T) {
-	g, acg := builderRig(t)
-	a := addTask(t, g, "a", 10)
-	bld := NewBuilder(g, acg, "test")
-	if err := bld.BlockPast(50); err != nil {
-		t.Fatal(err)
-	}
-	if bld.blocked != 50 {
-		t.Fatalf("blocked = %d, want 50", bld.blocked)
-	}
-	p, err := bld.Commit(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Start < 50 {
-		t.Fatalf("commit landed at %d inside the blocked prefix [0,50)", p.Start)
-	}
-	// Blocking a builder already in use must fail.
-	if err := bld.BlockPast(60); err == nil {
-		t.Fatal("BlockPast on a used builder succeeded")
-	}
-	bld2 := NewBuilder(g, acg, "test")
-	if err := bld2.BlockPast(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := bld2.BlockPast(20); err == nil {
-		t.Fatal("double BlockPast succeeded")
-	}
-	// BlockPast(0) and negative are no-ops.
-	bld3 := NewBuilder(g, acg, "test")
-	if err := bld3.BlockPast(0); err != nil {
-		t.Fatal(err)
-	}
-	if bld3.blocked != 0 {
-		t.Fatalf("blocked = %d after no-op block", bld3.blocked)
-	}
-}
-
-func TestCommitFrozenSemantics(t *testing.T) {
-	g, acg := builderRig(t)
-	a := addTask(t, g, "a", 10)
-	b := addTask(t, g, "b", 10)
-	c := addTask(t, g, "c", 10)
-	if _, err := g.AddEdge(a, b, 500); err != nil {
-		t.Fatal(err)
-	}
-	bld := NewBuilder(g, acg, "test")
-	if err := bld.BlockPast(40); err != nil {
-		t.Fatal(err)
-	}
-	// Frozen completed task: recorded verbatim, no extra reservations.
-	if err := bld.CommitFrozen(TaskPlacement{Task: a, PE: 0, Start: 0, Finish: 10}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := bld.TaskPlacement(a); got.Start != 0 || got.Finish != 10 || got.PE != 0 {
-		t.Fatalf("frozen placement mangled: %+v", got)
-	}
-	// Frozen in-flight task: the tail past the block is reserved on its
-	// PE, so a later commit on PE 1 cannot overlap it.
-	if err := bld.CommitFrozen(TaskPlacement{Task: b, PE: 1, Start: 30, Finish: 70},
-		[]TransactionPlacement{{Edge: 0, SrcPE: 0, DstPE: 1, Start: 10, Finish: 15}}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := bld.Commit(c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Start < 70 {
-		t.Fatalf("commit on PE 1 at %d overlaps the frozen in-flight tail [40,70)", p.Start)
-	}
-	s, err := bld.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := s.Transactions[0]; tr.Start != 10 || tr.Finish != 15 {
-		t.Fatalf("frozen transaction mangled: %+v", tr)
-	}
-	// Freezing a task at or past the block is rejected.
-	bld2 := NewBuilder(g, acg, "test")
-	if err := bld2.BlockPast(40); err != nil {
-		t.Fatal(err)
-	}
-	if err := bld2.CommitFrozen(TaskPlacement{Task: a, PE: 0, Start: 40, Finish: 50}, nil); err == nil {
-		t.Fatal("froze a task starting at the block boundary")
-	}
-	if err := bld2.CommitFrozen(TaskPlacement{Task: ctg.TaskID(99), PE: 0, Start: 0, Finish: 5}, nil); err == nil {
-		t.Fatal("froze an unknown task")
-	}
-}

@@ -14,10 +14,9 @@ import (
 // table records a stamp on it, and a cached answer taken at stamp s is
 // exact while no table it reads carries a stamp after s.
 //
-// Writes that do not go through Commit (BlockPast, CommitFrozen), and
-// changes to what a probe reads besides tables (the contention model,
-// the route plan, Reset), move base instead: entries older than base
-// are stale whatever the tables say.
+// Changes to what a probe reads besides tables (the contention model,
+// the route plan, Reset) move base instead: entries older than base are
+// stale whatever the tables say.
 //
 // Entries live in rows of NumPEs, one row per ready-list slot: a task
 // takes a slot when AppendReady first lists it and frees it on commit,

@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nocsched/internal/ctg"
@@ -324,21 +325,26 @@ func TestConcurrentProbers(t *testing.T) {
 }
 
 // TestProbePoolRunCoverage checks Run visits every index exactly once
-// at several worker counts.
+// at several worker counts. n is below DefaultSequentialFloor, so the
+// default-floor runs take Run's sequential branch and the floor-0 runs
+// its fan-out.
 func TestProbePoolRunCoverage(t *testing.T) {
 	g, acg := proberRig(t, 11, 30)
-	for _, workers := range []int{1, 2, 5} {
+	for _, tc := range []struct{ workers, floor int }{
+		{1, DefaultSequentialFloor}, {5, DefaultSequentialFloor}, {2, 0}, {5, 0},
+	} {
 		b := NewBuilder(g, acg, "test")
-		pool := NewProbePool(b, workers)
-		if len(pool.probers) != workers {
-			t.Fatalf("%d probers, want %d", len(pool.probers), workers)
+		pool := NewProbePool(b, tc.workers)
+		if len(pool.probers) != tc.workers {
+			t.Fatalf("%d probers, want %d", len(pool.probers), tc.workers)
 		}
+		pool.seqFloor = tc.floor
 		const n = 97
-		hits := make([]int32, n)
-		pool.Run(n, func(pr *Prober, i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d evaluated %d times", workers, i, h)
+		hits := make([]atomic.Int32, n)
+		pool.Run(n, func(pr *Prober, i int) { hits[i].Add(1) })
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
+				t.Fatalf("workers=%d floor=%d: index %d evaluated %d times", tc.workers, tc.floor, i, h)
 			}
 		}
 	}

@@ -24,8 +24,7 @@ type RoutePlan struct {
 	acg *energy.ACG
 	n   int
 	// off[idx] .. off[idx+1] delimit the link IDs of pair idx =
-	// src*n+dst inside ids. Unroutable pairs of a partial (degraded)
-	// ACG have empty ranges, mirroring the nil route.
+	// src*n+dst inside ids; a PE's route to itself is empty.
 	off []int
 	ids []int
 }

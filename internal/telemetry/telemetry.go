@@ -160,7 +160,7 @@ func (h *Histogram) Sum() int64 {
 // per-PE-pair and per-link metrics — updated with one atomic add and no
 // per-update lookup or allocation. A nil *CounterGrid is a valid no-op
 // handle; out-of-range indices are ignored rather than panicking, so a
-// degraded platform's stray index cannot crash an instrumented run.
+// stray index cannot crash an instrumented run.
 type CounterGrid struct {
 	rows, cols int
 	cells      []atomic.Int64

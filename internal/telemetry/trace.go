@@ -86,7 +86,7 @@ func (t *Tracer) Span(name, track string) func() {
 
 // Collector bundles the two halves of the telemetry layer — a metrics
 // registry and a tracer — into the single optional handle the
-// schedulers, the fault-recovery path and the simulator accept. A nil
+// schedulers and the simulator accept. A nil
 // *Collector disables everything.
 type Collector struct {
 	Registry *Registry

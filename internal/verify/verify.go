@@ -12,18 +12,6 @@ import (
 
 // Options tunes a verification run.
 type Options struct {
-	// FrozenHorizon marks the checkpoint time of a hybrid schedule
-	// produced by online rescheduling (fault.ReplayStream): task
-	// placements starting strictly before the horizon are committed
-	// history, recorded verbatim from before one or more platform
-	// changes. Transactions delivered into a frozen receiver are
-	// checked for physical consistency (route chain validity, link
-	// occupancy, arrival before the receiver starts) but not against
-	// the current ACG, volume, or sender placement — their producer may
-	// legitimately have been re-run elsewhere after a fault, and
-	// drained edges have had their volume zeroed. Zero (the default)
-	// verifies strictly.
-	FrozenHorizon int64
 	// MaxFindings caps the number of findings collected
 	// (DefaultMaxFindings when <= 0); Report.Truncated is set when the
 	// cap is hit.
@@ -33,9 +21,9 @@ type Options struct {
 // DefaultMaxFindings bounds report size for pathological inputs.
 const DefaultMaxFindings = 1024
 
-// Check verifies a schedule strictly (no frozen horizon). It never
-// mutates the schedule and never panics on malformed placements: every
-// defect becomes a typed finding. The graph and ACG attached to the
+// Check verifies a schedule under default options. It never mutates
+// the schedule and never panics on malformed placements: every defect
+// becomes a typed finding. The graph and ACG attached to the
 // schedule are trusted (they carry their own validation); only the
 // placements are in question.
 func Check(s *sched.Schedule) *Report { return CheckOptions(s, Options{}) }
@@ -46,7 +34,7 @@ func CheckOptions(s *sched.Schedule, opts Options) *Report {
 	if max <= 0 {
 		max = DefaultMaxFindings
 	}
-	c := &checker{s: s, horizon: opts.FrozenHorizon, max: max, r: &Report{}}
+	c := &checker{s: s, max: max, r: &Report{}}
 	c.run()
 	return c.r
 }
@@ -54,10 +42,9 @@ func CheckOptions(s *sched.Schedule, opts Options) *Report {
 // checker walks one schedule. All methods are read-only with respect
 // to the schedule.
 type checker struct {
-	s       *sched.Schedule
-	horizon int64
-	max     int
-	r       *Report
+	s   *sched.Schedule
+	max int
+	r   *Report
 
 	// unsafe records that an identifier was out of range, so the
 	// schedule's own energy accessors would misindex; the energy
@@ -100,15 +87,6 @@ func (c *checker) run() {
 	if !c.unsafe {
 		c.checkEnergy()
 	}
-}
-
-// frozen reports whether task i is committed history under the frozen
-// horizon. Out-of-range slots are never frozen.
-func (c *checker) frozen(i ctg.TaskID) bool {
-	if c.horizon <= 0 || int(i) >= len(c.s.Tasks) {
-		return false
-	}
-	return c.s.Tasks[i].Start < c.horizon
 }
 
 func (c *checker) checkShape() {
@@ -256,17 +234,16 @@ func (c *checker) checkTransactions() {
 			c.unsafe = true
 			continue
 		}
-		historical := c.frozen(e.Dst)
 		if int(e.Src) < len(s.Tasks) && int(e.Dst) < len(s.Tasks) {
 			src, dst := &s.Tasks[e.Src], &s.Tasks[e.Dst]
-			if !historical && (tr.SrcPE != src.PE || tr.DstPE != dst.PE) {
+			if tr.SrcPE != src.PE || tr.DstPE != dst.PE {
 				f := find(ClassPrecedence, fmt.Sprintf(
 					"transaction %d PEs (%d->%d) disagree with task placement (%d->%d)",
 					tr.Edge, tr.SrcPE, tr.DstPE, src.PE, dst.PE))
 				f.Edge = tr.Edge
 				c.add(f)
 			}
-			if !historical && tr.Start < src.Finish {
+			if tr.Start < src.Finish {
 				f := find(ClassPrecedence, fmt.Sprintf(
 					"transaction %d starts at %d before sender task %d finishes at %d",
 					tr.Edge, tr.Start, e.Src, src.Finish))
@@ -288,28 +265,28 @@ func (c *checker) checkTransactions() {
 		if e.Volume > 0 && tr.SrcPE != tr.DstPE && bw > 0 {
 			wantDur = (e.Volume + bw - 1) / bw
 		}
-		if !historical && tr.Finish-tr.Start != wantDur {
+		if tr.Finish-tr.Start != wantDur {
 			f := find(ClassPrecedence, fmt.Sprintf(
 				"transaction %d lasts %d, want %d (volume %d over bandwidth %d)",
 				tr.Edge, tr.Finish-tr.Start, wantDur, e.Volume, bw))
 			f.Edge = tr.Edge
 			c.add(f)
 		}
-		c.checkRoute(tr, historical, wantDur)
+		c.checkRoute(tr, wantDur)
 	}
 }
 
 // checkRoute verifies one transaction's route from first principles
 // against the topology: it must be a connected chain of existing links
 // from the source tile to the destination tile, never revisiting a
-// link; zero-time transactions must not occupy the network at all. For
-// non-historical transactions it additionally must match the ACG's
-// deterministic route (the paper's static XY/shortest-path routing).
-func (c *checker) checkRoute(tr *sched.TransactionPlacement, historical bool, wantDur int64) {
+// link, and it must match the ACG's deterministic route (the paper's
+// static XY/shortest-path routing); zero-time transactions must not
+// occupy the network at all.
+func (c *checker) checkRoute(tr *sched.TransactionPlacement, wantDur int64) {
 	acg := c.s.ACG
 	topo := acg.Platform().Topo
 	numLinks := topo.NumLinks()
-	if !historical && wantDur == 0 {
+	if wantDur == 0 {
 		if len(tr.Route) != 0 {
 			f := find(ClassRoute, fmt.Sprintf("zero-time transaction %d occupies a %d-link route",
 				tr.Edge, len(tr.Route)))
@@ -319,12 +296,10 @@ func (c *checker) checkRoute(tr *sched.TransactionPlacement, historical bool, wa
 		return
 	}
 	if len(tr.Route) == 0 {
-		if !historical && wantDur > 0 {
-			f := find(ClassRoute, fmt.Sprintf("transaction %d (PE %d -> PE %d) carries data but has no route",
-				tr.Edge, tr.SrcPE, tr.DstPE))
-			f.Edge = tr.Edge
-			c.add(f)
-		}
+		f := find(ClassRoute, fmt.Sprintf("transaction %d (PE %d -> PE %d) carries data but has no route",
+			tr.Edge, tr.SrcPE, tr.DstPE))
+		f.Edge = tr.Edge
+		c.add(f)
 		return
 	}
 	at := noc.TileID(tr.SrcPE)
@@ -362,9 +337,6 @@ func (c *checker) checkRoute(tr *sched.TransactionPlacement, historical bool, wa
 			tr.Edge, at, tr.DstPE))
 		f.Edge = tr.Edge
 		c.add(f)
-		return
-	}
-	if historical {
 		return
 	}
 	want := acg.Route(tr.SrcPE, tr.DstPE)

@@ -105,6 +105,20 @@ func findLink(t *testing.T, topo noc.Topology, from, to noc.TileID) noc.LinkID {
 	return -1
 }
 
+// zeroHopsFrom is a user-defined topology that routes like the one it
+// wraps but reports zero hops for every route leaving tile from.
+type zeroHopsFrom struct {
+	noc.Topology
+	from noc.TileID
+}
+
+func (z zeroHopsFrom) Hops(src, dst noc.TileID) int {
+	if src == z.from {
+		return 0
+	}
+	return z.Topology.Hops(src, dst)
+}
+
 // TestKnownBadSchedules mutates the known-good rig one violation class
 // at a time and asserts the oracle reports exactly the expected typed
 // finding.
@@ -298,22 +312,16 @@ func TestKnownBadSchedules(t *testing.T) {
 		{
 			name: "energy priced over unroutable pair",
 			mutate: func(t *testing.T, s *sched.Schedule) {
-				// Rebind the schedule to a degraded platform where the
-				// b->c pair has lost its route: the recorded energy
-				// becomes unaccountable.
-				topo := s.ACG.Platform().Topo
-				dead := []noc.LinkID{
-					findLink(t, topo, 2, 3), findLink(t, topo, 2, 0),
-				}
-				dt, err := noc.NewDegradedTopology(topo, nil, dead)
+				// Rebind the schedule to a topology that still routes
+				// every pair but reports zero hops out of tile 2, where
+				// b runs: the energy recorded for b->c becomes
+				// unaccountable.
+				old := s.ACG.Platform()
+				p, err := noc.NewPlatform(zeroHopsFrom{old.Topo, 2}, old.Classes, old.LinkBandwidth)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := noc.NewPlatform(dt, s.ACG.Platform().Classes, s.ACG.Platform().LinkBandwidth)
-				if err != nil {
-					t.Fatal(err)
-				}
-				acg, err := energy.BuildACGPartial(p, s.ACG.Model())
+				acg, err := energy.BuildACG(p, s.ACG.Model())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,10 +19,7 @@
 //   - a pseudo-TGFF random benchmark generator and synthetic MP3/H.263
 //     multimedia system benchmarks;
 //   - a flit-level wormhole network simulator that replays schedules
-//     and independently verifies the scheduler's contention model,
-//     with optional hardware-fault injection;
-//   - a fault model (dead PEs, routers, links) with platform
-//     degradation and fault-tolerant schedule recovery;
+//     and independently verifies the scheduler's contention model;
 //   - a unified telemetry layer: a zero-dependency metrics registry,
 //     scheduler phase tracing and Chrome trace_event export (schedules
 //     rendered one track per PE and per link, loadable in Perfetto);
@@ -47,7 +44,6 @@ import (
 	"nocsched/internal/eas"
 	"nocsched/internal/edf"
 	"nocsched/internal/energy"
-	"nocsched/internal/fault"
 	"nocsched/internal/msb"
 	"nocsched/internal/noc"
 	"nocsched/internal/obs"
@@ -231,8 +227,7 @@ type VerifyFinding = verify.Finding
 // VerifyClass partitions findings by the invariant they violate.
 type VerifyClass = verify.Class
 
-// VerifyOptions tune the oracle: a frozen-checkpoint horizon for hybrid
-// (post-fault) schedules and a findings cap.
+// VerifyOptions tune the oracle: a findings cap.
 type VerifyOptions = verify.Options
 
 // Finding classes, one per verified invariant family.
@@ -305,7 +300,7 @@ func DLS(g *Graph, acg *ACG) (*Schedule, error) {
 }
 
 // ---------------------------------------------------------------------
-// Batch scheduling (internal/batch, DESIGN.md §10).
+// Batch scheduling (internal/batch, DESIGN.md §8).
 
 // BatchEngine schedules streams of independent instances over a worker
 // pool with reusable builders and shared per-platform route plans,
@@ -425,63 +420,11 @@ type SimResult = sim.Result
 // energy.
 var Replay = sim.Replay
 
-// SimFault is one hardware failure injected into a replay (see
-// SimOptions.Faults): the named resource dies permanently at Cycle and
-// packets depending on it are dropped and reported as failures.
-type SimFault = sim.Fault
-
-// SimFaultKind selects what a SimFault kills.
-type SimFaultKind = sim.FaultKind
-
-// Simulator fault kinds.
-const (
-	SimFaultLink          = sim.FaultLink
-	SimFaultRouter        = sim.FaultRouter
-	SimFaultPE            = sim.FaultPE
-	SimFaultTransientLink = sim.FaultTransientLink
-)
-
-// ErrBadSimFault marks an invalid SimOptions.Faults entry (out-of-range
-// resource, duplicate injection, non-positive transient duration); test
-// with errors.Is.
-var ErrBadSimFault = sim.ErrBadFault
-
-// RetxOptions configures the end-to-end retransmission protocol that
-// recovers packets corrupted by transient link faults: per-packet
-// delivery timeout, bounded retries, exponential backoff. The zero
-// value disables retransmission.
-type RetxOptions = sim.RetxOptions
-
-// PacketStatus classifies the simulated fate of one packet: delivered
-// on the first attempt, delivered after retransmission, or dropped.
-type PacketStatus = sim.PacketStatus
-
-// Packet fates.
-const (
-	PacketDelivered     = sim.StatusDelivered
-	PacketRetransmitted = sim.StatusRetransmitted
-	PacketDropped       = sim.StatusDropped
-)
-
-// SimImpact projects a replay's packet outcomes (drops, retransmission
-// delays) through the task graph's precedence constraints; its HitRatio
-// is the headline resilience metric of the fault campaigns.
-type SimImpact = sim.Impact
-
-// SimTaskImpact is the projected effect on one task.
-type SimTaskImpact = sim.TaskImpact
-
-// AssessImpact propagates a replay's packet outcomes through a
-// schedule's task graph: late packets delay consumers, dropped packets
-// starve them and everything downstream.
-var AssessImpact = sim.AssessImpact
-
 // ---------------------------------------------------------------------
 // Telemetry (internal/telemetry).
 
 // Telemetry bundles a metrics registry and a phase tracer into the one
-// optional handle the schedulers, fault recovery and the simulator
-// accept (EASOptions.Telemetry, EDFOptions.Telemetry,
+// optional handle the schedulers and the simulator accept (EASOptions.Telemetry, EDFOptions.Telemetry,
 // SimOptions.Telemetry). A nil *Telemetry disables collection at zero
 // cost; attaching one never changes scheduling decisions (schedules
 // stay bit-identical, guarded by differential tests).
@@ -520,7 +463,7 @@ var (
 )
 
 // ---------------------------------------------------------------------
-// Live observability plane (internal/obs, DESIGN.md §11).
+// Live observability plane (internal/obs, DESIGN.md §9).
 
 // ObsOptions configures ServeObservability: the telemetry registry to
 // expose and an optional readiness probe for /readyz.
@@ -563,105 +506,3 @@ var (
 	ValidatePrometheus    = obs.ValidateExposition
 	ValidateMetricsStream = obs.ValidateSnapshotStream
 )
-
-// ---------------------------------------------------------------------
-// Fault tolerance (internal/fault).
-
-// FaultScenario is a JSON-serializable set of permanent hardware
-// failures: dead PEs, dead routers (tile plus adjacent links) and dead
-// directed links.
-type FaultScenario = fault.Scenario
-
-// DegradedPlatform is a platform with a fault scenario applied: same
-// tile and link numbering, dead hardware removed from routing, dead PEs
-// flagged.
-type DegradedPlatform = fault.Degraded
-
-// FaultRecoverOptions configures RecoverSchedule.
-type FaultRecoverOptions = fault.Options
-
-// FaultRecovery is the outcome of RecoverSchedule: the recovered
-// schedule, the degraded problem instance it is bound to, the triage of
-// what the scenario invalidated, and recovery statistics.
-type FaultRecovery = fault.Recovery
-
-// FaultRecoveryStats summarizes what a recovery did and cost.
-type FaultRecoveryStats = fault.Stats
-
-// FaultTriage classifies what a scenario invalidates in a schedule.
-type FaultTriage = fault.Triage
-
-// Typed unrecoverability causes returned (wrapped) by DegradePlatform
-// and RecoverSchedule; test with errors.Is.
-var (
-	// ErrFaultDisconnected marks a scenario that splits the surviving
-	// tiles into mutually unreachable islands.
-	ErrFaultDisconnected = fault.ErrDisconnected
-	// ErrFaultNoCapablePE marks a scenario that leaves some task with
-	// no surviving PE able to execute it.
-	ErrFaultNoCapablePE = fault.ErrNoCapablePE
-)
-
-// DegradePlatform applies a fault scenario to a platform, producing a
-// degraded topology whose deterministic routes avoid the dead hardware
-// and a partial ACG for it.
-var DegradePlatform = fault.Degrade
-
-// RecoverSchedule re-maps a fault-free schedule onto the platform
-// degraded by the scenario, migrating stranded tasks and re-running the
-// EAS repair moves (with a full EAS re-run as fallback).
-var RecoverSchedule = fault.Recover
-
-// ReadFaultScenario decodes a fault scenario from JSON.
-var ReadFaultScenario = fault.ReadScenario
-
-// RandomFaultScenario draws a reproducible k-fault scenario over a
-// platform's resources from the given random stream.
-var RandomFaultScenario = fault.Random
-
-// FaultShedOptions bounds graceful degradation (RecoverDegradedSchedule).
-type FaultShedOptions = fault.ShedOptions
-
-// FaultDegradedResult is the outcome of graceful degradation: the tasks
-// shed (by criticality — soft subgraphs first, then most-blown slack),
-// the recovery built on what remains, residual deadline misses and the
-// energy delta of shedding.
-type FaultDegradedResult = fault.DegradedResult
-
-// RecoverDegradedSchedule recovers like RecoverSchedule but never gives
-// up on a typed unrecoverability or residual deadline misses: it
-// restricts execution to the largest surviving island when the fabric
-// splits, and sheds tasks by criticality until the remaining schedule
-// is feasible (or the shed budget is exhausted).
-var RecoverDegradedSchedule = fault.RecoverDegraded
-
-// DegradePlatformRestricted applies a scenario like DegradePlatform but
-// survives a disconnected fabric by restricting execution to the
-// largest surviving island instead of failing with ErrFaultDisconnected.
-var DegradePlatformRestricted = fault.DegradeRestricted
-
-// FaultStreamEvent is one timestamped batch of permanent failures in an
-// online fault stream.
-type FaultStreamEvent = fault.StreamEvent
-
-// FaultStream is a time-ordered sequence of fault events consumed
-// mid-run: at each event the committed prefix of the schedule is
-// checkpointed and only the not-yet-started suffix is rescheduled.
-type FaultStream = fault.Stream
-
-// FaultStreamOptions configures ReplayFaultStream.
-type FaultStreamOptions = fault.StreamOptions
-
-// FaultStreamStep reports what one stream event froze, rescheduled and
-// shed.
-type FaultStreamStep = fault.StreamStep
-
-// FaultStreamResult is the outcome of replaying a fault stream: the
-// final hybrid schedule (frozen prefix + rebuilt suffix), the per-event
-// steps and the cumulative shed set.
-type FaultStreamResult = fault.StreamResult
-
-// ReplayFaultStream replays an online fault stream against a schedule,
-// checkpointing at each event and incrementally rescheduling the
-// not-yet-started suffix onto the surviving hardware.
-var ReplayFaultStream = fault.ReplayStream

@@ -2,7 +2,6 @@ package nocsched_test
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"net/http"
 	"sync/atomic"
@@ -193,184 +192,6 @@ func TestPublicAPIBaselinesAndAnalysis(t *testing.T) {
 	}
 	if u.NumTasks() != 4 {
 		t.Errorf("unrolled tasks = %d", u.NumTasks())
-	}
-}
-
-// TestPublicAPIFaultTolerance exercises the fault-tolerance facade:
-// write/read a scenario, degrade a platform, recover a schedule, replay
-// it with the faults injected.
-func TestPublicAPIFaultTolerance(t *testing.T) {
-	platform, err := nocsched.NewHeterogeneousMesh(3, 3, nocsched.RouteXY, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acg, err := nocsched.BuildACG(platform, nocsched.DefaultEnergyModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := nocsched.GenerateTGFF(nocsched.TGFFParams{
-		Name: "api-fault", Seed: 3, NumTasks: 24, MaxInDegree: 3,
-		LocalityWindow: 8, TaskTypes: 5, ExecMin: 20, ExecMax: 200,
-		HeteroSpread: 0.5, VolumeMin: 256, VolumeMax: 4096,
-		DeadlineLaxity: 3, DeadlineFraction: 1, Platform: platform,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := nocsched.EAS(g, acg, nocsched.EASOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Scenario JSON round trip through the facade.
-	sc := &nocsched.FaultScenario{Name: "api", PEs: []nocsched.TileID{4}}
-	var buf bytes.Buffer
-	if err := sc.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc2, err := nocsched.ReadFaultScenario(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := nocsched.DegradePlatform(platform, nocsched.DefaultEnergyModel(), sc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.AlivePEs() != 8 {
-		t.Errorf("AlivePEs = %d, want 8", d.AlivePEs())
-	}
-
-	rec, err := nocsched.RecoverSchedule(res.Schedule, sc2, nocsched.FaultRecoverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Schedule.Validate(); err != nil {
-		t.Fatalf("recovered schedule invalid: %v", err)
-	}
-	sim, err := nocsched.Replay(rec.Schedule, nocsched.SimOptions{Faults: sc2.SimFaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Failures != 0 {
-		t.Errorf("recovered schedule lost %d packets", sim.Failures)
-	}
-
-	// Typed errors are visible through the facade.
-	island := &nocsched.FaultScenario{Routers: []nocsched.TileID{1, 3}}
-	if _, err := nocsched.RecoverSchedule(res.Schedule, island, nocsched.FaultRecoverOptions{}); !errors.Is(err, nocsched.ErrFaultDisconnected) {
-		t.Errorf("error %v does not wrap ErrFaultDisconnected", err)
-	}
-}
-
-// TestPublicAPIResilience exercises the resilience facade: transient
-// faults with retransmission and impact assessment, an online fault
-// stream, and graceful degradation of an unrecoverable scenario.
-func TestPublicAPIResilience(t *testing.T) {
-	platform, err := nocsched.NewHeterogeneousMesh(3, 3, nocsched.RouteXY, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acg, err := nocsched.BuildACG(platform, nocsched.DefaultEnergyModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := nocsched.GenerateTGFF(nocsched.TGFFParams{
-		Name: "api-resil", Seed: 5, NumTasks: 24, MaxInDegree: 3,
-		LocalityWindow: 8, TaskTypes: 5, ExecMin: 20, ExecMax: 200,
-		HeteroSpread: 0.5, VolumeMin: 256, VolumeMax: 4096,
-		DeadlineLaxity: 2, DeadlineFraction: 1, Platform: platform,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := nocsched.EAS(g, acg, nocsched.EASOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Schedule
-
-	// A transient window over one routed transaction: dropped without
-	// retries, recovered (and visible in the impact) with them.
-	var f nocsched.SimFault
-	for i := range s.Transactions {
-		if tr := &s.Transactions[i]; len(tr.Route) > 0 {
-			f = nocsched.SimFault{
-				Kind: nocsched.SimFaultTransientLink, Link: tr.Route[0],
-				Cycle:    tr.Start,
-				Duration: tr.Finish - tr.Start + int64(len(tr.Route)) + 4,
-			}
-			break
-		}
-	}
-	dropped, err := nocsched.Replay(s, nocsched.SimOptions{Faults: []nocsched.SimFault{f}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped.Failures == 0 {
-		t.Fatal("transient window corrupted nothing")
-	}
-	retried, err := nocsched.Replay(s, nocsched.SimOptions{
-		Faults: []nocsched.SimFault{f},
-		Retx:   nocsched.RetxOptions{MaxRetries: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retried.Failures != 0 || retried.Retransmitted == 0 || retried.RetryEnergy <= 0 {
-		t.Fatalf("retransmission did not recover: %d failed, %d retx, retry energy %v",
-			retried.Failures, retried.Retransmitted, retried.RetryEnergy)
-	}
-	imDrop, err := nocsched.AssessImpact(s, dropped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imRetry, err := nocsched.AssessImpact(s, retried)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imRetry.HitRatio() <= imDrop.HitRatio() {
-		t.Errorf("retry hit ratio %v not above drop baseline %v",
-			imRetry.HitRatio(), imDrop.HitRatio())
-	}
-
-	// Online fault stream: a PE dies mid-run, the prefix survives
-	// verbatim and the suffix is rescheduled off the dead tile.
-	mid := s.Makespan() / 2
-	stream := nocsched.FaultStream{{Time: mid, PEs: []nocsched.TileID{4}}}
-	sr, err := nocsched.ReplayFaultStream(s, stream, nocsched.FaultStreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Steps) != 1 || sr.Steps[0].Rescheduled == 0 {
-		t.Fatalf("stream steps = %+v", sr.Steps)
-	}
-	if err := sr.Schedule.Validate(); err != nil {
-		t.Fatalf("stream schedule invalid: %v", err)
-	}
-	for i := range sr.Schedule.Tasks {
-		tp := &sr.Schedule.Tasks[i]
-		if tp.PE == 4 && tp.Start >= mid {
-			t.Fatalf("task %d scheduled on the dead PE after the event", i)
-		}
-	}
-
-	// Graceful degradation of a fabric split: the island restriction
-	// succeeds where plain recovery returns the typed error.
-	split := &nocsched.FaultScenario{Name: "split", Routers: []nocsched.TileID{3, 4, 5}}
-	if _, err := nocsched.RecoverSchedule(s, split, nocsched.FaultRecoverOptions{}); !errors.Is(err, nocsched.ErrFaultDisconnected) {
-		t.Fatalf("error %v does not wrap ErrFaultDisconnected", err)
-	}
-	deg, err := nocsched.RecoverDegradedSchedule(s, split,
-		nocsched.FaultRecoverOptions{}, nocsched.FaultShedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deg.Recovery.Degraded.AlivePEs() != 3 {
-		t.Errorf("island size = %d, want 3", deg.Recovery.Degraded.AlivePEs())
-	}
-	if err := deg.Recovery.Schedule.Validate(); err != nil {
-		t.Fatalf("degraded schedule invalid: %v", err)
 	}
 }
 
