@@ -1,15 +1,14 @@
-// Resilience: survive faults that strike while the system is running.
-// Three escalating stories on one 3x3 benchmark:
+// Resilience: replay a static schedule against hardware faults that
+// strike while the system is running, on one 3x3 benchmark:
 //
 //  1. Transient link glitches corrupt packets in flight; the
 //     end-to-end retransmission protocol buys the deadlines back for a
 //     measurable energy premium (retry energy, Eq. 2 accounting).
-//  2. A router dies mid-run: the online fault stream checkpoints the
-//     committed prefix of the schedule and incrementally reschedules
-//     only the work that has not started yet.
-//  3. The fabric splits so badly that no full recovery exists; graceful
-//     degradation restricts execution to the largest surviving island
-//     and sheds the least-critical tasks until the rest is feasible.
+//  2. The busiest tile's router dies mid-run (a permanent fault
+//     scenario read from JSON): every packet still to cross it is
+//     lost, and the impact assessment shows which deadlines the static
+//     schedule can no longer meet.
+//  3. Random permanent-fault scenarios, reproducible from a seed.
 //
 // Run with: go run ./examples/resilience
 package main
@@ -17,6 +16,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
+	"os"
+	"strings"
 
 	"nocsched"
 )
@@ -83,39 +85,67 @@ func main() {
 	}
 
 	// --- 2. A router dies mid-run --------------------------------------
-	// The stream event freezes everything already started at the fault
-	// instant and reschedules only the suffix; tasks interrupted on the
-	// dead tile re-run elsewhere.
-	stream := nocsched.FaultStream{{
-		Time:    s.Makespan() / 2,
-		Routers: []nocsched.TileID{4},
-	}}
-	sr, err := nocsched.ReplayFaultStream(s, stream, nocsched.FaultStreamOptions{})
+	// A permanent fault scenario in its JSON form: the router of the
+	// busiest tile dies halfway through the schedule. Packets that still
+	// need it are dropped and starve their consumers, and the tasks on
+	// its tile that have not finished by then are stranded; retries
+	// cannot route around dead hardware.
+	load := make(map[int]int)
+	busiest := 0
+	for _, tp := range s.Tasks {
+		if load[tp.PE]++; load[tp.PE] > load[busiest] {
+			busiest = tp.PE
+		}
+	}
+	sc, err := nocsched.ReadFaultScenario(strings.NewReader(fmt.Sprintf(
+		`{"name": "busiest-router", "routers": [%d], "cycle": %d}`, busiest, s.Makespan()/2)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, step := range sr.Steps {
-		fmt.Printf("\nt=%d router 4 dies: %d tasks frozen, %d rescheduled "+
-			"(%d interrupted, %d migrated), %d shed\n", step.Time, step.Frozen,
-			step.Rescheduled, step.Interrupted, step.Migrated, len(step.Shed))
+	if err := sc.Validate(platform); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("stream outcome: feasible=%v, energy %+.1f%%\n",
-		sr.Feasible(), 100*sr.EnergyOverhead())
+	stranded := 0
+	for _, tp := range s.Tasks {
+		if sc.DeadPE(nocsched.TileID(tp.PE)) && tp.Finish > sc.Cycle {
+			stranded++
+		}
+	}
+	sim, im := replay(s, sc.SimFaults())
+	fmt.Printf("\nt=%d router %d dies: %d tasks stranded on its tile, dropped %d of %d packets, "+
+		"hit ratio %.0f%%\n", sc.Cycle, busiest, stranded, sim.Failures, len(sim.Packets), 100*im.HitRatio())
 
-	// --- 3. Graceful degradation ---------------------------------------
-	// Killing the middle router row splits the mesh; a full recovery is
-	// impossible (typed error), so degrade: keep the biggest island and
-	// shed the least-critical tasks until the rest fits.
-	split := &nocsched.FaultScenario{Name: "mid-row", Routers: []nocsched.TileID{3, 4, 5}}
-	if _, err := nocsched.RecoverSchedule(s, split, nocsched.FaultRecoverOptions{}); err != nil {
-		fmt.Printf("\nfull recovery: %v\n", err)
+	// --- 3. Random permanent faults --------------------------------------
+	// Reproducible two-fault scenarios drawn from a seed, injected from
+	// cycle 0; the first one is printed in its JSON form.
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3; trial++ {
+		sc := nocsched.RandomFaultScenario(rng, platform, 2)
+		if trial == 0 {
+			fmt.Println()
+			if err := sc.WriteJSON(os.Stdout); err != nil {
+				log.Fatal(err)
+			}
+		}
+		sim, im := replay(s, sc.SimFaults())
+		fmt.Printf("random scenario %d (%d PEs, %d routers, %d links dead): dropped %d, hit ratio %.0f%%\n",
+			trial, len(sc.PEs), len(sc.Routers), len(sc.Links), sim.Failures, 100*im.HitRatio())
 	}
-	deg, err := nocsched.RecoverDegradedSchedule(s, split,
-		nocsched.FaultRecoverOptions{}, nocsched.FaultShedOptions{})
+}
+
+// replay runs the schedule through the simulator with the faults
+// injected and a retry budget of 3, and assesses the deadline impact.
+func replay(s *nocsched.Schedule, faults []nocsched.SimFault) (*nocsched.SimResult, *nocsched.SimImpact) {
+	sim, err := nocsched.Replay(s, nocsched.SimOptions{
+		Faults: faults,
+		Retx:   nocsched.RetxOptions{MaxRetries: 3},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("degraded: island of %d PEs, %d tasks shed, feasible=%v, "+
-		"energy %+.1f nJ\n", deg.Recovery.Degraded.AlivePEs(), len(deg.Shed),
-		deg.Feasible(), deg.EnergyDelta())
+	im, err := nocsched.AssessImpact(s, sim)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return sim, im
 }

@@ -1,42 +1,21 @@
-// Package fault models permanent hardware failures of a NoC platform —
-// dead processing elements, routers and links — and recovers static
-// schedules from them.
+// Package fault describes permanent hardware failures of a NoC
+// platform — dead processing elements, routers and links — as
+// JSON-serializable scenarios for the flit-level simulator.
 //
-// The paper schedules a CTG onto a fault-free mesh; this package turns
-// its own machinery into a survival story. A Scenario describes which
-// resources died; Degrade applies it to a platform, producing a
-// degraded topology whose deterministic routes avoid the dead hardware
-// (base XY routes where they survive, BFS shortest-path fallback where
-// they are severed) and a degraded CTG with the dead PEs marked
-// incapable; Recover triages which placements a scenario invalidates
-// and re-maps them with the existing EAS search-and-repair moves, with
-// a full EAS re-run as fallback.
-//
-// Unrecoverable scenarios are typed errors, never panics:
-// ErrDisconnected when the surviving fabric is no longer connected,
-// ErrNoCapablePE when some task has no surviving PE that can run it.
+// The paper schedules a CTG onto a fault-free mesh. A Scenario names
+// which resources died; SimFaults turns it into sim.Options.Faults, so
+// a static schedule can be replayed against the failure to see which
+// packets are lost. Random draws reproducible scenarios for sweeps.
 package fault
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 
 	"nocsched/internal/noc"
 	"nocsched/internal/sim"
-)
-
-// Typed unrecoverability causes. Errors returned by Degrade and Recover
-// wrap these; test with errors.Is.
-var (
-	// ErrDisconnected marks a scenario that splits the surviving tiles
-	// into mutually unreachable islands.
-	ErrDisconnected = errors.New("fault: scenario disconnects the surviving network")
-	// ErrNoCapablePE marks a scenario that leaves some task with no
-	// surviving PE able to execute it.
-	ErrNoCapablePE = errors.New("fault: task has no surviving capable PE")
 )
 
 // Scenario is one JSON-serializable fault set: the permanent failures
@@ -47,8 +26,8 @@ var (
 //	  "pes": [5],          // dead processing elements (router survives)
 //	  "routers": [10],     // dead routers (tile fully out of service)
 //	  "links": [3, 17],    // dead directed links
-//	  "cycle": 0           // simulator injection time (recovery treats
-//	}                      // all faults as permanent regardless)
+//	  "cycle": 0           // simulator injection time
+//	}
 type Scenario struct {
 	Name string `json:"name,omitempty"`
 	// PEs lists tiles whose processing element died. The tile's router
@@ -61,8 +40,7 @@ type Scenario struct {
 	// Links lists dead directed links (base-topology link IDs).
 	Links []noc.LinkID `json:"links,omitempty"`
 	// Cycle is the activation time used when the scenario is injected
-	// into the flit-level simulator (SimFaults). Recovery is static and
-	// treats every fault as permanent from time zero.
+	// into the flit-level simulator (SimFaults).
 	Cycle int64 `json:"cycle,omitempty"`
 }
 
@@ -150,7 +128,7 @@ func (sc *Scenario) WriteJSON(w io.Writer) error {
 }
 
 // ReadScenario decodes a scenario from JSON. Callers validate against
-// their platform with Scenario.Validate (Degrade does so itself).
+// their platform with Scenario.Validate.
 func ReadScenario(r io.Reader) (*Scenario, error) {
 	var sc Scenario
 	if err := json.NewDecoder(r).Decode(&sc); err != nil {
@@ -167,9 +145,7 @@ func ReadScenario(r io.Reader) (*Scenario, error) {
 // Draws are without replacement (every fault names a distinct
 // resource), k is capped at the resource population, and a draw that
 // would kill the last surviving PE is rejected — a scenario that
-// strands the entire workload sweeps nothing. Scenarios drawn this way
-// may still be unrecoverable in subtler ways (that is the point of
-// sweeping them).
+// strands the entire workload sweeps nothing.
 func Random(rng *rand.Rand, p *noc.Platform, k int) *Scenario {
 	sc := &Scenario{Name: fmt.Sprintf("random-%dfault", k)}
 	n, nl := p.Topo.NumTiles(), p.Topo.NumLinks()

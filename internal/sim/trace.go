@@ -14,7 +14,7 @@ import (
 // injection, or a delivery.
 type Event struct {
 	Cycle int64      `json:"cycle"`
-	Kind  string     `json:"kind"` // "inject", "hop", "deliver"
+	Kind  string     `json:"kind"` // "inject", "hop", "deliver", "drop"
 	Edge  ctg.EdgeID `json:"edge"`
 	Link  noc.LinkID `json:"link,omitempty"`
 	Tail  bool       `json:"tail,omitempty"`

@@ -2,7 +2,9 @@ package nocsched_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -192,6 +194,175 @@ func TestPublicAPIBaselinesAndAnalysis(t *testing.T) {
 	}
 	if u.NumTasks() != 4 {
 		t.Errorf("unrolled tasks = %d", u.NumTasks())
+	}
+}
+
+// TestPublicAPIFaultTolerance exercises the fault-scenario facade:
+// write/read a scenario, replay a schedule with its faults injected and
+// check that exactly the packets touching the dead hardware are lost.
+func TestPublicAPIFaultTolerance(t *testing.T) {
+	platform, err := nocsched.NewHeterogeneousMesh(3, 3, nocsched.RouteXY, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acg, err := nocsched.BuildACG(platform, nocsched.DefaultEnergyModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := nocsched.GenerateTGFF(nocsched.TGFFParams{
+		Name: "api-fault", Seed: 3, NumTasks: 24, MaxInDegree: 3,
+		LocalityWindow: 8, TaskTypes: 5, ExecMin: 20, ExecMax: 200,
+		HeteroSpread: 0.5, VolumeMin: 256, VolumeMax: 4096,
+		DeadlineLaxity: 3, DeadlineFraction: 1, Platform: platform,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := nocsched.EAS(g, acg, nocsched.EASOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Schedule
+	clean, err := nocsched.Replay(s, nocsched.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Packets) == 0 || clean.Failures != 0 {
+		t.Fatalf("fault-free replay: %d packets, %d failures", len(clean.Packets), clean.Failures)
+	}
+	// Kill the PE that receives the first packet.
+	dead := s.Transactions[clean.Packets[0].Edge].DstPE
+
+	// Scenario JSON round trip through the facade.
+	sc := &nocsched.FaultScenario{Name: "api", PEs: []nocsched.TileID{nocsched.TileID(dead)}}
+	var buf bytes.Buffer
+	if err := sc.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sc2, err := nocsched.ReadFaultScenario(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc2.Validate(platform); err != nil {
+		t.Fatal(err)
+	}
+	if sc2.Name != "api" || sc2.NumFaults() != 1 || !sc2.DeadPE(nocsched.TileID(dead)) {
+		t.Fatalf("round trip lost the scenario: %+v", sc2)
+	}
+
+	// A dead PE loses every packet sent from or to its tile and nothing
+	// else: the router keeps forwarding through traffic.
+	sim, err := nocsched.Replay(s, nocsched.SimOptions{Faults: sc2.SimFaults()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for i := range sim.Packets {
+		p := &sim.Packets[i]
+		tr := &s.Transactions[p.Edge]
+		touches := tr.SrcPE == dead || tr.DstPE == dead
+		if p.Failed != touches {
+			t.Errorf("edge %d (%d->%d): failed=%v", p.Edge, tr.SrcPE, tr.DstPE, p.Failed)
+		}
+		if touches {
+			lost++
+		}
+	}
+	if lost == 0 || sim.Failures != lost {
+		t.Errorf("Failures = %d, want %d (> 0)", sim.Failures, lost)
+	}
+
+	// Random scenarios are reproducible from a seed and valid, and
+	// invalid injections are typed errors.
+	r1 := nocsched.RandomFaultScenario(rand.New(rand.NewSource(9)), platform, 3)
+	r2 := nocsched.RandomFaultScenario(rand.New(rand.NewSource(9)), platform, 3)
+	if r1.NumFaults() != 3 || r1.Validate(platform) != nil {
+		t.Fatalf("random scenario %+v", r1)
+	}
+	var b1, b2 bytes.Buffer
+	if err := r1.WriteJSON(&b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.WriteJSON(&b2); err != nil {
+		t.Fatal(err)
+	}
+	if b1.String() != b2.String() {
+		t.Errorf("same seed, different scenarios:\n%s\n%s", b1.String(), b2.String())
+	}
+	bad := []nocsched.SimFault{{Kind: nocsched.SimFaultPE, Tile: 99}}
+	if _, err := nocsched.Replay(s, nocsched.SimOptions{Faults: bad}); !errors.Is(err, nocsched.ErrBadSimFault) {
+		t.Errorf("error %v does not wrap ErrBadSimFault", err)
+	}
+}
+
+// TestPublicAPIResilience exercises the resilience facade: transient
+// faults with retransmission and impact assessment.
+func TestPublicAPIResilience(t *testing.T) {
+	platform, err := nocsched.NewHeterogeneousMesh(3, 3, nocsched.RouteXY, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acg, err := nocsched.BuildACG(platform, nocsched.DefaultEnergyModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := nocsched.GenerateTGFF(nocsched.TGFFParams{
+		Name: "api-resil", Seed: 5, NumTasks: 24, MaxInDegree: 3,
+		LocalityWindow: 8, TaskTypes: 5, ExecMin: 20, ExecMax: 200,
+		HeteroSpread: 0.5, VolumeMin: 256, VolumeMax: 4096,
+		DeadlineLaxity: 2, DeadlineFraction: 1, Platform: platform,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := nocsched.EAS(g, acg, nocsched.EASOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Schedule
+
+	// A transient window over one routed transaction: dropped without
+	// retries, recovered (and visible in the impact) with them.
+	var f nocsched.SimFault
+	for i := range s.Transactions {
+		if tr := &s.Transactions[i]; len(tr.Route) > 0 {
+			f = nocsched.SimFault{
+				Kind: nocsched.SimFaultTransientLink, Link: tr.Route[0],
+				Cycle:    tr.Start,
+				Duration: tr.Finish - tr.Start + int64(len(tr.Route)) + 4,
+			}
+			break
+		}
+	}
+	dropped, err := nocsched.Replay(s, nocsched.SimOptions{Faults: []nocsched.SimFault{f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped.Failures == 0 {
+		t.Fatal("transient window corrupted nothing")
+	}
+	retried, err := nocsched.Replay(s, nocsched.SimOptions{
+		Faults: []nocsched.SimFault{f},
+		Retx:   nocsched.RetxOptions{MaxRetries: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retried.Failures != 0 || retried.Retransmitted == 0 || retried.RetryEnergy <= 0 {
+		t.Fatalf("retransmission did not recover: %d failed, %d retx, retry energy %v",
+			retried.Failures, retried.Retransmitted, retried.RetryEnergy)
+	}
+	imDrop, err := nocsched.AssessImpact(s, dropped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imRetry, err := nocsched.AssessImpact(s, retried)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imRetry.HitRatio() <= imDrop.HitRatio() {
+		t.Errorf("retry hit ratio %v not above drop baseline %v",
+			imRetry.HitRatio(), imDrop.HitRatio())
 	}
 }
 
