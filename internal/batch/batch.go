@@ -7,20 +7,17 @@
 // The engine makes the same guarantee one level up that sched.ProbePool
 // makes inside a single instance: schedules are bit-identical
 // (sched.Diff) at any worker count, and identical to what the serial
-// drivers produce with fresh builders. Three mechanisms carry the
+// drivers produce with fresh builders. Two mechanisms carry the
 // throughput:
 //
 //   - instance-level parallelism: each worker schedules whole instances
 //     end to end, so N workers keep N cores busy without any
 //     cross-instance synchronization beyond the queue;
 //   - builder reuse: each worker owns one sched.Workspace whose builder
-//     is Reset between instances, so the PE/link tables, route cache
-//     and probe scratch are allocated once per worker, not once per
-//     instance;
-//   - shared route plans: the engine precomputes one immutable
-//     sched.RoutePlan per distinct ACG and hands it to every worker,
-//     replacing one lazily-filled route cache per builder with a single
-//     read-only table per platform.
+//     is Reset between instances, so the PE/link tables, route-table
+//     pointers and probe scratch are allocated once per worker and
+//     platform, not once per instance. Routes themselves live once, in
+//     the shared read-only ACG.
 //
 // Inside each worker the probe pool defaults to one probe worker with
 // the auto sequential-floor policy (sched.DefaultSequentialFloor):
@@ -142,13 +139,9 @@ const (
 var latencyBounds = []int64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000}
 
 // Engine schedules batches of instances. One Engine may run any number
-// of streams (sequentially or concurrently); the per-ACG route-plan
-// cache persists across them.
+// of streams (sequentially or concurrently).
 type Engine struct {
 	opts Options
-
-	planMu sync.Mutex
-	plans  map[*energy.ACG]*sched.RoutePlan
 
 	mDepth     *telemetry.Gauge
 	mInstances *telemetry.Counter
@@ -167,7 +160,7 @@ func New(opts Options) *Engine {
 	if opts.InnerWorkers <= 0 {
 		opts.InnerWorkers = 1
 	}
-	e := &Engine{opts: opts, plans: make(map[*energy.ACG]*sched.RoutePlan)}
+	e := &Engine{opts: opts}
 	if r := opts.Telemetry.R(); r != nil {
 		e.mDepth = r.Gauge(MetricQueueDepth)
 		e.mInstances = r.Counter(MetricInstances)
@@ -177,31 +170,10 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Plan returns the engine's shared route plan for the ACG, computing
-// it on first use. Safe for concurrent use; the returned plan is
-// immutable.
-func (e *Engine) Plan(acg *energy.ACG) *sched.RoutePlan {
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	p := e.plans[acg]
-	if p == nil {
-		p = sched.NewRoutePlan(acg)
-		e.plans[acg] = p
-	}
-	return p
-}
-
-// DropPlan forgets the engine's cached route plan for acg. Long-lived
-// engines fed by callers that churn through platforms (the scheduling
-// daemon's ACG cache) use it to keep the plan map — which would
-// otherwise pin every ACG ever seen — bounded. Dropping an ACG that
-// was never planned is a no-op; in-flight workers holding the old plan
-// keep working (plans are immutable).
-func (e *Engine) DropPlan(acg *energy.ACG) {
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	delete(e.plans, acg)
-}
+// Plan does nothing. The ACG already holds every route the workers
+// read, so there is no per-platform state to prepare; the method stays
+// only because the nocbench harness still calls it.
+func (e *Engine) Plan(*energy.ACG) {}
 
 // job tags an instance with its submission index.
 type job struct {
@@ -349,7 +321,6 @@ func reorder(done <-chan Result, out chan<- Result) {
 // worker owns one Workspace and drains the admission queue through it.
 func (e *Engine) worker(ctx context.Context, id int, in <-chan job, done chan<- Result) {
 	ws := sched.NewWorkspace(e.opts.InnerWorkers, false)
-	var lastACG *energy.ACG
 	for j := range in {
 		e.mDepth.Add(-1)
 		r := Result{Index: j.idx, Name: j.inst.Name, Algorithm: j.inst.Algorithm, Worker: id}
@@ -359,10 +330,6 @@ func (e *Engine) worker(ctx context.Context, id int, in <-chan job, done chan<- 
 		if err := ctx.Err(); err != nil {
 			r.Err = err
 		} else {
-			if j.inst.ACG != lastACG {
-				ws.SetRoutePlan(e.Plan(j.inst.ACG))
-				lastACG = j.inst.ACG
-			}
 			started := time.Now()
 			r.Schedule, r.EAS, r.Err = e.schedule(ws, &j.inst)
 			r.Latency = time.Since(started)

@@ -72,7 +72,7 @@ func serialReference(t testing.TB, inst Instance) *sched.Schedule {
 // engine must produce bit-identical schedules (sched.Diff) at worker
 // counts 1, 2, and 8, and each must match the fresh-builder serial
 // reference — proving that neither instance-level parallelism nor
-// builder reuse nor shared route plans changes a single decision.
+// builder reuse changes a single decision.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	instances := corpusInstances(t, 42)
 	refs := make([]*sched.Schedule, len(instances))
@@ -312,29 +312,6 @@ func TestDefaultAlgorithmIsEAS(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSharesPerACG pins the per-ACG plan cache: same ACG,
-// same plan pointer; distinct ACGs, distinct plans.
-func TestPlanCacheSharesPerACG(t *testing.T) {
-	ws, err := workloadgen.Corpus(31)
-	if err != nil {
-		t.Fatalf("Corpus: %v", err)
-	}
-	eng := New(Options{})
-	if p1, p2 := eng.Plan(ws[0].ACG), eng.Plan(ws[0].ACG); p1 != p2 {
-		t.Fatal("same ACG produced two distinct plans")
-	}
-	var other *workloadgen.Workload
-	for i := range ws[1:] {
-		if ws[i+1].ACG != ws[0].ACG {
-			other = &ws[i+1]
-			break
-		}
-	}
-	if other != nil && eng.Plan(ws[0].ACG) == eng.Plan(other.ACG) {
-		t.Fatal("distinct ACGs share one plan")
-	}
-}
-
 // TestTrySubmitQueueFull pins the typed backpressure contract: a full
 // admission queue yields ErrQueueFull (retryable, 429 territory),
 // while a cancelled stream yields the context's error (terminal, 503
@@ -411,24 +388,6 @@ func TestTrySubmitDelivers(t *testing.T) {
 	if next != admitted {
 		t.Fatalf("delivered %d results for %d admissions", next, admitted)
 	}
-}
-
-// TestDropPlan pins the daemon-facing eviction hook: dropping an ACG
-// releases its plan (a fresh Plan call builds a new one) and dropping
-// an unknown ACG is a no-op.
-func TestDropPlan(t *testing.T) {
-	ws, err := workloadgen.Corpus(37)
-	if err != nil {
-		t.Fatalf("Corpus: %v", err)
-	}
-	eng := New(Options{})
-	p1 := eng.Plan(ws[0].ACG)
-	eng.DropPlan(ws[0].ACG)
-	if p2 := eng.Plan(ws[0].ACG); p1 == p2 {
-		t.Fatal("DropPlan did not release the cached plan")
-	}
-	eng.DropPlan(ws[0].ACG)
-	eng.DropPlan(ws[0].ACG) // idempotent, unknown-after-drop is fine
 }
 
 func metricValue(t *testing.T, snap telemetry.Snapshot, name string) int64 {

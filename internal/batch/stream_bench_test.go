@@ -43,8 +43,8 @@ func benchStream(b *testing.B) []Instance {
 
 // BenchmarkStreamFresh schedules the stream through the plain serial
 // entry points (eas/edf/dls.Schedule, via serialReference), a fresh
-// builder and route plan per instance. Its ratio to
-// BenchmarkStreamEngine is the builder and route-plan reuse gain.
+// builder per instance. Its ratio to BenchmarkStreamEngine is the
+// builder reuse gain.
 func BenchmarkStreamFresh(b *testing.B) {
 	stream := benchStream(b)
 	b.ResetTimer()
@@ -56,8 +56,8 @@ func BenchmarkStreamFresh(b *testing.B) {
 }
 
 // BenchmarkStreamEngine runs the same stream through a new one-worker
-// engine per iteration, so every iteration pays its own cold plan
-// cache and then reuses one builder across the stream.
+// engine per iteration, so every iteration builds one builder and
+// then reuses it across the stream.
 func BenchmarkStreamEngine(b *testing.B) {
 	stream := benchStream(b)
 	b.ResetTimer()

@@ -58,10 +58,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 		return nil, err
 	}
 
-	b, pool, err := ws.Prepare(g, acg, "dls")
-	if err != nil {
-		return nil, err
-	}
+	b, pool := ws.Prepare(g, acg, "dls")
 	// peFree[k] tracks TF(p): when PE k's committed work ends.
 	peFree := make([]int64, acg.NumPEs())
 

@@ -84,7 +84,7 @@ func Schedule(g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 // pass and the feasibility fallback share the workspace's builder and
 // probe pool (reset between passes), and a driver scheduling many
 // instances — the batch engine's workers — reuses the same workspace
-// across calls, amortizing all table and route-cache allocation.
+// across calls, amortizing all table and route-table allocation.
 // Schedules are bit-identical to Schedule's. The workspace's pool
 // configuration overrides opts.Workers.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
@@ -139,8 +139,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 		cand := &Result{Schedule: s, Budget: budget}
 		if !opts.DisableRepair && !s.Feasible() {
 			endStep = tr.Span("step3:repair", "eas phases")
-			// Step 3 rebuilds its candidates on Step 2's builder and
-			// route plan.
+			// Step 3 rebuilds its candidates on Step 2's builder.
 			repaired, stats, err := repair(ws.Builder(), s, opts.RepairBudget, opts.NaiveContention)
 			endStep()
 			if err != nil {
@@ -198,10 +197,7 @@ func deadlineFirstSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, a
 	if err != nil {
 		return nil, err
 	}
-	b, pool, err := ws.Prepare(g, acg, algorithm)
-	if err != nil {
-		return nil, err
-	}
+	b, pool := ws.Prepare(g, acg, algorithm)
 	b.SetMetrics(sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()))
 	if opts.NaiveContention {
 		b.SetContentionAware(false)
@@ -333,10 +329,7 @@ func scanRow(pr *sched.Prober, task *ctg.Task, ti ctg.TaskID, bd int64) rowEval 
 // to the historical "ti < best" tie conditions), so the schedule is
 // bit-identical at any worker count.
 func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *Budget, algorithm string, opts Options) (*sched.Schedule, error) {
-	b, pool, err := ws.Prepare(g, acg, algorithm)
-	if err != nil {
-		return nil, err
-	}
+	b, pool := ws.Prepare(g, acg, algorithm)
 	metrics := sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs())
 	b.SetMetrics(metrics)
 	if opts.NaiveContention {

@@ -192,7 +192,7 @@ func TestRebuildEarlyRejectDifferential(t *testing.T) {
 // TestRepairCandidateSteadyStateAllocs bounds the allocation of one
 // candidate rebuild on a warm builder, cut short or not: only the
 // escaping Schedule shell that Reset allocates (the struct and its two
-// placement slices) — tables, route cache and CommitOrder scratch are
+// placement slices) — tables, route tables and CommitOrder scratch are
 // reused, and the cutoff and its callback stay on the stack.
 func TestRepairCandidateSteadyStateAllocs(t *testing.T) {
 	s := tightCases(t, 1)[0].s
@@ -206,7 +206,7 @@ func TestRepairCandidateSteadyStateAllocs(t *testing.T) {
 	cands := append([]*layout{cur}, neighborhood(cur, curSched)...)
 	for i, cand := range cands[:min(len(cands), 8)] {
 		for _, cut := range []*metric{nil, &bound} {
-			rebuild(b, cand, false, cut) // warm-up: fills the lazy route cache
+			rebuild(b, cand, false, cut) // warm-up: grows the table and commit scratch
 			// 3 = Schedule struct + Tasks + Transactions.
 			if avg := testing.AllocsPerRun(10, func() { rebuild(b, cand, false, cut) }); avg > 3 {
 				t.Errorf("candidate %d (cutoff %v): rebuild allocates %.1f objects/run, want <= 3", i, cut != nil, avg)

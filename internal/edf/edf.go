@@ -43,7 +43,7 @@ func ScheduleOpts(g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule,
 
 // ScheduleWith runs the EDF baseline through a reusable workspace (see
 // eas.ScheduleWith): batch drivers reuse one workspace across many
-// instances, amortizing the builder's table and route-cache
+// instances, amortizing the builder's table and route-table
 // allocations. Schedules are bit-identical to ScheduleOpts'. The
 // workspace's pool configuration overrides opts.Workers.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
@@ -59,10 +59,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	b, pool, err := ws.Prepare(g, acg, "edf")
-	if err != nil {
-		return nil, err
-	}
+	b, pool := ws.Prepare(g, acg, "edf")
 	b.SetMetrics(sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()))
 	endDrive := opts.Telemetry.T().Span("edf:drive", "edf phases")
 	err = Drive(b, pool, dEff)

@@ -73,15 +73,26 @@ type ACG struct {
 	platform *noc.Platform
 	model    Model
 
-	n      int
-	routes [][]noc.LinkID // routes[i*n+j]
-	hops   []int          // hops[i*n+j]
-	ebit   []float64      // ebit[i*n+j], nJ per bit
+	n int
+	// The route of pair idx = i*n+j is links[off[idx]:off[idx+1]]: one
+	// backing array holds every route, in pair order.
+	off   []int
+	links []noc.LinkID
+	hops  []int     // hops[i*n+j]
+	ebit  []float64 // ebit[i*n+j], nJ per bit
 }
 
 // BuildACG precomputes the ACG for a platform under an energy model.
 // Every PE pair must be routable.
 func BuildACG(p *noc.Platform, m Model) (*ACG, error) {
+	return buildACG(p, m, func(_ []noc.LinkID, hops int) float64 { return m.BitEnergy(hops) })
+}
+
+// buildACG validates the platform and model, routes every ordered PE
+// pair into the flat storage, and prices each pair of distinct PEs
+// with ebit (a PE's transfer to itself never enters the network and
+// costs nothing).
+func buildACG(p *noc.Platform, m Model, ebit func(route []noc.LinkID, hops int) float64) (*ACG, error) {
 	if p == nil {
 		return nil, fmt.Errorf("energy: nil platform")
 	}
@@ -93,10 +104,22 @@ func BuildACG(p *noc.Platform, m Model) (*ACG, error) {
 		platform: p,
 		model:    m,
 		n:        n,
-		routes:   make([][]noc.LinkID, n*n),
+		off:      make([]int, n*n+1),
 		hops:     make([]int, n*n),
 		ebit:     make([]float64, n*n),
 	}
+	total := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			h := p.Topo.Hops(noc.TileID(i), noc.TileID(j))
+			a.hops[i*n+j] = h
+			total += max(h-1, 0)
+		}
+	}
+	// A route through h routers has h-1 links, so total sizes the flat
+	// storage in one allocation; append still grows it for a topology
+	// whose hop counts say otherwise.
+	a.links = make([]noc.LinkID, 0, total)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			idx := i*n + j
@@ -104,9 +127,11 @@ func BuildACG(p *noc.Platform, m Model) (*ACG, error) {
 			if err != nil {
 				return nil, fmt.Errorf("energy: ACG route %d->%d: %w", i, j, err)
 			}
-			a.routes[idx] = route
-			a.hops[idx] = p.Topo.Hops(noc.TileID(i), noc.TileID(j))
-			a.ebit[idx] = m.BitEnergy(a.hops[idx])
+			a.links = append(a.links, route...)
+			a.off[idx+1] = len(a.links)
+			if i != j {
+				a.ebit[idx] = ebit(route, a.hops[idx])
+			}
 		}
 	}
 	return a, nil
@@ -122,8 +147,25 @@ func (a *ACG) Model() Model { return a.model }
 func (a *ACG) NumPEs() int { return a.n }
 
 // Route returns r_ij, the precomputed route from PE i to PE j. The
-// returned slice aliases ACG storage and must not be mutated.
-func (a *ACG) Route(i, j int) []noc.LinkID { return a.routes[i*a.n+j] }
+// returned slice aliases ACG storage and must not be mutated; its
+// capacity ends with the route, so an append to it copies rather than
+// overwriting the next pair's route.
+func (a *ACG) Route(i, j int) []noc.LinkID {
+	lo, hi := a.RouteSpan(i, j)
+	return a.links[lo:hi:hi]
+}
+
+// RouteSpan returns the bounds of r_ij in Links: Route(i, j) is
+// Links()[lo:hi]. Per-link data kept in the same order (the
+// scheduler's link-table pointers) is sliced by the same bounds.
+func (a *ACG) RouteSpan(i, j int) (lo, hi int) {
+	idx := i*a.n + j
+	return a.off[idx], a.off[idx+1]
+}
+
+// Links returns the flat storage every route slices, pair by pair in
+// (i, j) order. It must not be mutated.
+func (a *ACG) Links() []noc.LinkID { return a.links }
 
 // Hops returns n_hops from PE i to PE j.
 func (a *ACG) Hops(i, j int) int { return a.hops[i*a.n+j] }

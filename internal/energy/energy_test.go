@@ -1,7 +1,9 @@
 package energy
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,30 +67,136 @@ func TestBuildACGValidation(t *testing.T) {
 	}
 }
 
-func TestACGConsistency(t *testing.T) {
-	a := buildTestACG(t)
-	m := testModel()
-	topo := a.Platform().Topo
-	for i := 0; i < a.NumPEs(); i++ {
-		for j := 0; j < a.NumPEs(); j++ {
-			route := a.Route(i, j)
-			hops := a.Hops(i, j)
-			if i == j {
-				if len(route) != 0 || hops != 0 || a.BitEnergy(i, j) != 0 {
-					t.Fatalf("self pair (%d) has network cost", i)
-				}
-				continue
+// consistencyTopologies are the topologies whose flat ACG routes
+// TestACGConsistency checks pair by pair against the routing function.
+func consistencyTopologies(t *testing.T) []noc.Topology {
+	t.Helper()
+	var topos []noc.Topology
+	for _, side := range []int{2, 3, 4, 8, 16} {
+		for _, scheme := range []noc.RoutingScheme{noc.RouteXY, noc.RouteYX} {
+			m, err := noc.NewMesh(side, side, scheme)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(route)+1 != hops {
-				t.Errorf("pair (%d,%d): route len %d, hops %d", i, j, len(route), hops)
-			}
-			if want := m.BitEnergy(hops); !almostEq(a.BitEnergy(i, j), want) {
-				t.Errorf("pair (%d,%d): BitEnergy %v, want %v", i, j, a.BitEnergy(i, j), want)
-			}
-			if got := topo.Hops(noc.TileID(i), noc.TileID(j)); got != hops {
-				t.Errorf("pair (%d,%d): ACG hops %d, topology hops %d", i, j, hops, got)
-			}
+			topos = append(topos, m)
 		}
+	}
+	tor, err := noc.NewTorus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honey, err := noc.NewHoneycomb(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bidirectional 9-tile ring of examples/customtopo.
+	adj := make([][]noc.TileID, 9)
+	for i := range adj {
+		adj[i] = []noc.TileID{noc.TileID((i + 1) % 9), noc.TileID((i + 8) % 9)}
+	}
+	ring, err := noc.NewGraphTopology("ring9", adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(topos, tor, honey, ring)
+}
+
+// TestACGConsistency checks, for every ordered PE pair of each
+// topology, that the ACG's flat route equals the topology's route and
+// ends its capacity with the route, and that hops and bit energy match.
+func TestACGConsistency(t *testing.T) {
+	m := testModel()
+	for _, topo := range consistencyTopologies(t) {
+		t.Run(topo.Name(), func(t *testing.T) {
+			classes := make([]noc.PEClass, topo.NumTiles())
+			for i := range classes {
+				classes[i] = noc.ClassRISC
+			}
+			p, err := noc.NewPlatform(topo, classes, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := BuildACG(p, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < a.NumPEs(); i++ {
+				for j := 0; j < a.NumPEs(); j++ {
+					route := a.Route(i, j)
+					hops := a.Hops(i, j)
+					if cap(route) != len(route) {
+						t.Fatalf("pair (%d,%d): route cap %d, len %d", i, j, cap(route), len(route))
+					}
+					want, err := topo.Route(noc.TileID(i), noc.TileID(j))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(route, want) {
+						t.Fatalf("pair (%d,%d): ACG route %v, topology route %v", i, j, route, want)
+					}
+					if got := topo.Hops(noc.TileID(i), noc.TileID(j)); got != hops {
+						t.Fatalf("pair (%d,%d): ACG hops %d, topology hops %d", i, j, hops, got)
+					}
+					if i == j {
+						if len(route) != 0 || hops != 0 || a.BitEnergy(i, j) != 0 {
+							t.Fatalf("self pair (%d) has network cost", i)
+						}
+						continue
+					}
+					if len(route)+1 != hops {
+						t.Fatalf("pair (%d,%d): route len %d, hops %d", i, j, len(route), hops)
+					}
+					if want := m.BitEnergy(hops); !almostEq(a.BitEnergy(i, j), want) {
+						t.Fatalf("pair (%d,%d): BitEnergy %v, want %v", i, j, a.BitEnergy(i, j), want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBuildACGAllocs pins the allocations of a 4x4 ACG build.
+func TestBuildACGAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guard is meaningless under -race")
+	}
+	p, err := noc.NewHeterogeneousMesh(4, 4, noc.RouteXY, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := BuildACG(p, DefaultModel()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > buildACG4x4Allocs {
+		t.Errorf("4x4 BuildACG allocates %.0f objects, want <= %d", allocs, buildACG4x4Allocs)
+	}
+}
+
+// buildACG4x4Allocs is the measured allocation count of a 4x4
+// BuildACG: the 240 routes the mesh returns, the ACG struct, its three
+// per-pair arrays and its flat link storage. Formatting the topology
+// name per route, as Route once did on its success path, would add two
+// allocations per route.
+const buildACG4x4Allocs = 245
+
+// BenchmarkBuildACG times the ACG build of the default 4x4 platform
+// and of a 16x16 mesh.
+func BenchmarkBuildACG(b *testing.B) {
+	for _, side := range []int{4, 16} {
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			p, err := noc.NewHeterogeneousMesh(side, side, noc.RouteXY, 256)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, err := BuildACG(p, DefaultModel()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -22,13 +22,7 @@ import (
 // scale must have one entry per topology link; 1.0 reproduces BuildACG
 // exactly. Non-positive entries are rejected.
 func BuildACGWeighted(p *noc.Platform, m Model, scale []float64) (*ACG, error) {
-	if p == nil {
-		return nil, fmt.Errorf("energy: nil platform")
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if len(scale) != p.Topo.NumLinks() {
+	if p != nil && len(scale) != p.Topo.NumLinks() {
 		return nil, fmt.Errorf("energy: %d link scales for %d links", len(scale), p.Topo.NumLinks())
 	}
 	for l, s := range scale {
@@ -36,35 +30,13 @@ func BuildACGWeighted(p *noc.Platform, m Model, scale []float64) (*ACG, error) {
 			return nil, fmt.Errorf("energy: non-positive scale %g for link %d", s, l)
 		}
 	}
-	n := p.NumPEs()
-	a := &ACG{
-		platform: p,
-		model:    m,
-		n:        n,
-		routes:   make([][]noc.LinkID, n*n),
-		hops:     make([]int, n*n),
-		ebit:     make([]float64, n*n),
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			idx := i*n + j
-			route, err := p.Topo.Route(noc.TileID(i), noc.TileID(j))
-			if err != nil {
-				return nil, fmt.Errorf("energy: ACG route %d->%d: %w", i, j, err)
-			}
-			a.routes[idx] = route
-			a.hops[idx] = p.Topo.Hops(noc.TileID(i), noc.TileID(j))
-			if i == j {
-				continue
-			}
-			e := float64(len(route)+1) * m.ESbit
-			for _, l := range route {
-				e += scale[l] * m.ELbit
-			}
-			a.ebit[idx] = e
+	return buildACG(p, m, func(route []noc.LinkID, _ int) float64 {
+		e := float64(len(route)+1) * m.ESbit
+		for _, l := range route {
+			e += scale[l] * m.ELbit
 		}
-	}
-	return a, nil
+		return e
+	})
 }
 
 // UniformLinkScale returns an all-ones scale slice for a topology,

@@ -130,10 +130,7 @@ func (g *GraphTopology) Link(id LinkID) Link { return g.links[id] }
 
 // Route implements Topology by following the precomputed next-hop table.
 func (g *GraphTopology) Route(src, dst TileID) ([]LinkID, error) {
-	if err := checkTile(src, g.n, g.name); err != nil {
-		return nil, err
-	}
-	if err := checkTile(dst, g.n, g.name); err != nil {
+	if err := checkRoute(g, src, dst); err != nil {
 		return nil, err
 	}
 	if src == dst {

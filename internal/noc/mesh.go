@@ -131,10 +131,7 @@ func (m *Mesh) LinkBetween(from, to TileID) (LinkID, error) {
 
 // Route implements Topology using minimal dimension-ordered routing.
 func (m *Mesh) Route(src, dst TileID) ([]LinkID, error) {
-	if err := checkTile(src, m.NumTiles(), m.Name()); err != nil {
-		return nil, err
-	}
-	if err := checkTile(dst, m.NumTiles(), m.Name()); err != nil {
+	if err := checkRoute(m, src, dst); err != nil {
 		return nil, err
 	}
 	if src == dst {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -134,11 +135,15 @@ func TestRouteSelfAndErrors(t *testing.T) {
 	if err != nil || len(r) != 0 {
 		t.Errorf("self route = %v, %v", r, err)
 	}
-	if _, err := m.Route(-1, 0); err == nil {
-		t.Error("negative tile accepted")
-	}
-	if _, err := m.Route(0, 99); err == nil {
-		t.Error("out-of-range tile accepted")
+	// The topology name is formatted only on the error path; the
+	// error must still carry it.
+	for _, c := range [][2]TileID{{-1, 0}, {0, 99}, {4, 4}} {
+		_, err := m.Route(c[0], c[1])
+		if err == nil {
+			t.Errorf("Route(%d, %d) accepted", c[0], c[1])
+		} else if !strings.Contains(err.Error(), "mesh2x2-xy") {
+			t.Errorf("Route(%d, %d) error %q does not name the topology", c[0], c[1], err)
+		}
 	}
 	if m.Hops(2, 2) != 0 {
 		t.Error("Hops(self) != 0")

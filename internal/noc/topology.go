@@ -61,6 +61,19 @@ func checkTile(id TileID, n int, topo string) error {
 	return nil
 }
 
+// checkRoute validates both tiles of a route on t. It asks for t's
+// name only on the error path: Name may format a string, and valid
+// routes are the hot path of every ACG build.
+func checkRoute(t Topology, src, dst TileID) error {
+	n := t.NumTiles()
+	for _, id := range [2]TileID{src, dst} {
+		if id < 0 || int(id) >= n {
+			return checkTile(id, n, t.Name())
+		}
+	}
+	return nil
+}
+
 // RouteIntersects reports whether two routes (ordered link-ID slices)
 // share at least one directed link. It implements the "routing paths
 // intersect" half of the paper's Definition 3 (transaction compatibility).

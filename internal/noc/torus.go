@@ -78,10 +78,7 @@ func ringStep(a, b, n int) (delta, steps int) {
 
 // Route implements Topology.
 func (t *Torus) Route(src, dst TileID) ([]LinkID, error) {
-	if err := checkTile(src, t.NumTiles(), t.Name()); err != nil {
-		return nil, err
-	}
-	if err := checkTile(dst, t.NumTiles(), t.Name()); err != nil {
+	if err := checkRoute(t, src, dst); err != nil {
 		return nil, err
 	}
 	if src == dst {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +26,15 @@ func TestTorusStructure(t *testing.T) {
 	// Every tile has 4 outgoing links (E, W, N, S with wrap): 64 total.
 	if tor.NumLinks() != 64 {
 		t.Errorf("NumLinks = %d, want 64", tor.NumLinks())
+	}
+	// Out-of-range tiles are rejected by an error naming the torus.
+	for _, c := range [][2]TileID{{-1, 0}, {0, 16}} {
+		_, err := tor.Route(c[0], c[1])
+		if err == nil {
+			t.Errorf("Route(%d, %d) accepted", c[0], c[1])
+		} else if !strings.Contains(err.Error(), "torus4x4-xy") {
+			t.Errorf("Route(%d, %d) error %q does not name the topology", c[0], c[1], err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/energy"
+	"nocsched/internal/noc"
 	"nocsched/internal/schedtable"
 )
 
@@ -42,21 +43,11 @@ type Builder struct {
 	// per ready-list slot.
 	probeCache
 
-	// Route cache, per ordered PE pair: the link-table pointer slice and
-	// link indices of the ACG route, so neither probes nor commits
-	// rebuild them per transaction. Filled lazily (rebuild-heavy callers
-	// touch few pairs); warmRoutes pre-fills it so concurrent read-only
-	// probers never race on a lazy fill.
-	routeTabs [][]*schedtable.Table
-	routeIDs  [][]int
-	routeSet  []bool
-
-	// plan, when attached via SetRoutePlan, replaces the lazy route
-	// cache: pair lookups slice the shared plan's link IDs and the flat
-	// planTabs pointer array, and never write builder state (so
-	// concurrent probers need no warm-up at all).
-	plan     *RoutePlan
-	planTabs []*schedtable.Table
+	// routeTabs[i] points at the link table of the ACG's flat link
+	// acg.Links()[i], so a route's tables slice by the same bounds as
+	// its links (routeTables). Built once per ACG and only read after,
+	// so concurrent probers share it without synchronization.
+	routeTabs []*schedtable.Table
 
 	// lct/trans are place()'s per-commit scratch, reused across
 	// transactions so the steady-state commit path performs no heap
@@ -103,7 +94,6 @@ type Placement struct {
 
 // NewBuilder returns a Builder for one scheduling run.
 func NewBuilder(g *ctg.Graph, acg *energy.ACG, algorithm string) *Builder {
-	npairs := acg.NumPEs() * acg.NumPEs()
 	b := &Builder{
 		g:          g,
 		acg:        acg,
@@ -113,10 +103,8 @@ func NewBuilder(g *ctg.Graph, acg *energy.ACG, algorithm string) *Builder {
 		placed:     make([]bool, g.NumTasks()),
 		schedule:   New(g, acg, algorithm),
 		contention: true,
-		routeTabs:  make([][]*schedtable.Table, npairs),
-		routeIDs:   make([][]int, npairs),
-		routeSet:   make([]bool, npairs),
 	}
+	b.bindRoutes()
 	b.resizeStamps()
 	b.resetReady()
 	return b
@@ -142,12 +130,11 @@ func resetTables(ts []schedtable.Table, n int) []schedtable.Table {
 }
 
 // Reset returns the builder to its initial state for a new scheduling
-// run of graph g, reusing every table, route-cache and scratch
-// allocation it can. With the same ACG the steady-state cost is one
-// fresh Schedule shell and nothing else (the allocation-regression test
-// pins this); a different ACG forces the table and route-cache storage
-// to be rebuilt and detaches any route plan (reattach with
-// SetRoutePlan). Metrics are detached and the contention model is
+// run of graph g, reusing every table, route and scratch allocation it
+// can. With the same ACG the steady-state cost is one fresh Schedule
+// shell and nothing else (the allocation-regression test pins this); a
+// different ACG forces the table and route-table storage to be
+// rebuilt. Metrics are detached and the contention model is
 // restored to the exact Fig. 3 default; callers wanting either must set
 // it again after Reset.
 //
@@ -157,18 +144,10 @@ func resetTables(ts []schedtable.Table, n int) []schedtable.Table {
 // builder/pool pair with zero steady-state allocation.
 func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 	if acg != b.acg {
-		npe := acg.NumPEs()
-		npairs := npe * npe
 		b.acg = acg
-		b.peTables = resetTables(b.peTables, npe)
+		b.peTables = resetTables(b.peTables, acg.NumPEs())
 		b.linkTables = resetTables(b.linkTables, acg.Platform().Topo.NumLinks())
-		// Route caches describe the old platform; rebuild them. The
-		// lazy cache restarts empty, the plan (if any) is dropped
-		// because it was computed for the old ACG.
-		b.routeTabs = make([][]*schedtable.Table, npairs)
-		b.routeIDs = make([][]int, npairs)
-		b.routeSet = make([]bool, npairs)
-		b.plan, b.planTabs = nil, nil
+		b.bindRoutes()
 		b.resizeStamps()
 	} else {
 		for i := range b.peTables {
@@ -177,7 +156,7 @@ func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 		for i := range b.linkTables {
 			b.linkTables[i].Reset()
 		}
-		// Route caches stay valid: they point into the same linkTables
+		// routeTabs stays valid: it points into the same linkTables
 		// backing array and routes are a platform property.
 	}
 	b.g = g
@@ -229,46 +208,22 @@ func (b *Builder) markPlaced(t ctg.TaskID) {
 	b.metrics.commits().Inc()
 }
 
-// routeTables returns the cached link-table slice and link indices of
-// the ACG route from PE src to PE dst; a PE's route to itself is empty.
-// With a shared RoutePlan attached the lookup is a pure read (two
-// slicings of precomputed storage); without one it lazily fills the
-// per-builder cache.
-func (b *Builder) routeTables(src, dst int) ([]*schedtable.Table, []int) {
-	if p := b.plan; p != nil {
-		idx := src*p.n + dst
-		lo, hi := p.off[idx], p.off[idx+1]
-		return b.planTabs[lo:hi], p.ids[lo:hi]
+// bindRoutes points routeTabs at the link tables of the ACG's flat
+// links, index for index.
+func (b *Builder) bindRoutes() {
+	links := b.acg.Links()
+	b.routeTabs = slices.Grow(b.routeTabs[:0], len(links))[:len(links)]
+	for i, l := range links {
+		b.routeTabs[i] = &b.linkTables[l]
 	}
-	idx := src*b.acg.NumPEs() + dst
-	if !b.routeSet[idx] {
-		route := b.acg.Route(src, dst)
-		tabs := make([]*schedtable.Table, len(route))
-		ids := make([]int, len(route))
-		for i, l := range route {
-			tabs[i] = &b.linkTables[l]
-			ids[i] = int(l)
-		}
-		b.routeTabs[idx], b.routeIDs[idx] = tabs, ids
-		b.routeSet[idx] = true
-	}
-	return b.routeTabs[idx], b.routeIDs[idx]
 }
 
-// warmRoutes fills the route cache for every PE pair. ProbePool calls
-// it once at construction so that concurrent probers only ever read the
-// cache. With a RoutePlan attached there is nothing to warm: the plan
-// is precomputed and read-only.
-func (b *Builder) warmRoutes() {
-	if b.plan != nil {
-		return
-	}
-	n := b.acg.NumPEs()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b.routeTables(i, j)
-		}
-	}
+// routeTables returns the link tables and link IDs of the ACG route
+// from PE src to PE dst; a PE's route to itself is empty. It only
+// reads, so concurrent probers may call it.
+func (b *Builder) routeTables(src, dst int) ([]*schedtable.Table, []noc.LinkID) {
+	lo, hi := b.acg.RouteSpan(src, dst)
+	return b.routeTabs[lo:hi], b.acg.Links()[lo:hi]
 }
 
 // SetContentionAware toggles the exact link-contention model. Schedules

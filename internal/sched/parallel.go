@@ -39,15 +39,12 @@ type ProbePool struct {
 const DefaultSequentialFloor = 128
 
 // NewProbePool returns a pool with the given number of workers; workers
-// <= 0 selects runtime.GOMAXPROCS(0). The builder's route cache is
-// pre-warmed so concurrent probers never race on a lazy fill (a no-op
-// when the builder carries a shared RoutePlan). The pool starts with
-// the DefaultSequentialFloor auto policy.
+// <= 0 selects runtime.GOMAXPROCS(0). The pool starts with the
+// DefaultSequentialFloor auto policy.
 func NewProbePool(b *Builder, workers int) *ProbePool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	b.warmRoutes()
 	p := &ProbePool{b: b, probers: make([]*Prober, workers), seqFloor: DefaultSequentialFloor}
 	for i := range p.probers {
 		p.probers[i] = b.NewProber()

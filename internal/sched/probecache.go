@@ -15,7 +15,7 @@ import (
 // exact while no table it reads carries a stamp after s.
 //
 // Changes to what a probe reads besides tables (the contention model,
-// the route plan, Reset) move base instead: entries older than base are
+// Reset) move base instead: entries older than base are
 // stale whatever the tables say.
 //
 // Entries live in rows of NumPEs, one row per ready-list slot: a task

@@ -116,8 +116,7 @@ func driveRandom(t *testing.T, b *Builder, rng *rand.Rand, flipAt int, check fun
 // forEachScenario runs every builder history the probe cache must
 // survive over each input, on one builder reused across all of them so
 // that same-ACG and different-ACG Resets are part of the history too:
-// plain random commits, a naive-contention switch mid-run, and a route
-// plan attached after Reset.
+// plain random commits and a naive-contention switch mid-run.
 func forEachScenario(t *testing.T, inputs []cacheInput, check func(b *Builder)) {
 	t.Helper()
 	var b *Builder
@@ -133,14 +132,6 @@ func forEachScenario(t *testing.T, inputs []cacheInput, check func(b *Builder)) 
 
 		b.Reset(in.g, in.acg)
 		driveRandom(t, b, rng, in.g.NumTasks()/2, chk)
-
-		b.Reset(in.g, in.acg)
-		if b.plan == nil {
-			if err := b.SetRoutePlan(NewRoutePlan(in.acg)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		driveRandom(t, b, rng, -1, chk)
 	}
 }
 

@@ -125,7 +125,7 @@ func (p *Prober) Probe(t ctg.TaskID, k int) (ProbeResult, error) {
 			tabs, ids := b.routeTables(src.PE, k)
 			start := schedtable.FindEarliestAllOverlay(tabs, ids, p.overlay, src.Finish, dur)
 			for _, id := range ids {
-				p.overlay.Add(id, start, dur)
+				p.overlay.Add(int(id), start, dur)
 			}
 			finish = start + dur
 			res.CommEnergy += b.acg.CommEnergy(e.Volume, src.PE, k)

@@ -116,7 +116,6 @@ func TestProbeZeroAllocs(t *testing.T) {
 		}
 	}
 	pr := b.NewProber()
-	b.warmRoutes()
 	ready := b.ReadyTasks()
 	task := ready[0]
 	// Warm-up grows the lct scratch and the overlay's pending slices.
@@ -185,7 +184,6 @@ func TestProbeZeroAllocsWithMetrics(t *testing.T) {
 		}
 	}
 	pr := b.NewProber()
-	b.warmRoutes()
 	ready := b.ReadyTasks()
 	task := ready[0]
 	for k := 0; k < acg.NumPEs(); k++ {
@@ -288,7 +286,6 @@ func TestConcurrentProbers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.warmRoutes()
 	ready := b.ReadyTasks()
 	seq := b.NewProber()
 	want := make([]ProbeResult, len(ready))

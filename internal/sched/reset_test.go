@@ -116,7 +116,7 @@ func TestResetRestoresDefaults(t *testing.T) {
 // TestResetSteadyStateAllocs bounds the steady-state allocation of the
 // reuse loop: after warm-up, Reset + a full schedule allocates only the
 // escaping Schedule shell (the struct and its two placement slices) —
-// the tables, route cache, and probe and commit scratch are all reused.
+// the tables, route tables, and probe and commit scratch are all reused.
 func TestResetSteadyStateAllocs(t *testing.T) {
 	g, acg := proberRig(t, 31, 40)
 	b := NewBuilder(g, acg, "test")
@@ -138,37 +138,24 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 
 // TestWorkspacePrepareReuse pins Workspace.Prepare's two paths: the
 // same ACG reuses builder and pool in place; a different ACG rebuilds
-// both and attaches the workspace's route plan when it matches.
+// both.
 func TestWorkspacePrepareReuse(t *testing.T) {
 	gA, acg := proberRig(t, 41, 30)
 	gB, _ := proberRig(t, 42, 25)
 	gC, acg2 := proberRig(t, 43, 20)
 
 	ws := NewWorkspace(1, false)
-	b1, p1, err := ws.Prepare(gA, acg, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, p2, err := ws.Prepare(gB, acg, "y")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b1, p1 := ws.Prepare(gA, acg, "x")
+	b2, p2 := ws.Prepare(gB, acg, "y")
 	if b1 != b2 || p1 != p2 {
 		t.Error("same-ACG Prepare rebuilt the builder or pool")
 	}
-	ws.SetRoutePlan(NewRoutePlan(acg2))
-	b3, p3, err := ws.Prepare(gC, acg2, "z")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b3, p3 := ws.Prepare(gC, acg2, "z")
 	if b3 == b2 || p3 == p2 {
 		t.Error("platform-change Prepare reused the builder or pool")
 	}
-	if b3.plan == nil {
-		t.Error("Prepare did not attach the matching route plan")
-	}
 	var ready []ctg.TaskID
 	if d := Diff(driveEF(t, NewBuilder(gC, acg2, "z").NewProber(), ready), driveEF(t, b3.NewProber(), ready)); d != "" {
-		t.Errorf("plan-attached workspace builder diverges from fresh:\n%s", d)
+		t.Errorf("platform-change workspace builder diverges from fresh:\n%s", d)
 	}
 }

@@ -72,7 +72,7 @@ func (o *Overlay) conflict(id int, start, dur int64) (int64, bool) {
 // slots into the tables and calling FindEarliestAll, because both
 // compute the unique earliest point at or after from that conflicts
 // with nothing in the union.
-func FindEarliestAllOverlay(tables []*Table, ids []int, o *Overlay, from, dur int64) int64 {
+func FindEarliestAllOverlay[ID ~int](tables []*Table, ids []ID, o *Overlay, from, dur int64) int64 {
 	if dur <= 0 || len(tables) == 0 {
 		return from
 	}
@@ -99,7 +99,7 @@ func FindEarliestAllOverlay(tables []*Table, ids []int, o *Overlay, from, dur in
 				s = iv.End
 				moved = true
 			}
-			if next, clash := o.conflict(ids[i], s, dur); clash {
+			if next, clash := o.conflict(int(ids[i]), s, dur); clash {
 				s = next
 				moved = true
 			}

@@ -117,14 +117,12 @@ func (c *schedCache) publish() {
 }
 
 // lru is a least-recently-used map bounded by entry count. A full
-// put evicts from the cold end and hands each evicted value to onEvict
-// (when set). Not safe for concurrent use — the Server's mutex guards
-// every instance.
+// put evicts from the cold end. Not safe for concurrent use — the
+// Server's mutex guards every instance.
 type lru[K comparable, V any] struct {
-	max     int
-	ll      *list.List // front = most recently used; values are *lruEntry[K, V]
-	byKey   map[K]*list.Element
-	onEvict func(V)
+	max   int
+	ll    *list.List // front = most recently used; values are *lruEntry[K, V]
+	byKey map[K]*list.Element
 }
 
 type lruEntry[K comparable, V any] struct {
@@ -132,8 +130,8 @@ type lruEntry[K comparable, V any] struct {
 	val V
 }
 
-func newLRU[K comparable, V any](max int, onEvict func(V)) *lru[K, V] {
-	return &lru[K, V]{max: max, ll: list.New(), byKey: make(map[K]*list.Element), onEvict: onEvict}
+func newLRU[K comparable, V any](max int) *lru[K, V] {
+	return &lru[K, V]{max: max, ll: list.New(), byKey: make(map[K]*list.Element)}
 }
 
 // get returns the value for key (refreshing its recency), or V's zero
@@ -158,28 +156,17 @@ func (c *lru[K, V]) put(key K, val V) {
 	c.byKey[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 	for c.ll.Len() > c.max {
 		el := c.ll.Back()
-		old := el.Value.(*lruEntry[K, V])
 		c.ll.Remove(el)
-		delete(c.byKey, old.key)
-		if c.onEvict != nil {
-			c.onEvict(old.val)
-		}
+		delete(c.byKey, el.Value.(*lruEntry[K, V]).key)
 	}
 }
 
 func (c *lru[K, V]) len() int { return c.ll.Len() }
 
 // acgCache content-addresses built platforms: platform key → the
-// shared *energy.ACG every same-platform request schedules against.
-// Sharing the pointer is what makes the batch engine's per-ACG route
-// plan actually shared across requests; the eviction hook lets the
-// Server drop the engine's plan alongside, so neither map pins dead
-// platforms.
+// shared *energy.ACG every same-platform request schedules against,
+// so same-platform requests share one copy of its routes.
 type acgCache = lru[string, *energy.ACG]
-
-func newACGCache(max int, onEvict func(*energy.ACG)) *acgCache {
-	return newLRU[string](max, onEvict)
-}
 
 // bodyMemo maps the SHA-256 of a raw request body to the workload
 // digest that body resolved to. Decoding, validation and the digest

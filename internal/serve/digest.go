@@ -122,7 +122,7 @@ func WorkloadDigest(algorithm string, spec noc.PlatformSpec, g *ctg.Graph) (stri
 
 // platformKey content-addresses a platform spec alone, for the ACG
 // cache: requests naming equivalent platforms share one ACG (and so
-// one route plan inside the batch engine).
+// one copy of its routes).
 func platformKey(spec noc.PlatformSpec) (string, error) {
 	raw, err := json.Marshal(normalizeSpec(spec))
 	if err != nil {

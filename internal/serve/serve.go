@@ -79,7 +79,6 @@ type Options struct {
 	// selects 64 MiB.
 	CacheBytes int64
 	// ACGEntries bounds the platform→ACG cache; <= 0 selects 64.
-	// Evicting an ACG also drops its route plan from the engine.
 	ACGEntries int
 	// DefaultTimeout is the per-request deadline applied when a
 	// request carries no timeout_ms; <= 0 selects 30s.
@@ -283,8 +282,8 @@ func New(opts Options) *Server {
 	}
 	r := opts.Telemetry.R()
 	s.cache = newSchedCache(opts.CacheEntries, opts.CacheBytes, r)
-	s.acgs = newACGCache(opts.ACGEntries, s.engine.DropPlan)
-	s.memo = newLRU[[sha256.Size]byte, string](opts.CacheEntries, nil)
+	s.acgs = newLRU[string, *energy.ACG](opts.ACGEntries)
+	s.memo = newLRU[[sha256.Size]byte, string](opts.CacheEntries)
 	if r != nil {
 		s.mRequests = r.Counter(MetricRequests)
 		s.mSolves = r.Counter(MetricSolves)
@@ -315,8 +314,8 @@ func (s *Server) MarkReady() { s.ready.Store(true) }
 
 // Warmup pushes a built-in miniature workload through the entire cold
 // path — canonicalize, admit, solve, verify, cache — so the first real
-// request pays no first-use costs (worker workspaces, route plan,
-// code paths), then flips readiness. Errors leave the server
+// request pays no first-use costs (worker workspaces, code paths),
+// then flips readiness. Errors leave the server
 // not-ready.
 func (s *Server) Warmup() error {
 	spec := noc.PlatformSpec{Topology: "mesh", Width: 3, Height: 3, Routing: "xy", Bandwidth: 256}

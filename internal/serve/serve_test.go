@@ -514,7 +514,7 @@ func TestServeWarmupFlipsReadiness(t *testing.T) {
 }
 
 // TestServerACGSharing: equivalent platform specs resolve to one
-// shared ACG, so the engine's route plan is computed once.
+// shared ACG, so its routes are built once.
 func TestServerACGSharing(t *testing.T) {
 	s, _ := testServer(t, Options{Workers: 1})
 	specA := noc.PlatformSpec{Topology: "mesh", Width: 3, Height: 3, Routing: "xy", Bandwidth: 256}

@@ -101,11 +101,11 @@ const simEnergyTol = 1e-9
 // Outcome per pair, in (workload, scheduler) order.
 //
 // Scheduling runs through the batch engine: one instance per pair,
-// fanned out over opts.Workers workers with reused builders and shared
-// route plans. The engine's determinism guarantee is what keeps this a
-// pure performance change — results arrive in submission order with
-// schedules bit-identical to the serial fresh-builder loop this used to
-// be, which TestRunMatchesSerialLoop pins.
+// fanned out over opts.Workers workers with reused builders. The
+// engine's determinism guarantee is what keeps this a pure performance
+// change — results arrive in submission order with schedules
+// bit-identical to the serial fresh-builder loop this used to be,
+// which TestRunMatchesSerialLoop pins.
 func Run(ws []workloadgen.Workload, opts Options) []Outcome {
 	schedulers := opts.Schedulers
 	if len(schedulers) == 0 {

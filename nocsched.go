@@ -308,9 +308,8 @@ func DLS(g *Graph, acg *ACG) (*Schedule, error) {
 // Batch scheduling (internal/batch, DESIGN.md §8).
 
 // BatchEngine schedules streams of independent instances over a worker
-// pool with reusable builders and shared per-platform route plans,
-// delivering results in submission order with schedules bit-identical
-// at any worker count.
+// pool with reusable builders, delivering results in submission order
+// with schedules bit-identical at any worker count.
 type BatchEngine = batch.Engine
 
 // BatchInstance is one scheduling problem submitted to a BatchEngine.
@@ -341,7 +340,7 @@ const (
 
 // SchedWorkspace bundles one reusable schedule builder with its probe
 // pool: drivers scheduling many instances Prepare it per run and
-// amortize the builder's table and route-cache allocations across
+// amortize the builder's table and route-table allocations across
 // every instance on the same platform.
 type SchedWorkspace = sched.Workspace
 
@@ -349,15 +348,6 @@ type SchedWorkspace = sched.Workspace
 // worker count (<= 0: GOMAXPROCS); the second argument is ignored
 // (pass false).
 var NewSchedWorkspace = sched.NewWorkspace
-
-// RoutePlan is the immutable precomputed per-pair route table of one
-// platform, shareable read-only across any number of builders and
-// goroutines (BatchEngine computes one per distinct ACG).
-type RoutePlan = sched.RoutePlan
-
-// NewRoutePlan precomputes the route plan of every ordered PE pair of
-// an ACG.
-var NewRoutePlan = sched.NewRoutePlan
 
 // EASWith, EDFWith and DLSWith are the workspace-reusing forms of the
 // schedulers: bit-identical schedules, amortized allocations. Batch
