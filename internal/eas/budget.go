@@ -20,6 +20,8 @@ package eas
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"nocsched/internal/ctg"
 )
@@ -28,7 +30,11 @@ import (
 // execution-time and energy arrays (restricted to runnable PEs).
 // Intuitively (paper Step 1.2): the higher the weight, the higher the
 // priority of the task in selecting its PE, because its mapping has a
-// larger impact on energy and performance.
+// larger impact on energy and performance. ComputeBudget rejects a
+// weight that is negative, NaN or infinite.
+//
+// ComputeBudget hands every call the same two scratch slices, refilled
+// per task, so a WeightFunc must not retain its arguments.
 type WeightFunc func(execTimes []int64, energies []float64) float64
 
 // WeightVarEVarR is the paper's weight, W_t = VAR_e * VAR_r.
@@ -85,22 +91,22 @@ type Budget struct {
 // commBandwidth <= 0 disables the term. The EAS driver retries with
 // the communication term, then with shrinking scales, when
 // search-and-repair cannot eliminate all deadline misses.
+//
+// Tasks are relabeled by topological position once per call, and each
+// deadline's backward pass sweeps only from the deadline task's
+// position down. The working memory comes from a pool, so a
+// steady-state call allocates only the returned Budget and the
+// topological order.
+//
+// ComputeBudget rejects a weight whose slack share is not finite: each
+// weight may be finite while their sum along a path overflows, which
+// would otherwise turn the share into NaN and the BD into garbage.
 func ComputeBudget(g *ctg.Graph, weight WeightFunc, scale float64, commBandwidth int64) (*Budget, error) {
 	if weight == nil {
 		weight = WeightVarEVarR
 	}
 	if scale < 0 || scale > 1 || math.IsNaN(scale) {
 		return nil, fmt.Errorf("eas: slack scale %g outside [0,1]", scale)
-	}
-	commTime := func(eid ctg.EdgeID) float64 {
-		if commBandwidth <= 0 {
-			return 0
-		}
-		v := g.Edge(eid).Volume
-		if v <= 0 {
-			return 0
-		}
-		return float64((v + commBandwidth - 1) / commBandwidth)
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -112,126 +118,180 @@ func ComputeBudget(g *ctg.Graph, weight WeightFunc, scale float64, commBandwidth
 		Weight: make([]float64, n),
 		BD:     make([]int64, n),
 	}
+	s := budgetPool.Get().(*budgetScratch)
+	defer budgetPool.Put(s)
 	for i := 0; i < n; i++ {
 		t := g.Task(ctg.TaskID(i))
-		times, energies := runnableArrays(t)
-		b.Mean[i] = mean(times2f(times))
-		b.Weight[i] = weight(times, energies)
-		if b.Weight[i] < 0 || math.IsNaN(b.Weight[i]) {
+		// The statistics come from the PEs that can run the task, so
+		// incapable PEs (negative exec time) do not pollute them.
+		s.times, s.energies = s.times[:0], s.energies[:0]
+		for k, r := range t.ExecTime {
+			if r >= 0 {
+				s.times = append(s.times, r)
+				s.energies = append(s.energies, t.Energy[k])
+			}
+		}
+		b.Mean[i] = meanInt64(s.times)
+		b.Weight[i] = weight(s.times, s.energies)
+		if b.Weight[i] < 0 || math.IsNaN(b.Weight[i]) || math.IsInf(b.Weight[i], 1) {
 			return nil, fmt.Errorf("eas: task %d: invalid weight %g", i, b.Weight[i])
 		}
-		b.BD[i] = ctg.NoDeadline
 	}
 
-	// Forward pass: fwd[t] = longest mean path ending at t (inclusive,
-	// with expected communication time on the arcs when enabled);
-	// fwdW[t] = weight sum along that arg-max path. Ties break toward
-	// the heavier path for determinism.
-	fwd := make([]float64, n)
-	fwdW := make([]float64, n)
-	for _, t := range order {
+	// Relabel tasks by topological position and lay their out-arcs flat
+	// in g.Out order. The same forward pass computes fwd (the longest
+	// mean path ending at the task, inclusive, with expected
+	// communication time on the arcs when enabled), fwdW (the weight
+	// sum along that arg-max path; ties break toward the heavier path
+	// for determinism).
+	s.pos = slices.Grow(s.pos[:0], n)[:n]
+	for p, t := range order {
+		s.pos[t] = int32(p)
+	}
+	nodes := slices.Grow(s.nodes[:0], n)[:n]
+	arcs := s.arcs[:0]
+	for p, t := range order {
+		nd := &nodes[p]
+		*nd = budgetNode{mean: b.Mean[t], weight: b.Weight[t], bd: ctg.NoDeadline}
 		bestLen, bestW := 0.0, 0.0
 		for _, eid := range g.In(t) {
-			p := g.Edge(eid).Src
-			cand := fwd[p] + commTime(eid)
-			if cand > bestLen || (cand == bestLen && fwdW[p] > bestW) {
-				bestLen, bestW = cand, fwdW[p]
+			e := g.Edge(eid)
+			pn := &nodes[s.pos[e.Src]]
+			cand := pn.fwd + arcTime(e.Volume, commBandwidth)
+			if cand > bestLen || (cand == bestLen && pn.fwdW > bestW) {
+				bestLen, bestW = cand, pn.fwdW
 			}
 		}
-		fwd[t] = bestLen + b.Mean[t]
-		fwdW[t] = bestW + b.Weight[t]
+		nd.fwd = bestLen + nd.mean
+		nd.fwdW = bestW + nd.weight
+		nd.outLo = int32(len(arcs))
+		for _, eid := range g.Out(t) {
+			e := g.Edge(eid)
+			arcs = append(arcs, budgetArc{dst: s.pos[e.Dst], comm: arcTime(e.Volume, commBandwidth)})
+		}
+		nd.outHi = int32(len(arcs))
 	}
+	s.nodes, s.arcs = nodes, arcs
 
-	// Per deadline task d: backward pass over the ancestors of d.
-	bwd := make([]float64, n)
-	bwdW := make([]float64, n)
-	reaches := make([]bool, n)
-	for _, d := range g.DeadlineTasks() {
-		deadline := float64(g.Task(d).Deadline)
-		for i := range reaches {
-			reaches[i] = false
-			bwd[i], bwdW[i] = 0, 0
+	// Per deadline task d: a backward pass from d's position down, since
+	// no ancestor of d lies past it. Descending positions make every
+	// successor final before its predecessors. A task joins d's
+	// ancestor cone (stamp) when one of its arcs reaches a cone task;
+	// each cone task's share is priced as soon as its backward path is
+	// final.
+	var stamp int32
+	for i := 0; i < n; i++ {
+		td := g.Task(ctg.TaskID(i))
+		if !td.HasDeadline() {
+			continue
 		}
-		reaches[d] = true
-		// Reverse topological order guarantees successors are final
-		// before their predecessors.
-		for i := len(order) - 1; i >= 0; i-- {
-			t := order[i]
-			if t == d {
-				bwd[t] = b.Mean[t]
-				bwdW[t] = b.Weight[t]
-				continue
-			}
-			bestLen, bestW := -1.0, 0.0
-			for _, eid := range g.Out(t) {
-				s := g.Edge(eid).Dst
-				if !reaches[s] {
-					continue
+		deadline := float64(td.Deadline)
+		stamp++
+		pd := s.pos[i]
+		d := &nodes[pd]
+		d.stamp, d.bwd, d.bwdW = stamp, d.mean, d.weight
+		bad := int32(-1)
+		for p := pd; p >= 0; p-- {
+			nt := &nodes[p]
+			if p < pd {
+				bestLen, bestW := -1.0, 0.0
+				for _, a := range arcs[nt.outLo:nt.outHi] {
+					// Arcs past d cannot reach it; skip them before
+					// touching their far-away destination.
+					if a.dst > pd {
+						continue
+					}
+					sn := &nodes[a.dst]
+					if sn.stamp != stamp {
+						continue
+					}
+					cand := sn.bwd + a.comm
+					if cand > bestLen || (cand == bestLen && sn.bwdW > bestW) {
+						bestLen, bestW = cand, sn.bwdW
+					}
 				}
-				cand := bwd[s] + commTime(eid)
-				if cand > bestLen || (cand == bestLen && bwdW[s] > bestW) {
-					bestLen, bestW = cand, bwdW[s]
+				if bestLen < 0 {
+					continue // t cannot reach d
 				}
+				nt.stamp = stamp
+				nt.bwd = bestLen + nt.mean
+				nt.bwdW = bestW + nt.weight
 			}
-			if bestLen < 0 {
-				continue // t cannot reach d
-			}
-			reaches[t] = true
-			bwd[t] = bestLen + b.Mean[t]
-			bwdW[t] = bestW + b.Weight[t]
-		}
-		for i := 0; i < n; i++ {
-			t := ctg.TaskID(i)
-			if !reaches[t] {
-				continue
-			}
-			pathLen := fwd[t] + bwd[t] - b.Mean[t]
+			pathLen := nt.fwd + nt.bwd - nt.mean
 			slack := deadline - pathLen
 			if slack < 0 {
 				slack = 0 // infeasible-by-means path: no slack to hand out
 			}
-			totalW := fwdW[t] + bwdW[t] - b.Weight[t]
+			totalW := nt.fwdW + nt.bwdW - nt.weight
 			var share float64
 			switch {
 			case totalW > 0:
-				share = slack * fwdW[t] / totalW
+				share = slack * nt.fwdW / totalW
+				if !(share <= math.MaxFloat64) {
+					bad = p // NaN or +Inf: the path's weights overflow
+				}
 			case pathLen > 0:
 				// All-zero weights (e.g. a fully homogeneous platform):
 				// fall back to time-proportional distribution.
-				share = slack * fwd[t] / pathLen
+				share = slack * nt.fwd / pathLen
 			default:
 				share = slack
 			}
-			bd := int64(math.Round(fwd[t] + share*scale))
-			if bd < b.BD[t] {
-				b.BD[t] = bd
-			}
+			bd := int64(math.Round(nt.fwd + share*scale))
+			nt.bd = min(nt.bd, bd)
 		}
+		if bad >= 0 {
+			return nil, fmt.Errorf("eas: task %d: invalid weight share toward deadline task %d", order[bad], i)
+		}
+	}
+	for p, t := range order {
+		b.BD[t] = nodes[p].bd
 	}
 	return b, nil
 }
 
-// runnableArrays filters a task's per-PE arrays down to the PEs that can
-// run it, so incapable PEs (negative exec time) do not pollute the
-// statistics.
-func runnableArrays(t *ctg.Task) ([]int64, []float64) {
-	times := make([]int64, 0, len(t.ExecTime))
-	energies := make([]float64, 0, len(t.Energy))
-	for k, r := range t.ExecTime {
-		if r >= 0 {
-			times = append(times, r)
-			energies = append(energies, t.Energy[k])
-		}
-	}
-	return times, energies
+// budgetNode is one task's Step 1 state at its topological position:
+// its mean and weight, its longest forward path (fwd, fwdW), its
+// longest backward path to the current deadline task (bwd, bwdW), its
+// budgeted deadline so far, and its out-arcs arcs[outLo:outHi]. stamp equals the current
+// deadline's stamp when the task reaches that deadline task, which
+// spares a reset per deadline.
+type budgetNode struct {
+	mean, weight float64
+	fwd, fwdW    float64
+	bwd, bwdW    float64
+	bd           int64
+	stamp        int32
+	outLo, outHi int32
 }
 
-func times2f(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
+// budgetArc is an out-arc by topological position: its destination and
+// the expected communication time charged to it.
+type budgetArc struct {
+	dst  int32
+	comm float64
+}
+
+// budgetScratch is ComputeBudget's reusable working memory: the
+// per-task filtered arrays handed to the WeightFunc, the task-to-
+// position map, the nodes and the flat arcs.
+type budgetScratch struct {
+	times    []int64
+	energies []float64
+	pos      []int32
+	nodes    []budgetNode
+	arcs     []budgetArc
+}
+
+var budgetPool = sync.Pool{New: func() any { return new(budgetScratch) }}
+
+// arcTime is the expected communication time of an arc of the given
+// volume at commBandwidth, rounded up; commBandwidth <= 0 disables it.
+func arcTime(volume, commBandwidth int64) float64 {
+	if commBandwidth <= 0 || volume <= 0 {
+		return 0
 	}
-	return out
+	return float64((volume + commBandwidth - 1) / commBandwidth)
 }
 
 // mean returns the arithmetic mean of xs, or 0 for empty input.
@@ -262,17 +322,25 @@ func variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// meanInt64 is mean over int64 samples, summed in float64 in order.
+func meanInt64(xs []int64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += float64(x)
+	}
+	return sum / float64(len(xs))
+}
+
 // varianceInt64 is variance over int64 samples, summed in float64 in
 // the same order.
 func varianceInt64(xs []int64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := 0.0
-	for _, x := range xs {
-		m += float64(x)
-	}
-	m /= float64(len(xs))
+	m := meanInt64(xs)
 	sum := 0.0
 	for _, x := range xs {
 		d := float64(x) - m

@@ -1,0 +1,86 @@
+package eas
+
+import (
+	"testing"
+
+	"nocsched/internal/sched"
+)
+
+// TestComputeBudgetSteadyStateAllocs: with its scratch pooled, a
+// steady-state Step 1 allocates only the returned Budget (the struct
+// and its three arrays) and the topological order (three slices), so
+// the count does not grow with the graph.
+func TestComputeBudgetSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	allocs := func(tasks int) float64 {
+		gs, acg := looseGraphs(t, tasks, 1)
+		bw := acg.Platform().LinkBandwidth
+		for _, bw := range []int64{0, bw} {
+			if _, err := ComputeBudget(gs[0], nil, 1, bw); err != nil { // warm-up
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() { ComputeBudget(gs[0], nil, 0.5, bw) })
+	}
+	big, small := allocs(500), allocs(100)
+	t.Logf("ComputeBudget: %.0f objects/run at 500 tasks, %.0f at 100", big, small)
+	if big > 7 {
+		t.Errorf("500 tasks: ComputeBudget allocates %.0f objects/run, want <= 7", big)
+	}
+	if small != big {
+		t.Errorf("ComputeBudget allocates %.0f objects/run at 100 tasks and %.0f at 500, want the same", small, big)
+	}
+}
+
+// TestLooseSolveSteadyStateAllocs pins a steady-state EAS solve of a
+// batch-loose-shaped instance on a reused one-worker workspace. At the
+// whole-graph Step 1 it made 1,542 allocations, 1,519 of them Step 1's;
+// 27 remain.
+func TestLooseSolveSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	gs, acg := looseGraphs(t, 500, 1)
+	ws := sched.NewWorkspace(1, false)
+	solve := func() {
+		if _, err := ScheduleWith(ws, gs[0], acg, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve() // warm-up: grows the workspace's tables and the Step 1 scratch
+	avg := testing.AllocsPerRun(20, solve)
+	t.Logf("ScheduleWith: %.0f objects/run", avg)
+	if avg > 27 {
+		t.Errorf("ScheduleWith allocates %.0f objects/run, want <= 27", avg)
+	}
+}
+
+// BenchmarkComputeBudget times Step 1's first pass alone on a
+// batch-loose-shaped graph.
+func BenchmarkComputeBudget(b *testing.B) {
+	gs, _ := looseGraphs(b, 500, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ComputeBudget(gs[0], nil, 1, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEASLooseSolve times whole EAS solves of the nocbench
+// batch-loose shape: ten 500-task Category I graphs at laxity 3.0, one
+// worker, one reused workspace.
+func BenchmarkEASLooseSolve(b *testing.B) {
+	gs, acg := looseGraphs(b, 500, 10)
+	ws := sched.NewWorkspace(1, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ScheduleWith(ws, gs[i%len(gs)], acg, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

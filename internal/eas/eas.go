@@ -119,7 +119,13 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	var totalProbes, totalReuses int64
 	tr := opts.Telemetry.T()
 	for passNo, p := range passes {
-		endPass := tr.Span(fmt.Sprintf("pass %d (scale=%g bw=%d)", passNo, p.scale, p.commBW), "eas")
+		// Span ignores the name on a nil tracer: format it only when
+		// one is attached.
+		var passName string
+		if tr.Enabled() {
+			passName = fmt.Sprintf("pass %d (scale=%g bw=%d)", passNo, p.scale, p.commBW)
+		}
+		endPass := tr.Span(passName, "eas")
 		endStep := tr.Span("step1:budget", "eas phases")
 		budget, err := ComputeBudget(g, opts.Weight, p.scale, p.commBW)
 		endStep()

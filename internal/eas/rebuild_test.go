@@ -7,7 +7,6 @@ import (
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/energy"
-	"nocsched/internal/noc"
 	"nocsched/internal/sched"
 	"nocsched/internal/tgff"
 	"nocsched/internal/verify/workloadgen"
@@ -25,26 +24,10 @@ type tightCase struct {
 // cycling through the suite's ten shapes.
 func tightCases(tb testing.TB, n int) []tightCase {
 	tb.Helper()
-	spec := noc.PlatformSpec{Topology: "mesh", Width: 4, Height: 4, Routing: "xy", Bandwidth: 256}
-	p, err := spec.Build()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	acg, err := energy.BuildACG(p, energy.DefaultModel())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var out []tightCase
-	for i := 0; i < n; i++ {
-		params := tgff.SuiteParams(tgff.CategoryII, i%tgff.SuiteSize, p)
-		params.Seed = int64(1<<32 + i)
-		params.NumTasks = 30
-		params.DeadlineLaxity = 0.95
-		g, err := tgff.Generate(params)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		out = append(out, tightCase{fmt.Sprintf("tight-%02d", i), stepTwo(tb, g, acg)})
+	gs, acg := shapeGraphs(tb, tgff.CategoryII, 30, 0.95, n)
+	out := make([]tightCase, n)
+	for i, g := range gs {
+		out[i] = tightCase{fmt.Sprintf("tight-%02d", i), stepTwo(tb, g, acg)}
 	}
 	return out
 }
