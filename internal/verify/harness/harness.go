@@ -178,9 +178,6 @@ func crossCheckSim(o *Outcome, s *sched.Schedule) {
 	o.SimStalls = res.TotalStalls
 	for i := range res.Packets {
 		p := &res.Packets[i]
-		if p.Failed {
-			continue
-		}
 		if -p.Slack() > p.StallCycles {
 			o.SimSlackViolations++
 		}

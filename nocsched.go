@@ -19,11 +19,7 @@
 //   - a pseudo-TGFF random benchmark generator and synthetic MP3/H.263
 //     multimedia system benchmarks;
 //   - a flit-level wormhole network simulator that replays schedules
-//     and independently verifies the scheduler's contention model,
-//     with optional hardware-fault injection, end-to-end
-//     retransmission and deadline-impact assessment;
-//   - JSON fault scenarios (dead PEs, routers, links) for the
-//     simulator;
+//     and independently verifies the scheduler's contention model;
 //   - a unified telemetry layer: a zero-dependency metrics registry,
 //     scheduler phase tracing and Chrome trace_event export (schedules
 //     rendered one track per PE and per link, loadable in Perfetto);
@@ -48,7 +44,6 @@ import (
 	"nocsched/internal/eas"
 	"nocsched/internal/edf"
 	"nocsched/internal/energy"
-	"nocsched/internal/fault"
 	"nocsched/internal/msb"
 	"nocsched/internal/noc"
 	"nocsched/internal/obs"
@@ -414,69 +409,6 @@ type SimResult = sim.Result
 // wormhole network and reports delivery times, stalls and measured
 // energy.
 var Replay = sim.Replay
-
-// SimFault is one hardware failure injected into a replay (see
-// SimOptions.Faults): the named resource dies permanently at Cycle and
-// packets depending on it are dropped and reported as failures.
-type SimFault = sim.Fault
-
-// SimFaultKind selects what a SimFault kills.
-type SimFaultKind = sim.FaultKind
-
-// Simulator fault kinds.
-const (
-	SimFaultLink          = sim.FaultLink
-	SimFaultRouter        = sim.FaultRouter
-	SimFaultPE            = sim.FaultPE
-	SimFaultTransientLink = sim.FaultTransientLink
-)
-
-// ErrBadSimFault marks an invalid SimOptions.Faults entry (out-of-range
-// resource, duplicate injection, non-positive transient duration); test
-// with errors.Is.
-var ErrBadSimFault = sim.ErrBadFault
-
-// RetxOptions configures the end-to-end retransmission protocol that
-// recovers packets corrupted by transient link faults: per-packet
-// delivery timeout, bounded retries, exponential backoff. The zero
-// value disables retransmission.
-type RetxOptions = sim.RetxOptions
-
-// PacketStatus classifies the simulated fate of one packet: delivered
-// on the first attempt, delivered after retransmission, or dropped.
-type PacketStatus = sim.PacketStatus
-
-// Packet fates.
-const (
-	PacketDelivered     = sim.StatusDelivered
-	PacketRetransmitted = sim.StatusRetransmitted
-	PacketDropped       = sim.StatusDropped
-)
-
-// SimImpact projects a replay's packet outcomes (drops, retransmission
-// delays) through the task graph's precedence constraints; its HitRatio
-// is the headline resilience metric of the fault campaigns.
-type SimImpact = sim.Impact
-
-// SimTaskImpact is the projected effect on one task.
-type SimTaskImpact = sim.TaskImpact
-
-// AssessImpact propagates a replay's packet outcomes through a
-// schedule's task graph: late packets delay consumers, dropped packets
-// starve them and everything downstream.
-var AssessImpact = sim.AssessImpact
-
-// FaultScenario is a JSON-serializable set of permanent hardware
-// failures: dead PEs, dead routers (tile plus adjacent links) and dead
-// directed links. Its SimFaults method converts it to SimOptions.Faults.
-type FaultScenario = fault.Scenario
-
-// ReadFaultScenario decodes a fault scenario from JSON.
-var ReadFaultScenario = fault.ReadScenario
-
-// RandomFaultScenario draws a reproducible k-fault scenario over a
-// platform's resources from the given random stream.
-var RandomFaultScenario = fault.Random
 
 // ---------------------------------------------------------------------
 // Telemetry (internal/telemetry).
