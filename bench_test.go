@@ -262,26 +262,6 @@ func BenchmarkEASScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkEASSchedulerSequential pins the probe pool to one worker,
-// isolating the fan-out gain of BenchmarkEASScheduler above.
-func BenchmarkEASSchedulerSequential(b *testing.B) {
-	platform, acg, err := experiments.RandomPlatform()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := tgff.Generate(tgff.SuiteParams(tgff.CategoryI, 0, platform))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eas.Schedule(g, acg, eas.Options{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEDFScheduler measures the EDF baseline on the same workload.
 func BenchmarkEDFScheduler(b *testing.B) {
 	platform, acg, err := experiments.RandomPlatform()
@@ -303,7 +283,7 @@ func BenchmarkEDFScheduler(b *testing.B) {
 
 // BenchmarkDLSScheduler measures the DLS baseline, the solver whose
 // rows the lazy scan prunes hardest: six 300-task Category I graphs on
-// the 4x4 mesh, one probe worker, one workspace reused across solves as
+// the 4x4 mesh, one workspace reused across solves as
 // a batch worker reuses it, warmed by one solve of each graph so that
 // B/op is the steady state. probes/op counts every F(i,k) answer,
 // evaluated/op only those the probe cache could not serve.

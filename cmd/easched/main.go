@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		dotOut    = fs.String("dot-out", "", "write the task graph in Graphviz DOT format to this file")
 		svgOut    = fs.String("svg-out", "", "write the schedule as an SVG Gantt chart to this file")
 		buffers   = fs.Bool("buffers", false, "print per-PE message buffer requirements")
-		workers   = fs.Int("workers", 0, "probe worker pool size (0 = GOMAXPROCS); any value gives bit-identical schedules")
 	)
 	dflags := diag.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -143,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	var s *sched.Schedule
 	switch *scheduler {
 	case "eas":
-		r, err := eas.Schedule(g, acg, eas.Options{Workers: *workers, Telemetry: telem})
+		r, err := eas.Schedule(g, acg, eas.Options{Telemetry: telem})
 		if err != nil {
 			return err
 		}
@@ -155,13 +154,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				r.RepairStats.MovesAbandoned)
 		}
 	case "eas-base":
-		r, err := eas.Schedule(g, acg, eas.Options{DisableRepair: true, Workers: *workers, Telemetry: telem})
+		r, err := eas.Schedule(g, acg, eas.Options{DisableRepair: true, Telemetry: telem})
 		if err != nil {
 			return err
 		}
 		s = r.Schedule
 	case "edf":
-		s, err = edf.ScheduleOpts(g, acg, edf.Options{Workers: *workers, Telemetry: telem})
+		s, err = edf.ScheduleOpts(g, acg, edf.Options{Telemetry: telem})
 		if err != nil {
 			return err
 		}

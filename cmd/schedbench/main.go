@@ -1,9 +1,8 @@
 // Command schedbench is the scheduler determinism harness: it sweeps
-// task count x mesh size x algorithm over TGFF-style graphs and, for
-// each configuration, schedules the graph with one probe worker and
-// with parWorkers, requires bit-identical schedules, and writes the
-// probe counts, energy and deadline misses as a JSON report (see
-// BENCH_sched.json at the repo root for the committed baseline).
+// task count x mesh size x algorithm over TGFF-style graphs, schedules
+// each configuration once, and writes the probe counts, energy and
+// deadline misses as a JSON report (see BENCH_sched.json at the repo
+// root for the committed baseline).
 //
 // Usage:
 //
@@ -38,11 +37,6 @@ import (
 	"nocsched/internal/tgff"
 )
 
-// parWorkers is the probe-pool width of the parallel run, the width
-// TestEASDifferential uses. It is fixed rather than GOMAXPROCS so the
-// report does not depend on the host.
-const parWorkers = 4
-
 // Report is the top-level JSON document.
 type Report struct {
 	Seed    int64    `json:"seed"`
@@ -61,7 +55,6 @@ type Config struct {
 	ProbeReuses    int64   `json:"probe_reuses"`
 	EnergyNJ       float64 `json:"energy_nj"`
 	DeadlineMisses int     `json:"deadline_misses"`
-	Identical      bool    `json:"identical"`
 }
 
 func main() {
@@ -174,49 +167,39 @@ func benchGraph(platform *noc.Platform, ntasks int, laxity float64, seed int64) 
 	return tgff.Generate(p)
 }
 
-// runOnce executes one scheduling run with the given probe worker
-// count.
-func runOnce(g *ctg.Graph, acg *energy.ACG, algo string, workers int, telem *telemetry.Collector) (*sched.Schedule, error) {
-	switch algo {
-	case "edf":
-		return edf.ScheduleOpts(g, acg, edf.Options{Workers: workers, Telemetry: telem})
-	case "dls":
-		return dls.ScheduleWith(sched.NewWorkspace(workers, false), g, acg)
-	}
-	r, err := eas.Schedule(g, acg, eas.Options{Workers: workers, Telemetry: telem})
-	if err != nil {
-		return nil, err
-	}
-	return r.Schedule, nil
-}
-
-// benchConfig runs one sweep cell at one probe worker and at
-// parWorkers, requires bit-identical schedules, and records the
-// sequential run's probe counts, energy and deadline misses. Telemetry
-// from the session (if enabled) is attached to both runs.
+// benchConfig runs one sweep cell and records its probe counts,
+// energy and deadline misses. Telemetry from the session (if enabled)
+// is attached to the run.
 func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, sess *diag.Session) (Config, error) {
-	seq, err := runOnce(g, acg, algo, 1, sess.Collector())
+	s, err := solve(g, acg, algo, sess.Collector())
 	if err != nil {
 		return Config{}, err
-	}
-	par, err := runOnce(g, acg, algo, parWorkers, sess.Collector())
-	if err != nil {
-		return Config{}, err
-	}
-	if d := sched.Diff(seq, par); d != "" {
-		return Config{}, fmt.Errorf("%s %s %d tasks: probe paths disagree: %s", mesh, algo, g.NumTasks(), d)
 	}
 	return Config{
 		Mesh:           mesh,
 		Tasks:          g.NumTasks(),
 		Edges:          g.NumEdges(),
 		Algorithm:      algo,
-		Probes:         seq.Probes,
-		ProbeReuses:    seq.ProbeReuses,
-		EnergyNJ:       seq.TotalEnergy(),
-		DeadlineMisses: len(seq.DeadlineMisses()),
-		Identical:      true,
+		Probes:         s.Probes,
+		ProbeReuses:    s.ProbeReuses,
+		EnergyNJ:       s.TotalEnergy(),
+		DeadlineMisses: len(s.DeadlineMisses()),
 	}, nil
+}
+
+// solve executes one scheduling run of algo.
+func solve(g *ctg.Graph, acg *energy.ACG, algo string, telem *telemetry.Collector) (*sched.Schedule, error) {
+	switch algo {
+	case "edf":
+		return edf.ScheduleOpts(g, acg, edf.Options{Telemetry: telem})
+	case "dls":
+		return dls.Schedule(g, acg)
+	}
+	r, err := eas.Schedule(g, acg, eas.Options{Telemetry: telem})
+	if err != nil {
+		return nil, err
+	}
+	return r.Schedule, nil
 }
 
 func parseInts(spec string) ([]int, error) {

@@ -31,9 +31,6 @@ func TestSweepSmoke(t *testing.T) {
 		t.Fatalf("got %d configs, want 6", len(rep.Configs))
 	}
 	for _, c := range rep.Configs {
-		if !c.Identical {
-			t.Errorf("%s %s %d tasks: schedules not identical", c.Mesh, c.Algorithm, c.Tasks)
-		}
 		if c.Probes <= 0 {
 			t.Errorf("%s %s %d tasks: no probes recorded", c.Mesh, c.Algorithm, c.Tasks)
 		}

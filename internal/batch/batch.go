@@ -4,11 +4,9 @@
 // pool with bounded admission queueing and context cancellation, and
 // delivers results in deterministic submission order.
 //
-// The engine makes the same guarantee one level up that sched.ProbePool
-// makes inside a single instance: schedules are bit-identical
-// (sched.Diff) at any worker count, and identical to what the serial
-// drivers produce with fresh builders. Two mechanisms carry the
-// throughput:
+// Schedules are bit-identical (sched.Diff) at any worker count, and
+// identical to what the serial drivers produce with fresh builders. Two
+// mechanisms carry the throughput:
 //
 //   - instance-level parallelism: each worker schedules whole instances
 //     end to end, so N workers keep N cores busy without any
@@ -19,11 +17,8 @@
 //     platform, not once per instance. Routes themselves live once, in
 //     the shared read-only ACG.
 //
-// Inside each worker the probe pool defaults to one probe worker with
-// the auto sequential-floor policy (sched.DefaultSequentialFloor):
-// when instances are fanned out across cores, nested probe-level
-// parallelism would only oversubscribe the machine, and the policy
-// keeps small instances on the cheap sequential path either way.
+// Each instance is solved on its worker's goroutine with one prober:
+// the parallelism is across instances, never inside one.
 package batch
 
 import (
@@ -66,8 +61,7 @@ type Instance struct {
 	// Algorithm selects the scheduler: AlgoEAS (the default when
 	// empty), AlgoEDF, or AlgoDLS.
 	Algorithm string
-	// EAS forwards scheduler options to EAS runs. Workers is ignored
-	// (the engine's worker configuration wins), and Telemetry is
+	// EAS forwards scheduler options to EAS runs. Telemetry is
 	// overridden by the engine's collector when one is set.
 	EAS eas.Options
 }
@@ -107,11 +101,6 @@ type Options struct {
 	// with the context's error) once this many instances are waiting.
 	// <= 0 selects 2*Workers.
 	QueueDepth int
-	// InnerWorkers is the probe-level worker count inside each
-	// instance; <= 0 selects 1 (the recommended setting: instance-level
-	// fan-out already saturates the machine, and the probe pool's
-	// sequential floor handles small instances regardless).
-	InnerWorkers int
 	// Telemetry publishes the engine's metrics (queue depth gauge,
 	// per-instance latency histogram, instance/error counters) and is
 	// forwarded to every scheduler run. Nil disables collection.
@@ -156,9 +145,6 @@ func New(opts Options) *Engine {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 2 * opts.Workers
-	}
-	if opts.InnerWorkers <= 0 {
-		opts.InnerWorkers = 1
 	}
 	e := &Engine{opts: opts}
 	if r := opts.Telemetry.R(); r != nil {
@@ -320,7 +306,7 @@ func reorder(done <-chan Result, out chan<- Result) {
 
 // worker owns one Workspace and drains the admission queue through it.
 func (e *Engine) worker(ctx context.Context, id int, in <-chan job, done chan<- Result) {
-	ws := sched.NewWorkspace(e.opts.InnerWorkers, false)
+	ws := sched.NewWorkspace(1, false)
 	for j := range in {
 		e.mDepth.Add(-1)
 		r := Result{Index: j.idx, Name: j.inst.Name, Algorithm: j.inst.Algorithm, Worker: id}

@@ -25,7 +25,6 @@ package dls
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"nocsched/internal/ctg"
@@ -39,10 +38,9 @@ func Schedule(g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 }
 
 // ScheduleWith runs DLS through a reusable workspace (see
-// eas.ScheduleWith). Each round probes the ready list through the
-// workspace's pool, one row per ready task, and reduces the rows in
-// ascending task order, so schedules are bit-identical at any worker
-// count and to Schedule's.
+// eas.ScheduleWith). Each round scans one row per ready task through
+// the workspace's prober and reduces the rows in ascending task order;
+// schedules are bit-identical to Schedule's.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 	started := time.Now()
 	if err := g.Validate(); err != nil {
@@ -58,28 +56,22 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 		return nil, err
 	}
 
-	b, pool := ws.Prepare(g, acg, "dls")
+	b, pr := ws.Prepare(g, acg, "dls")
 	// peFree[k] tracks TF(p): when PE k's committed work ends.
 	peFree := make([]int64, acg.NumPEs())
 
 	var rtl []ctg.TaskID
 	var rows []row
-	// evalRow fills rows[i] for rtl[i]. Built once — it reads rtl, rows
-	// and peFree through the captured variables, which only change
-	// between pool runs.
-	evalRow := func(pr *sched.Prober, i int) {
-		t := rtl[i]
-		rows[i] = scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree)
-	}
-
 	for b.Committed() < g.NumTasks() {
 		rtl = b.AppendReady(rtl[:0])
 		if len(rtl) == 0 {
 			return nil, fmt.Errorf("dls: no ready tasks with %d of %d committed",
 				b.Committed(), g.NumTasks())
 		}
-		rows = slices.Grow(rows[:0], len(rtl))[:len(rtl)]
-		pool.Run(len(rtl), evalRow)
+		rows = rows[:0]
+		for _, t := range rtl {
+			rows = append(rows, scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree))
+		}
 
 		bestTask, bestPE, err := choose(rtl, rows)
 		if err != nil {
@@ -97,8 +89,8 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	if err != nil {
 		return nil, err
 	}
-	s.Probes = pool.Probes()
-	s.ProbeReuses = pool.ProbeReuses()
+	s.Probes = pr.Probes()
+	s.ProbeReuses = pr.Reuses()
 	s.Elapsed = time.Since(started)
 	return s, nil
 }

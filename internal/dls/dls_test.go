@@ -167,7 +167,7 @@ func TestDLSRejectsBadInput(t *testing.T) {
 
 // TestDLSCountsProbes: Schedule.Probes counts the F(i,k) probes DLS
 // evaluated, one per ready task x capable PE per round, and neither it
-// nor Schedule.ProbeReuses depends on the worker count.
+// nor Schedule.ProbeReuses carries over when a workspace is reused.
 func TestDLSCountsProbes(t *testing.T) {
 	p, err := noc.NewHeterogeneousMesh(4, 4, noc.RouteXY, 256)
 	if err != nil {
@@ -183,26 +183,27 @@ func TestDLSCountsProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := ScheduleWith(sched.NewWorkspace(1, false), g, acg)
+	ws := sched.NewWorkspace(1, false)
+	seq, err := ScheduleWith(ws, g, acg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ScheduleWith(sched.NewWorkspace(4, false), g, acg)
+	again, err := ScheduleWith(ws, g, acg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Probes < int64(g.NumTasks()) {
 		t.Errorf("DLS reported %d probes for %d tasks", seq.Probes, g.NumTasks())
 	}
-	if seq.Probes != par.Probes {
-		t.Errorf("probe counts diverge: 1 worker %d, 4 workers %d", seq.Probes, par.Probes)
+	if seq.Probes != again.Probes {
+		t.Errorf("probe counts diverge: first solve %d, second %d", seq.Probes, again.Probes)
 	}
 	// Reused answers are part of Probes, and which probes the cache
 	// serves depends on the commit history only.
 	if seq.ProbeReuses <= 0 || seq.ProbeReuses >= seq.Probes {
 		t.Errorf("DLS reused %d of %d probes, want some but not all", seq.ProbeReuses, seq.Probes)
 	}
-	if seq.ProbeReuses != par.ProbeReuses {
-		t.Errorf("probe reuse counts diverge: 1 worker %d, 4 workers %d", seq.ProbeReuses, par.ProbeReuses)
+	if seq.ProbeReuses != again.ProbeReuses {
+		t.Errorf("probe reuse counts diverge: first solve %d, second %d", seq.ProbeReuses, again.ProbeReuses)
 	}
 }

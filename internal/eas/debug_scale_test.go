@@ -22,7 +22,7 @@ func TestDebugScaleSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := levelSchedule(sched.NewWorkspace(0, false), g, acg, budget, "eas", Options{})
+		s, err := levelSchedule(sched.NewWorkspace(1, false), g, acg, budget, "eas", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

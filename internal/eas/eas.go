@@ -3,7 +3,6 @@ package eas
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"nocsched/internal/ctg"
@@ -40,13 +39,6 @@ type Options struct {
 	// pure greedy search would otherwise grind through an enormous
 	// neighborhood.
 	RepairBudget int
-	// Workers caps the F(i,k) probe worker pool of Step 2; <= 0 means
-	// GOMAXPROCS. Any worker count produces bit-identical schedules:
-	// probes are evaluated per ready task into index-addressed rows and
-	// reduced sequentially in RTL order, reproducing the sequential
-	// tie-breaks exactly (the differential tests assert this). Ignored
-	// by ScheduleWith, where the workspace's pool configuration wins.
-	Workers int
 	// Telemetry collects scheduler metrics (probe counts, ready-list
 	// depth, energy breakdown) and phase spans; nil (the default)
 	// disables all collection at zero cost. Telemetry never influences
@@ -77,16 +69,15 @@ type Result struct {
 // Schedule runs the full EAS algorithm (Steps 1-3, or 1-2 when repair is
 // disabled) on graph g against the architecture acg.
 func Schedule(g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
-	return ScheduleWith(sched.NewWorkspace(opts.Workers, false), g, acg, opts)
+	return ScheduleWith(sched.NewWorkspace(1, false), g, acg, opts)
 }
 
 // ScheduleWith runs EAS through a reusable workspace: every budgeting
 // pass and the feasibility fallback share the workspace's builder and
-// probe pool (reset between passes), and a driver scheduling many
+// prober (reset between passes), and a driver scheduling many
 // instances — the batch engine's workers — reuses the same workspace
 // across calls, amortizing all table and route-table allocation.
-// Schedules are bit-identical to Schedule's. The workspace's pool
-// configuration overrides opts.Workers.
+// Schedules are bit-identical to Schedule's.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 	started := time.Now()
 	if err := g.Validate(); err != nil {
@@ -203,26 +194,25 @@ func deadlineFirstSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, a
 	if err != nil {
 		return nil, err
 	}
-	b, pool := ws.Prepare(g, acg, algorithm)
+	b, pr := ws.Prepare(g, acg, algorithm)
 	b.SetMetrics(sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()))
 	if opts.NaiveContention {
 		b.SetContentionAware(false)
 	}
-	if err := edf.Drive(b, pool, dEff); err != nil {
+	if err := edf.Drive(b, pr, dEff); err != nil {
 		return nil, fmt.Errorf("eas: fallback: %w", err)
 	}
 	s, err := b.Finish()
 	if err != nil {
 		return nil, err
 	}
-	s.Probes = pool.Probes()
+	s.Probes = pr.Probes()
 	return s, nil
 }
 
 // rowEval is one ready task's half of the Step 2 decision, computed
-// independently per RTL row so rows can be evaluated concurrently. All
-// cross-task comparisons (which task commits) happen later, in the
-// sequential reduction.
+// independently per RTL row. All cross-task comparisons (which task
+// commits) happen afterwards, in choose.
 type rowEval struct {
 	// minF/minFPE: Eq. 4, the earliest finish over capable PEs (ties to
 	// the lower PE) and where it occurs; minFComm is that placement's
@@ -328,14 +318,12 @@ func scanRow(pr *sched.Prober, task *ctg.Task, ti ctg.TaskID, bd int64) rowEval 
 }
 
 // levelSchedule is Step 2: level-based list scheduling over the Ready
-// Task List. Every round, each RTL row is evaluated by scanRow across
-// the pool's workers; the rows are then reduced in ascending RTL order
-// on this goroutine, which reproduces the original sequential scan's
-// tie-breaks exactly (first-wins under ascending task IDs is equivalent
-// to the historical "ti < best" tie conditions), so the schedule is
-// bit-identical at any worker count.
+// Task List. Every round, each RTL row is evaluated by scanRow and the
+// rows are then reduced in ascending RTL order, which reproduces the
+// original full scan's tie-breaks exactly (first-wins under ascending
+// task IDs is equivalent to the historical "ti < best" tie conditions).
 func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *Budget, algorithm string, opts Options) (*sched.Schedule, error) {
-	b, pool := ws.Prepare(g, acg, algorithm)
+	b, pr := ws.Prepare(g, acg, algorithm)
 	metrics := sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs())
 	b.SetMetrics(metrics)
 	if opts.NaiveContention {
@@ -344,14 +332,6 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 
 	var rtl []ctg.TaskID
 	var rows []rowEval
-	// evalRow computes rowEval for rtl[i]. Built once — it reads rtl and
-	// rows through the captured variables, which are only reassigned
-	// between pool.Run calls.
-	evalRow := func(pr *sched.Prober, i int) {
-		ti := rtl[i]
-		rows[i] = scanRow(pr, g.Task(ti), ti, budget.BD[ti])
-	}
-
 	for b.Committed() < g.NumTasks() {
 		rtl = b.AppendReady(rtl[:0])
 		if len(rtl) == 0 {
@@ -359,8 +339,10 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 				b.Committed(), g.NumTasks())
 		}
 		metrics.ObserveReadyDepth(len(rtl))
-		rows = slices.Grow(rows[:0], len(rtl))[:len(rtl)]
-		pool.Run(len(rtl), evalRow)
+		rows = rows[:0]
+		for _, ti := range rtl {
+			rows = append(rows, scanRow(pr, g.Task(ti), ti, budget.BD[ti]))
+		}
 
 		commitTask, commitPE, err := choose(g, budget, rtl, rows)
 		if err != nil {
@@ -374,8 +356,8 @@ func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *B
 	if err != nil {
 		return nil, err
 	}
-	s.Probes = pool.Probes()
-	s.ProbeReuses = pool.ProbeReuses()
+	s.Probes = pr.Probes()
+	s.ProbeReuses = pr.Reuses()
 	return s, nil
 }
 

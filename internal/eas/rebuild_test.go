@@ -35,7 +35,7 @@ func tightCases(tb testing.TB, n int) []tightCase {
 // stepTwo returns the Step 2 schedule EAS hands to search-and-repair.
 func stepTwo(tb testing.TB, g *ctg.Graph, acg *energy.ACG) *sched.Schedule {
 	tb.Helper()
-	res, err := Schedule(g, acg, Options{DisableRepair: true, Workers: 1})
+	res, err := Schedule(g, acg, Options{DisableRepair: true})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestDeadlineFirstSchedule(t *testing.T) {
 	g := ctg.New("df")
 	hetTask(t, g, "a", 100, 500)
 	hetTask(t, g, "b", 100, 200)
-	s, err := deadlineFirstSchedule(sched.NewWorkspace(0, false), g, acg, "eas", Options{})
+	s, err := deadlineFirstSchedule(sched.NewWorkspace(1, false), g, acg, "eas", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

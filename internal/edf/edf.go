@@ -18,12 +18,9 @@ import (
 	"nocsched/internal/telemetry"
 )
 
-// Options tune how the EDF baseline evaluates its probes. The zero
-// value (one worker per available CPU) is the default; every setting
-// produces bit-identical schedules.
+// Options configure the EDF baseline's instrumentation; the zero value
+// is the default.
 type Options struct {
-	// Workers caps the probe worker pool; <= 0 means GOMAXPROCS.
-	Workers int
 	// Telemetry collects scheduler metrics and phase spans; nil (the
 	// default) disables all collection. Telemetry never influences
 	// scheduling decisions.
@@ -36,16 +33,15 @@ func Schedule(g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 	return ScheduleOpts(g, acg, Options{})
 }
 
-// ScheduleOpts runs the EDF baseline with explicit probe options.
+// ScheduleOpts runs the EDF baseline with explicit options.
 func ScheduleOpts(g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
-	return ScheduleWith(sched.NewWorkspace(opts.Workers, false), g, acg, opts)
+	return ScheduleWith(sched.NewWorkspace(1, false), g, acg, opts)
 }
 
 // ScheduleWith runs the EDF baseline through a reusable workspace (see
 // eas.ScheduleWith): batch drivers reuse one workspace across many
 // instances, amortizing the builder's table and route-table
-// allocations. Schedules are bit-identical to ScheduleOpts'. The
-// workspace's pool configuration overrides opts.Workers.
+// allocations. Schedules are bit-identical to ScheduleOpts'.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
 	started := time.Now()
 	if err := g.Validate(); err != nil {
@@ -59,10 +55,10 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	b, pool := ws.Prepare(g, acg, "edf")
+	b, pr := ws.Prepare(g, acg, "edf")
 	b.SetMetrics(sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()))
 	endDrive := opts.Telemetry.T().Span("edf:drive", "edf phases")
-	err = Drive(b, pool, dEff)
+	err = Drive(b, pr, dEff)
 	endDrive()
 	if err != nil {
 		return nil, err
@@ -71,19 +67,20 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	s.Probes = pool.Probes()
+	s.Probes = pr.Probes()
 	s.Elapsed = time.Since(started)
 	sched.PublishSchedule(opts.Telemetry.R(), s)
 	return s, nil
 }
 
-// Drive runs the EDF decision loop on a prepared builder until every
-// task is committed: pick the ready task with the earliest effective
-// deadline (ties to the lower task ID), place it on the PE that
-// finishes it earliest (ties to the lower PE index). It is shared with
-// the EAS scheduler's deadline-first fallback, which is exactly this
-// policy on a different builder.
-func Drive(b *sched.Builder, pool *sched.ProbePool, dEff []int64) error {
+// Drive runs the EDF decision loop on a prepared builder, probing
+// through pr (one of b's probers), until every task is committed: pick
+// the ready task with the earliest effective deadline (ties to the
+// lower task ID), place it on the PE that finishes it earliest (ties
+// to the lower PE index). It is shared with the EAS scheduler's
+// deadline-first fallback, which is exactly this policy on a different
+// builder.
+func Drive(b *sched.Builder, pr *sched.Prober, dEff []int64) error {
 	g := b.Graph()
 	var rtl []ctg.TaskID
 	for b.Committed() < g.NumTasks() {
@@ -100,7 +97,7 @@ func Drive(b *sched.Builder, pool *sched.ProbePool, dEff []int64) error {
 				pick = t
 			}
 		}
-		best, err := pool.EarliestFinishPE(pick)
+		best, err := pr.EarliestFinishPE(pick)
 		if err != nil {
 			return err
 		}

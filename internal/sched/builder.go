@@ -45,8 +45,7 @@ type Builder struct {
 
 	// routeTabs[i] points at the link table of the ACG's flat link
 	// acg.Links()[i], so a route's tables slice by the same bounds as
-	// its links (routeTables). Built once per ACG and only read after,
-	// so concurrent probers share it without synchronization.
+	// its links (routeTables). Built once per ACG and only read after.
 	routeTabs []*schedtable.Table
 
 	// lct/trans are place()'s per-commit scratch, reused across
@@ -138,10 +137,10 @@ func resetTables(ts []schedtable.Table, n int) []schedtable.Table {
 // restored to the exact Fig. 3 default; callers wanting either must set
 // it again after Reset.
 //
-// Reset preserves the builder's identity, so Probers and ProbePools
-// created from it remain valid across same-ACG resets — that is what
-// lets a batch worker drive thousands of instances through one
-// builder/pool pair with zero steady-state allocation.
+// Reset preserves the builder's identity, so Probers created from it
+// remain valid across same-ACG resets — that is what lets a batch
+// worker drive thousands of instances through one builder/prober pair
+// with zero steady-state allocation.
 func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 	if acg != b.acg {
 		b.acg = acg
@@ -219,8 +218,7 @@ func (b *Builder) bindRoutes() {
 }
 
 // routeTables returns the link tables and link IDs of the ACG route
-// from PE src to PE dst; a PE's route to itself is empty. It only
-// reads, so concurrent probers may call it.
+// from PE src to PE dst; a PE's route to itself is empty.
 func (b *Builder) routeTables(src, dst int) ([]*schedtable.Table, []noc.LinkID) {
 	lo, hi := b.acg.RouteSpan(src, dst)
 	return b.routeTabs[lo:hi], b.acg.Links()[lo:hi]

@@ -6,9 +6,9 @@ import "fmt"
 // a human-readable description of the first discrepancy, or "" when the
 // schedules are identical: same task placements (PE, start, finish),
 // same transaction placements (PEs, slot, route) and exactly equal
-// total energy. It is the oracle of the parallel-vs-sequential
-// differential tests: the read-only probe path and the worker pool
-// promise bit-identical schedules, not merely equivalent-cost ones.
+// total energy. It is the oracle of the differential tests: workspace
+// reuse, the probe cache and the lazy row scans promise bit-identical
+// schedules, not merely equivalent-cost ones.
 func Diff(a, b *Schedule) string {
 	if len(a.Tasks) != len(b.Tasks) {
 		return fmt.Sprintf("task counts differ: %d vs %d", len(a.Tasks), len(b.Tasks))

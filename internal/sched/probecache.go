@@ -21,7 +21,7 @@ import (
 // Entries live in rows of NumPEs, one row per ready-list slot: a task
 // takes a slot when AppendReady first lists it and frees it on commit,
 // so the storage is the peak ready-list depth x NumPEs, not tasks x PEs.
-// Slots change hands only on the caller's goroutine, between pool runs.
+// Slots change hands only in AppendReady, Commit and Reset.
 // Each row also holds the task's row-scan keys and PE order (rowscan.go),
 // which, unlike the cached probes, never go stale.
 type probeCache struct {
@@ -128,11 +128,6 @@ func (b *Builder) fresh(s uint64, t ctg.TaskID, k int) bool {
 // reused answer still counts as one probe everywhere Probe is counted;
 // Reuses counts it separately. A task AppendReady has not listed yet
 // has no cache row and is always evaluated.
-//
-// The cache row of task t belongs to whichever prober probes t: calls
-// for one task must not run concurrently. The Step 2 and DLS row
-// evaluators meet this by probing each ready task from one worker per
-// ProbePool run. Probe itself stays free of that rule.
 func (p *Prober) ProbeCached(t ctg.TaskID, k int) (ProbeResult, error) {
 	b := p.b
 	npe := len(b.peTables)

@@ -31,9 +31,10 @@ type ProbeResult struct {
 // links) and only reads the shared tables. A probe reports exactly the
 // placement Commit would make in the same state (TestProbePredictsCommit).
 //
-// Each Prober owns its scratch, so distinct Probers may probe
-// concurrently against one Builder — as long as no Commit runs in
-// parallel with them. After warm-up a probe performs no heap
+// A solve drives one Builder through one Prober on one goroutine.
+// Probe itself writes only the prober's scratch (TestConcurrentProbers
+// checks this under -race); ProbeCached and Row also write the
+// builder's cache rows. After warm-up a probe performs no heap
 // allocations (guarded by TestProbeZeroAllocs).
 type Prober struct {
 	b       *Builder
@@ -53,8 +54,8 @@ type Prober struct {
 // NewProber returns a read-only prober for the builder.
 //
 // Telemetry handles are read from the builder at probe time (not cached
-// here), so SetMetrics calls made after the prober — or a pool reusing
-// it across Builder.Reset cycles — was constructed still take effect.
+// here), so SetMetrics calls made after the prober was constructed —
+// or after a Builder.Reset it outlived — still take effect.
 // Every handle is nil-safe, so disabled telemetry costs two nil checks
 // per probe; the zero-alloc guards cover both states.
 func (b *Builder) NewProber() *Prober {

@@ -3,7 +3,6 @@ package sched
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"nocsched/internal/ctg"
@@ -206,37 +205,61 @@ func TestProbeZeroAllocsWithMetrics(t *testing.T) {
 	}
 }
 
-// TestProbePoolCountersConcurrent runs metered probes from all pool
-// workers at once and checks the shared counters add up exactly; under
-// -race this is the telemetry layer's concurrency proof on the real
-// probe path.
+// TestProbePoolCountersConcurrent runs metered probes on several
+// goroutines at once, each driving its own builder and prober into one
+// shared registry — the batch engine's workers do exactly this — and
+// checks the shared counters add up exactly; under -race this is the
+// telemetry layer's concurrency proof on the real probe path.
 func TestProbePoolCountersConcurrent(t *testing.T) {
 	g, acg := proberRig(t, 21, 60)
-	b := NewBuilder(g, acg, "test")
 	reg := telemetry.NewRegistry()
-	b.SetMetrics(NewMetrics(reg, acg.NumPEs()))
-	for b.Committed() < g.NumTasks()/3 {
-		ready := b.ReadyTasks()
-		if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
-			t.Fatal(err)
+	const workers, n = 4, 500
+	probers := make([]*Prober, workers)
+	var task ctg.TaskID
+	for w := range probers {
+		b := NewBuilder(g, acg, "test")
+		b.SetMetrics(NewMetrics(reg, acg.NumPEs()))
+		for b.Committed() < g.NumTasks()/3 {
+			ready := b.ReadyTasks()
+			if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Listing the ready tasks gives them cache rows. Every builder
+		// committed the same prefix, so they share the first one.
+		task = b.ReadyTasks()[0]
+		probers[w] = b.NewProber()
+	}
+	runnable := 0
+	for k := 0; k < acg.NumPEs(); k++ {
+		if g.Task(task).RunnableOn(k) {
+			runnable++
 		}
 	}
-	base := reg.Counter(MetricProbes).Value()
-	pool := NewProbePool(b, 4)
-	ready := b.ReadyTasks()
-	task := ready[0]
-	const n = 500
-	pool.Run(n, func(pr *Prober, i int) {
-		k := i % acg.NumPEs()
-		for !g.Task(task).RunnableOn(k) {
-			k = (k + 1) % acg.NumPEs()
-		}
-		if _, err := pr.Probe(task, k); err != nil {
-			t.Error(err)
-		}
-	})
-	if got := reg.Counter(MetricProbes).Value() - base; got != n {
-		t.Errorf("%s grew by %d, want %d", MetricProbes, got, n)
+	var wg sync.WaitGroup
+	for _, pr := range probers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				k := i % acg.NumPEs()
+				for !g.Task(task).RunnableOn(k) {
+					k = (k + 1) % acg.NumPEs()
+				}
+				if _, err := pr.ProbeCached(task, k); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reg.Counter(MetricProbes).Value(); got != workers*n {
+		t.Errorf("%s = %d, want %d", MetricProbes, got, workers*n)
+	}
+	// Each prober evaluates every runnable PE once; the rest are reused.
+	if got, want := reg.Counter(MetricProbeReuses).Value(), int64(workers*(n-runnable)); got != want {
+		t.Errorf("%s = %d, want %d", MetricProbeReuses, got, want)
 	}
 	// Every probe charged exactly one pair cell per incoming edge.
 	snap := reg.Snapshot()
@@ -246,27 +269,27 @@ func TestProbePoolCountersConcurrent(t *testing.T) {
 			pairTotal = gs.Total()
 		}
 	}
-	if want := int64(n * len(g.In(task))); pairTotal != want {
+	if want := int64(workers * n * len(g.In(task))); pairTotal != want {
 		t.Errorf("%s total = %d, want %d (%d probes x %d in-edges)",
-			MetricProbePairs, pairTotal, want, n, len(g.In(task)))
+			MetricProbePairs, pairTotal, want, workers*n, len(g.In(task)))
 	}
 }
 
-// TestEarliestFinishPEZeroAllocs guards the pool's reduction scratch.
+// TestEarliestFinishPEZeroAllocs guards the row scan's scratch.
 func TestEarliestFinishPEZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard is meaningless under -race")
 	}
 	g, acg := proberRig(t, 6, 40)
 	b := NewBuilder(g, acg, "test")
-	pool := NewProbePool(b, 1)
+	pr := b.NewProber()
 	ready := b.ReadyTasks()
 	task := ready[0]
-	if _, err := pool.EarliestFinishPE(task); err != nil {
+	if _, err := pr.EarliestFinishPE(task); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := pool.EarliestFinishPE(task); err != nil {
+		if _, err := pr.EarliestFinishPE(task); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -321,68 +344,40 @@ func TestConcurrentProbers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestProbePoolRunCoverage checks Run visits every index exactly once
-// at several worker counts. n is below DefaultSequentialFloor, so the
-// default-floor runs take Run's sequential branch and the floor-0 runs
-// its fan-out.
-func TestProbePoolRunCoverage(t *testing.T) {
-	g, acg := proberRig(t, 11, 30)
-	for _, tc := range []struct{ workers, floor int }{
-		{1, DefaultSequentialFloor}, {5, DefaultSequentialFloor}, {2, 0}, {5, 0},
-	} {
-		b := NewBuilder(g, acg, "test")
-		pool := NewProbePool(b, tc.workers)
-		if len(pool.probers) != tc.workers {
-			t.Fatalf("%d probers, want %d", len(pool.probers), tc.workers)
-		}
-		pool.seqFloor = tc.floor
-		const n = 97
-		hits := make([]atomic.Int32, n)
-		pool.Run(n, func(pr *Prober, i int) { hits[i].Add(1) })
-		for i := range hits {
-			if h := hits[i].Load(); h != 1 {
-				t.Fatalf("workers=%d floor=%d: index %d evaluated %d times", tc.workers, tc.floor, i, h)
-			}
-		}
-	}
-}
-
-// TestEarliestFinishPEMatchesSequential compares the pool reduction
-// against a direct sequential scan over a single Prober.
+// TestEarliestFinishPEMatchesSequential compares the lazy row scan
+// against a direct scan of every PE through a second Prober.
 func TestEarliestFinishPEMatchesSequential(t *testing.T) {
 	g, acg := proberRig(t, 13, 50)
-	for _, workers := range []int{1, 4} {
-		b := NewBuilder(g, acg, "test")
-		pool := NewProbePool(b, workers)
-		seq := b.NewProber()
-		for b.Committed() < g.NumTasks() {
-			ready := b.ReadyTasks()
-			task := ready[0]
-			// Sequential oracle: strict earliest finish, lowest PE wins ties.
-			bestPE, bestFinish := -1, int64(0)
-			for k := 0; k < acg.NumPEs(); k++ {
-				if !g.Task(task).RunnableOn(k) {
-					continue
-				}
-				p, err := seq.Probe(task, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bestPE < 0 || p.Finish < bestFinish {
-					bestPE, bestFinish = k, p.Finish
-				}
+	b := NewBuilder(g, acg, "test")
+	pr := b.NewProber()
+	seq := b.NewProber()
+	for b.Committed() < g.NumTasks() {
+		ready := b.ReadyTasks()
+		task := ready[0]
+		// Sequential oracle: strict earliest finish, lowest PE wins ties.
+		bestPE, bestFinish := -1, int64(0)
+		for k := 0; k < acg.NumPEs(); k++ {
+			if !g.Task(task).RunnableOn(k) {
+				continue
 			}
-			got, err := pool.EarliestFinishPE(task)
+			p, err := seq.Probe(task, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.PE != bestPE || got.Finish != bestFinish {
-				t.Fatalf("workers=%d task %d: pool picked PE %d finish %d, oracle PE %d finish %d",
-					workers, task, got.PE, got.Finish, bestPE, bestFinish)
+			if bestPE < 0 || p.Finish < bestFinish {
+				bestPE, bestFinish = k, p.Finish
 			}
-			if _, err := b.Commit(task, got.PE); err != nil {
-				t.Fatal(err)
-			}
+		}
+		got, err := pr.EarliestFinishPE(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.PE != bestPE || got.Finish != bestFinish {
+			t.Fatalf("task %d: row scan picked PE %d finish %d, oracle PE %d finish %d",
+				task, got.PE, got.Finish, bestPE, bestFinish)
+		}
+		if _, err := b.Commit(task, got.PE); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

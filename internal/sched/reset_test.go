@@ -137,8 +137,8 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWorkspacePrepareReuse pins Workspace.Prepare's two paths: the
-// same ACG reuses builder and pool in place; a different ACG rebuilds
-// both.
+// same ACG reuses builder and prober in place, with the prober's
+// counters zeroed; a different ACG rebuilds both.
 func TestWorkspacePrepareReuse(t *testing.T) {
 	gA, acg := proberRig(t, 41, 30)
 	gB, _ := proberRig(t, 42, 25)
@@ -146,13 +146,19 @@ func TestWorkspacePrepareReuse(t *testing.T) {
 
 	ws := NewWorkspace(1, false)
 	b1, p1 := ws.Prepare(gA, acg, "x")
+	if _, err := p1.EarliestFinishPE(b1.ReadyTasks()[0]); err != nil {
+		t.Fatal(err)
+	}
 	b2, p2 := ws.Prepare(gB, acg, "y")
 	if b1 != b2 || p1 != p2 {
-		t.Error("same-ACG Prepare rebuilt the builder or pool")
+		t.Error("same-ACG Prepare rebuilt the builder or prober")
+	}
+	if p2.Probes() != 0 || p2.Reuses() != 0 {
+		t.Errorf("same-ACG Prepare kept %d probes, %d reuses", p2.Probes(), p2.Reuses())
 	}
 	b3, p3 := ws.Prepare(gC, acg2, "z")
 	if b3 == b2 || p3 == p2 {
-		t.Error("platform-change Prepare reused the builder or pool")
+		t.Error("platform-change Prepare reused the builder or prober")
 	}
 	var ready []ctg.TaskID
 	if d := Diff(driveEF(t, NewBuilder(gC, acg2, "z").NewProber(), ready), driveEF(t, b3.NewProber(), ready)); d != "" {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"nocsched/internal/ctg"
@@ -21,8 +22,7 @@ import (
 //
 // A scheduler sorts the runnable PEs by its own key, once per ready-list
 // slot, visits them in that order and stops once the keys prove no
-// unprobed PE can change its answer. Stop rules look at one row only,
-// so probe counts stay independent of the worker count.
+// unprobed PE can change its answer. Stop rules look at one row only.
 type rowKeys struct {
 	drtLB int64
 	comm  float64
@@ -75,7 +75,7 @@ func (r Row) Comm(k int) float64 { return r.e[k].keys.comm }
 // task AppendReady has listed keeps its keys and order in its slot, so
 // the order is sorted on the first call per kind and reused until the
 // task commits; any other task's row is built in prober scratch on every
-// call. Like ProbeCached, calls for one task must not run concurrently.
+// call.
 func (p *Prober) Row(t ctg.TaskID, kind RowKind, key RowKey) Row {
 	b := p.b
 	npe := len(b.peTables)
@@ -99,6 +99,49 @@ func (p *Prober) Row(t ctg.TaskID, kind RowKind, key RowKey) Row {
 		head.kind = kind
 	}
 	return Row{Order: order[:head.n], e: e}
+}
+
+// EarliestFinishPE returns the placement of task t with the strictly
+// earliest finish over the PEs that can run it, ties broken toward the
+// lowest PE index — the EDF inner loop. If no PE can run t, an error is
+// returned.
+//
+// It scans t's row (Prober.Row) by ascending finish bound drtLB + exec
+// and stops once the bound passes the best finish found, so it probes
+// only the PEs that could still win; the answer is the full scan's bit
+// for bit. It uses plain Probe: EDF commits the task right after, so a
+// cached probe would never be reused.
+func (p *Prober) EarliestFinishPE(t ctg.TaskID) (ProbeResult, error) {
+	task := p.b.g.Task(t)
+	row := p.Row(t, rowByFinish, func(k int, drtLB int64, _ float64) float64 {
+		return float64(drtLB + task.ExecTime[k])
+	})
+	best := ProbeResult{PE: -1}
+	for _, k32 := range row.Order {
+		k := int(k32)
+		if best.PE >= 0 {
+			bound := row.DRTBound(k) + task.ExecTime[k]
+			// The order is by float64(bound), which is monotone, so past
+			// a larger float no later PE can finish by best.Finish.
+			if float64(bound) > float64(best.Finish) {
+				break
+			}
+			if bound > best.Finish || (bound == best.Finish && k > best.PE) {
+				continue
+			}
+		}
+		r, err := p.Probe(t, k)
+		if err != nil {
+			return ProbeResult{}, err
+		}
+		if best.PE < 0 || r.Finish < best.Finish || (r.Finish == best.Finish && k < best.PE) {
+			best = r
+		}
+	}
+	if best.PE < 0 {
+		return ProbeResult{}, fmt.Errorf("sched: task %d runnable on no PE", t)
+	}
+	return best, nil
 }
 
 // fillKeys sets the keys of ready task t on every runnable PE of row,

@@ -93,12 +93,12 @@ func TestRowScanDifferential(t *testing.T) {
 	var rows int
 	for _, w := range rowCorpora(t) {
 		b := NewBuilder(w.Graph, w.ACG, "test")
-		pool := NewProbePool(b, 1)
+		pr := b.NewProber()
 		ref := b.NewProber()
 		check := func(ready []ctg.TaskID) {
 			for _, task := range ready {
 				want := eagerEarliestFinish(t, ref, task)
-				got, err := pool.EarliestFinishPE(task)
+				got, err := pr.EarliestFinishPE(task)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func TestRowScanDifferential(t *testing.T) {
 					t.Fatalf("%s task %d after %d commits: lazy %+v, eager %+v",
 						w.Name, task, b.Committed(), got, want)
 				}
-				checkRowKeys(t, pool.probers[0], task)
+				checkRowKeys(t, pr, task)
 				rows++
 			}
 		}
@@ -115,7 +115,7 @@ func TestRowScanDifferential(t *testing.T) {
 			ready := b.ReadyTasks()
 			check(ready)
 			task := ready[round%len(ready)]
-			best, err := pool.EarliestFinishPE(task)
+			best, err := pr.EarliestFinishPE(task)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,68 +125,4 @@ func TestRowScanDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%d rows checked", rows)
-}
-
-// scanAll scans task's whole row in its kind's order through
-// ProbeCached and returns the earliest finish, ties to the lower PE.
-func scanAll(pr *Prober, task ctg.TaskID, kind RowKind) (ProbeResult, error) {
-	g := pr.b.g
-	row := pr.Row(task, kind, func(k int, drtLB int64, comm float64) float64 {
-		return g.Task(task).Energy[k] + comm - float64(drtLB)
-	})
-	best := ProbeResult{PE: -1}
-	for _, k := range row.Order {
-		p, err := pr.ProbeCached(task, int(k))
-		if err != nil {
-			return p, err
-		}
-		if best.PE < 0 || p.Finish < best.Finish || (p.Finish == best.Finish && p.PE < best.PE) {
-			best = p
-		}
-	}
-	return best, nil
-}
-
-// TestRowScanParallelDifferential scans every ready row of every round
-// from four workers at once, with the sequential floor off, and requires
-// the answers a sequential scan gives. Rounds alternate the row kind, so
-// rows are re-sorted inside the parallel runs. Under -race this proves
-// that a row's order and cached probes are written only by the worker
-// scanning it.
-func TestRowScanParallelDifferential(t *testing.T) {
-	for _, w := range rowCorpora(t) {
-		b := NewBuilder(w.Graph, w.ACG, "test")
-		pool := NewProbePool(b, 4)
-		pool.seqFloor = 0
-		seq := b.NewProber()
-		var got []ProbeResult
-		for round := 0; b.Committed() < w.Graph.NumTasks(); round++ {
-			kind := RowByCost
-			if round%2 == 1 {
-				kind = RowByLevel
-			}
-			ready := b.ReadyTasks()
-			got = append(got[:0], make([]ProbeResult, len(ready))...)
-			pool.Run(len(ready), func(pr *Prober, i int) {
-				var err error
-				if got[i], err = scanAll(pr, ready[i], kind); err != nil {
-					t.Error(err)
-				}
-			})
-			for i, task := range ready {
-				want, err := scanAll(seq, task, kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[i] != want {
-					t.Fatalf("%s task %d after %d commits: parallel %+v, sequential %+v",
-						w.Name, task, b.Committed(), got[i], want)
-				}
-			}
-			i := round % len(ready)
-			if _, err := b.Commit(ready[i], got[i].PE); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 }

@@ -5,15 +5,15 @@ import (
 	"nocsched/internal/energy"
 )
 
-// Workspace bundles one reusable Builder with its ProbePool so that a
+// Workspace bundles one reusable Builder with its Prober so that a
 // driver scheduling many instances — a batch worker, a sweep harness, a
 // Monte-Carlo campaign — pays the builder's table, route-table and
 // prober allocations once and then amortizes them across every
 // subsequent instance on the same platform via Builder.Reset.
 //
-// A Workspace is single-goroutine state: one scheduling run at a time.
-// Concurrency lives one level up (each batch worker owns one
-// workspace) or one level down (the pool's probers).
+// A Workspace is single-goroutine state: one scheduling run at a time,
+// and a run probes and commits on one goroutine. Concurrency lives one
+// level up: each batch worker owns one workspace.
 //
 // Reuse never changes results: a schedule produced through a prepared
 // workspace is bit-identical (sched.Diff) to one produced by a fresh
@@ -21,16 +21,13 @@ import (
 // counts and against fresh-builder references.
 type Workspace struct {
 	builder *Builder
-	pool    *ProbePool
-	workers int
+	prober  *Prober
 }
 
-// NewWorkspace returns an empty workspace whose pools will use the
-// given worker count (<= 0 means GOMAXPROCS). The second argument is
-// ignored and deprecated: it once selected a second probe path and
-// remains only so existing callers compile. Pass false.
-func NewWorkspace(workers int, _ bool) *Workspace {
-	return &Workspace{workers: workers}
+// NewWorkspace returns an empty workspace. Both arguments are ignored
+// and remain only so existing callers compile; pass 1 and false.
+func NewWorkspace(_ int, _ bool) *Workspace {
+	return &Workspace{}
 }
 
 // Builder returns the workspace's current builder (nil before the
@@ -40,18 +37,18 @@ func (w *Workspace) Builder() *Builder { return w.builder }
 // Prepare readies the workspace for one scheduling run of graph g on
 // acg: on the same platform as the previous run it resets the existing
 // builder in place (zero steady-state allocation beyond the fresh
-// Schedule shell) and zeroes the pool's probe counters; on a platform
-// change it builds a fresh builder and pool. The returned builder has
+// Schedule shell) and zeroes the prober's probe counters; on a platform
+// change it builds a fresh builder and prober. The returned builder has
 // no metrics attached and uses the exact contention model; callers set
 // both after Prepare, per run.
-func (w *Workspace) Prepare(g *ctg.Graph, acg *energy.ACG, algorithm string) (*Builder, *ProbePool) {
+func (w *Workspace) Prepare(g *ctg.Graph, acg *energy.ACG, algorithm string) (*Builder, *Prober) {
 	if w.builder != nil && w.builder.ACG() == acg {
 		w.builder.SetAlgorithm(algorithm)
 		w.builder.Reset(g, acg)
-		w.pool.ResetProbes()
-		return w.builder, w.pool
+		w.prober.probes, w.prober.reuses = 0, 0
+		return w.builder, w.prober
 	}
 	w.builder = NewBuilder(g, acg, algorithm)
-	w.pool = NewProbePool(w.builder, w.workers)
-	return w.builder, w.pool
+	w.prober = w.builder.NewProber()
+	return w.builder, w.prober
 }

@@ -10,63 +10,27 @@ import (
 	"nocsched/internal/eas"
 	"nocsched/internal/edf"
 	"nocsched/internal/energy"
-	"nocsched/internal/noc"
 	"nocsched/internal/sched"
-	"nocsched/internal/tgff"
 	"nocsched/internal/verify/workloadgen"
 )
 
 // goldenDigests pins the SHA-256 of every scheduler's WriteJSON output
-// over goldenInputs, concatenated in input order. A change to any
-// placement, transaction slot or tie-break anywhere in EAS, EDF or DLS
-// changes the digest, so refactors of the probe and commit paths must
-// leave these constants untouched.
+// over workloadgen.Golden(), concatenated in corpus order. A change to
+// any placement, transaction slot or tie-break anywhere in EAS, EDF or
+// DLS changes the digest, so refactors of the probe and commit paths
+// must leave these constants untouched.
 var goldenDigests = map[string]string{
 	"eas": "d372ee8ccb9c1040fdfa5671b4cd1fcb79fb4296fba788471e0b6e1d999fe326",
 	"edf": "a886924efe6d556a2c3c211856fbc2448111b3a314218930261b8d398c4b78e1",
 	"dls": "628d5334e871dcc0718abdb6ceccfddcc9ff1dcba3d99c2784b2fd77ecb11780",
 }
 
-type goldenInput struct {
-	g   *ctg.Graph
-	acg *energy.ACG
-}
-
-// goldenInputs is workloadgen.Corpus(1) followed by three 300-task
-// Category I suite graphs on a 4x4 heterogeneous mesh.
-func goldenInputs(t *testing.T) []goldenInput {
-	t.Helper()
-	ws, err := workloadgen.Corpus(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in []goldenInput
-	for _, w := range ws {
-		in = append(in, goldenInput{w.Graph, w.ACG})
-	}
-	platform, err := noc.NewHeterogeneousMesh(4, 4, noc.RouteXY, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acg, err := energy.BuildACG(platform, energy.DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		p := tgff.SuiteParams(tgff.CategoryI, i, platform)
-		p.NumTasks = 300
-		g, err := tgff.Generate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in = append(in, goldenInput{g, acg})
-	}
-	return in
-}
-
 // TestGoldenScheduleDigests pins the schedules every algorithm emits.
 func TestGoldenScheduleDigests(t *testing.T) {
-	inputs := goldenInputs(t)
+	inputs, err := workloadgen.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
 	solve := map[string]func(*ctg.Graph, *energy.ACG) (*sched.Schedule, error){
 		"eas": func(g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 			r, err := eas.Schedule(g, acg, eas.Options{})
@@ -82,9 +46,9 @@ func TestGoldenScheduleDigests(t *testing.T) {
 		t.Run(alg, func(t *testing.T) {
 			h := sha256.New()
 			for _, in := range inputs {
-				s, err := solve[alg](in.g, in.acg)
+				s, err := solve[alg](in.Graph, in.ACG)
 				if err != nil {
-					t.Fatalf("%s: %v", in.g.Name, err)
+					t.Fatalf("%s: %v", in.Name, err)
 				}
 				if err := s.WriteJSON(h); err != nil {
 					t.Fatal(err)

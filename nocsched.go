@@ -272,8 +272,8 @@ func EAS(g *Graph, acg *ACG, opts EASOptions) (*EASResult, error) {
 	return eas.Schedule(g, acg, opts)
 }
 
-// EDFOptions tune the EDF baseline's probe evaluation (worker count,
-// telemetry); the zero value is the default.
+// EDFOptions configure the EDF baseline's telemetry; the zero value is
+// the default.
 type EDFOptions = edf.Options
 
 // EDF runs the baseline Earliest-Deadline-First scheduler.
@@ -281,8 +281,8 @@ func EDF(g *Graph, acg *ACG) (*Schedule, error) {
 	return edf.Schedule(g, acg)
 }
 
-// EDFWithOptions runs the EDF baseline with explicit probe options.
-// Every option produces bit-identical schedules; only speed differs.
+// EDFWithOptions runs the EDF baseline with explicit options.
+// Telemetry never changes the schedule.
 func EDFWithOptions(g *Graph, acg *ACG, opts EDFOptions) (*Schedule, error) {
 	return edf.ScheduleOpts(g, acg, opts)
 }
@@ -314,7 +314,7 @@ type BatchInstance = batch.Instance
 type BatchResult = batch.Result
 
 // BatchOptions configures a BatchEngine (worker count, admission queue
-// depth, nested probe workers, telemetry).
+// depth, telemetry).
 type BatchOptions = batch.Options
 
 // BatchStream is one batch run: a single-producer instance stream with
@@ -322,8 +322,8 @@ type BatchOptions = batch.Options
 type BatchStream = batch.Stream
 
 // NewBatchEngine returns a batch engine with the options' defaults
-// resolved (Workers: GOMAXPROCS, QueueDepth: 2x workers, one nested
-// probe worker per instance).
+// resolved (Workers: GOMAXPROCS, QueueDepth: 2x workers); each worker
+// solves its instances one at a time with one prober.
 var NewBatchEngine = batch.New
 
 // Batch algorithm names for BatchInstance.Algorithm.
@@ -331,26 +331,6 @@ const (
 	BatchAlgoEAS = batch.AlgoEAS
 	BatchAlgoEDF = batch.AlgoEDF
 	BatchAlgoDLS = batch.AlgoDLS
-)
-
-// SchedWorkspace bundles one reusable schedule builder with its probe
-// pool: drivers scheduling many instances Prepare it per run and
-// amortize the builder's table and route-table allocations across
-// every instance on the same platform.
-type SchedWorkspace = sched.Workspace
-
-// NewSchedWorkspace returns an empty workspace with the given probe
-// worker count (<= 0: GOMAXPROCS); the second argument is ignored
-// (pass false).
-var NewSchedWorkspace = sched.NewWorkspace
-
-// EASWith, EDFWith and DLSWith are the workspace-reusing forms of the
-// schedulers: bit-identical schedules, amortized allocations. Batch
-// workers use them internally; expose them for custom drivers.
-var (
-	EASWith = eas.ScheduleWith
-	EDFWith = edf.ScheduleWith
-	DLSWith = dls.ScheduleWith
 )
 
 // Slack-allocation weight functions for EASOptions.Weight.
