@@ -267,21 +267,25 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 // every task's per-PE arrays have the same length, and every task can run
 // on at least one PE. It returns the first violation found.
 func (g *Graph) Validate() error {
+	_, err := g.ValidatedOrder()
+	return err
+}
+
+// ValidatedOrder is Validate returning the TopoOrder its DAG check
+// computed, for callers that need both.
+func (g *Graph) ValidatedOrder() ([]TaskID, error) {
 	if len(g.tasks) == 0 {
-		return fmt.Errorf("ctg: graph %q has no tasks", g.Name)
+		return nil, fmt.Errorf("ctg: graph %q has no tasks", g.Name)
 	}
 	npe := len(g.tasks[0].ExecTime)
 	for i := range g.tasks {
 		t := &g.tasks[i]
 		if len(t.ExecTime) != npe || len(t.Energy) != npe {
-			return fmt.Errorf("ctg: task %d (%q) characterized for %d/%d PEs, want %d",
+			return nil, fmt.Errorf("ctg: task %d (%q) characterized for %d/%d PEs, want %d",
 				t.ID, t.Name, len(t.ExecTime), len(t.Energy), npe)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return g.TopoOrder()
 }
 
 // TotalVolume returns the sum of all edge volumes in bits.

@@ -96,21 +96,27 @@ type Budget struct {
 // deadline's backward pass sweeps only from the deadline task's
 // position down. The working memory comes from a pool, so a
 // steady-state call allocates only the returned Budget and the
-// topological order.
+// topological order; the EAS driver computes the order once per solve.
 //
 // ComputeBudget rejects a weight whose slack share is not finite: each
 // weight may be finite while their sum along a path overflows, which
 // would otherwise turn the share into NaN and the BD into garbage.
 func ComputeBudget(g *ctg.Graph, weight WeightFunc, scale float64, commBandwidth int64) (*Budget, error) {
-	if weight == nil {
-		weight = WeightVarEVarR
-	}
 	if scale < 0 || scale > 1 || math.IsNaN(scale) {
 		return nil, fmt.Errorf("eas: slack scale %g outside [0,1]", scale)
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
+	}
+	return computeBudget(g, order, weight, scale, commBandwidth)
+}
+
+// computeBudget is ComputeBudget given g's topological order and a
+// scale already checked to lie in [0, 1].
+func computeBudget(g *ctg.Graph, order []ctg.TaskID, weight WeightFunc, scale float64, commBandwidth int64) (*Budget, error) {
+	if weight == nil {
+		weight = WeightVarEVarR
 	}
 	n := g.NumTasks()
 	b := &Budget{

@@ -4,40 +4,46 @@ import (
 	"testing"
 
 	"nocsched/internal/sched"
+	"nocsched/internal/tgff"
 )
 
-// TestComputeBudgetSteadyStateAllocs: with its scratch pooled, a
-// steady-state Step 1 allocates only the returned Budget (the struct
-// and its three arrays) and the topological order (three slices), so
-// the count does not grow with the graph.
+// TestComputeBudgetSteadyStateAllocs: with its scratch pooled and the
+// topological order computed once per solve, a steady-state Step 1 pass
+// allocates only the returned Budget (the struct and its three arrays),
+// so the count does not grow with the graph.
 func TestComputeBudgetSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation allocates")
 	}
 	allocs := func(tasks int) float64 {
 		gs, acg := looseGraphs(t, tasks, 1)
+		order, err := gs[0].TopoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
 		bw := acg.Platform().LinkBandwidth
 		for _, bw := range []int64{0, bw} {
-			if _, err := ComputeBudget(gs[0], nil, 1, bw); err != nil { // warm-up
+			if _, err := computeBudget(gs[0], order, nil, 1, bw); err != nil { // warm-up
 				t.Fatal(err)
 			}
 		}
-		return testing.AllocsPerRun(20, func() { ComputeBudget(gs[0], nil, 0.5, bw) })
+		return testing.AllocsPerRun(20, func() { computeBudget(gs[0], order, nil, 0.5, bw) })
 	}
 	big, small := allocs(500), allocs(100)
-	t.Logf("ComputeBudget: %.0f objects/run at 500 tasks, %.0f at 100", big, small)
-	if big > 7 {
-		t.Errorf("500 tasks: ComputeBudget allocates %.0f objects/run, want <= 7", big)
+	t.Logf("computeBudget: %.0f objects/run at 500 tasks, %.0f at 100", big, small)
+	if big > 4 {
+		t.Errorf("500 tasks: computeBudget allocates %.0f objects/run, want <= 4", big)
 	}
 	if small != big {
-		t.Errorf("ComputeBudget allocates %.0f objects/run at 100 tasks and %.0f at 500, want the same", small, big)
+		t.Errorf("computeBudget allocates %.0f objects/run at 100 tasks and %.0f at 500, want the same", small, big)
 	}
 }
 
 // TestLooseSolveSteadyStateAllocs pins a steady-state EAS solve of a
 // batch-loose-shaped instance on a reused one-worker workspace. At the
 // whole-graph Step 1 it made 1,542 allocations, 1,519 of them Step 1's;
-// 27 remain.
+// 27 remained, and 21 since the solve computes its topological order
+// once instead of in Validate and again in every Step 1 pass.
 func TestLooseSolveSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation allocates")
@@ -52,8 +58,8 @@ func TestLooseSolveSteadyStateAllocs(t *testing.T) {
 	solve() // warm-up: grows the workspace's tables and the Step 1 scratch
 	avg := testing.AllocsPerRun(20, solve)
 	t.Logf("ScheduleWith: %.0f objects/run", avg)
-	if avg > 27 {
-		t.Errorf("ScheduleWith allocates %.0f objects/run, want <= 27", avg)
+	if avg > 21 {
+		t.Errorf("ScheduleWith allocates %.0f objects/run, want <= 21", avg)
 	}
 }
 
@@ -75,6 +81,21 @@ func BenchmarkComputeBudget(b *testing.B) {
 // worker, one reused workspace.
 func BenchmarkEASLooseSolve(b *testing.B) {
 	gs, acg := looseGraphs(b, 500, 10)
+	ws := sched.NewWorkspace(1, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ScheduleWith(ws, gs[i%len(gs)], acg, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEASTightSolve times whole EAS solves of the nocbench
+// batch-tight shape: ten 30-task Category II graphs at laxity 0.95 on
+// the 4x4 mesh, one worker, one reused workspace.
+func BenchmarkEASTightSolve(b *testing.B) {
+	gs, acg := shapeGraphs(b, tgff.CategoryII, 30, 0.95, 10)
 	ws := sched.NewWorkspace(1, false)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -80,7 +80,8 @@ func Schedule(g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 // Schedules are bit-identical to Schedule's.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 	started := time.Now()
-	if err := g.Validate(); err != nil {
+	order, err := g.ValidatedOrder()
+	if err != nil {
 		return nil, err
 	}
 	if g.NumPEs() != acg.NumPEs() {
@@ -118,7 +119,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 		}
 		endPass := tr.Span(passName, "eas")
 		endStep := tr.Span("step1:budget", "eas phases")
-		budget, err := ComputeBudget(g, opts.Weight, p.scale, p.commBW)
+		budget, err := computeBudget(g, order, opts.Weight, p.scale, p.commBW)
 		endStep()
 		if err != nil {
 			endPass()
@@ -136,8 +137,8 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 		cand := &Result{Schedule: s, Budget: budget}
 		if !opts.DisableRepair && !s.Feasible() {
 			endStep = tr.Span("step3:repair", "eas phases")
-			// Step 3 rebuilds its candidates on Step 2's builder.
-			repaired, stats, err := repair(ws.Builder(), s, opts.RepairBudget, opts.NaiveContention)
+			// Step 3 re-times its candidates on Step 2's builder.
+			repaired, stats, err := repair(newEvaluator(ws.Builder(), opts.NaiveContention), s, opts.RepairBudget)
 			endStep()
 			if err != nil {
 				endPass()
@@ -165,7 +166,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 		endFB := tr.Span("fallback:deadline-first+refine", "eas phases")
 		if fb, err := deadlineFirstSchedule(ws, g, acg, algorithm, opts); err == nil {
 			totalProbes += fb.Probes
-			refined, stats, err := refine(ws.Builder(), fb, 0, opts.NaiveContention)
+			refined, stats, err := refine(newEvaluator(ws.Builder(), opts.NaiveContention), fb, 0)
 			if err == nil {
 				cand := &Result{Schedule: refined, Budget: best.Budget, RefineStats: stats}
 				cand.RepairStats = best.RepairStats

@@ -11,11 +11,16 @@ import (
 type RefineStats struct {
 	MovesTried    int
 	MovesAccepted int
-	// MovesAbandoned counts rejected moves whose rebuild stopped early,
-	// once its committed prefix was already worse than the incumbent.
+	// MovesAbandoned counts rejected moves whose re-timing stopped
+	// early, once its committed prefix was already worse than the
+	// incumbent.
 	MovesAbandoned int
 	EnergyBefore   float64
 	EnergyAfter    float64
+	// CommitsPlaced and CommitsReused split the re-timing work as
+	// RepairStats does.
+	CommitsPlaced int
+	CommitsReused int
 }
 
 // DefaultRefineBudget caps attempted refinement moves.
@@ -32,12 +37,11 @@ const DefaultRefineBudget = 2500
 // driver uses it on its feasibility fallback pass, which starts from a
 // deadline-ordered schedule that tends to over-use fast, hungry PEs.
 func RefineEnergy(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, RefineStats, error) {
-	return refine(sched.NewBuilder(s.Graph, s.ACG, s.Algorithm), s, moveBudget, naive)
+	return refine(newEvaluator(sched.NewBuilder(s.Graph, s.ACG, s.Algorithm), naive), s, moveBudget)
 }
 
-// refine is RefineEnergy with every candidate rebuilt on b, a builder for
-// s's graph, ACG and algorithm. Reset leaves its rebuilds unmetered.
-func refine(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, RefineStats, error) {
+// refine is RefineEnergy with every candidate timed by r.
+func refine(r retimer, s *sched.Schedule, moveBudget int) (*sched.Schedule, RefineStats, error) {
 	stats := RefineStats{EnergyBefore: s.TotalEnergy(), EnergyAfter: s.TotalEnergy()}
 	if moveBudget <= 0 {
 		moveBudget = DefaultRefineBudget
@@ -45,14 +49,16 @@ func refine(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 	g := s.Graph
 
 	cur := layoutOf(s)
-	curSched, err := rebuild(b, cur, naive, nil)
+	curSched, err := r.start(cur)
 	if err != nil {
+		stats.CommitsPlaced, stats.CommitsReused = r.work()
 		return s, stats, nil
 	}
 	curMetric := metricOf(curSched)
 	curEnergy := curSched.TotalEnergy()
 	// Never degrade the input's deadline behavior.
 	if in := metricOf(s); in.better(curMetric) {
+		stats.CommitsPlaced, stats.CommitsReused = r.work()
 		return s, stats, nil
 	}
 
@@ -64,7 +70,7 @@ func refine(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 	for {
 		// Candidate moves, most promising first. The gain estimate is
 		// the computation-energy delta; communication effects are
-		// captured by the rebuild evaluation.
+		// captured by re-timing.
 		var moves []move
 		for i := 0; i < g.NumTasks(); i++ {
 			t := ctg.TaskID(i)
@@ -95,25 +101,23 @@ func refine(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 				break
 			}
 			stats.MovesTried++
-			cand := cur.clone()
-			migrate(cand, curSched, mv.task, cand.assign[mv.task], mv.dst)
-			bound := worseThan(curMetric)
-			candSched, err := rebuild(b, cand, naive, &bound)
-			if err != nil {
-				if err == sched.ErrStopped {
-					stats.MovesAbandoned++
+			src := cur.assign[mv.task]
+			from, to := cur.migrate(curSched, mv.task, src, mv.dst)
+			candSched, err := r.retime(src, mv.dst, worseThan(curMetric))
+			if err == nil {
+				m := metricOf(candSched)
+				e := candSched.TotalEnergy()
+				if (m.better(curMetric) && e <= curEnergy) ||
+					(m == curMetric && e < curEnergy) {
+					curSched, curMetric, curEnergy = r.accept(), m, e
+					stats.MovesAccepted++
+					improved = true
+					break // re-rank moves against the new placement
 				}
-				continue
+			} else if err == sched.ErrStopped {
+				stats.MovesAbandoned++
 			}
-			m := metricOf(candSched)
-			e := candSched.TotalEnergy()
-			if (m.better(curMetric) && e <= curEnergy) ||
-				(m == curMetric && e < curEnergy) {
-				cur, curSched, curMetric, curEnergy = cand, candSched, m, e
-				stats.MovesAccepted++
-				improved = true
-				break // re-rank moves against the new placement
-			}
+			cur.unmigrate(mv.task, src, mv.dst, from, to)
 		}
 		if !improved || stats.MovesTried >= moveBudget {
 			break
@@ -121,6 +125,7 @@ func refine(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 	}
 
 	// Return whichever of {input, refined} wins on (metric, energy).
+	stats.CommitsPlaced, stats.CommitsReused = r.work()
 	inMetric, inEnergy := metricOf(s), s.TotalEnergy()
 	if curMetric.better(inMetric) || (curMetric == inMetric && curEnergy < inEnergy) {
 		stats.EnergyAfter = curEnergy

@@ -2,6 +2,7 @@ package eas
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nocsched/internal/ctg"
@@ -17,10 +18,16 @@ type RepairStats struct {
 	SwapsAccepted      int
 	MigrationsAccepted int
 	// MovesTried counts all attempted moves, accepted or not;
-	// MovesAbandoned counts the rejected ones whose rebuild stopped
+	// MovesAbandoned counts the rejected ones whose re-timing stopped
 	// early, once its committed prefix could no longer improve.
 	MovesTried     int
 	MovesAbandoned int
+	// CommitsPlaced counts the commits CommitOrder searched for while
+	// re-timing the input and every candidate; CommitsReused counts
+	// the candidates' commits taken from the incumbent instead. Their
+	// sum is what re-timing each candidate from scratch would commit.
+	CommitsPlaced int
+	CommitsReused int
 	// InitialMisses / FinalMisses are deadline-miss counts before and
 	// after.
 	InitialMisses int
@@ -29,16 +36,21 @@ type RepairStats struct {
 
 // layout is the degree of freedom search-and-repair manipulates: which
 // PE each task runs on and in which order each PE executes its tasks.
-// Timing is derived from a layout by rebuild.
+// Timing is derived from a layout by a retimer. Every PE's queue has
+// room for all tasks, so a move applies and undoes in place without
+// allocating.
 type layout struct {
 	assign []int
 	order  [][]ctg.TaskID
 }
 
 func layoutOf(s *sched.Schedule) *layout {
-	l := &layout{
-		assign: make([]int, s.Graph.NumTasks()),
-		order:  s.PEOrder(),
+	n := s.Graph.NumTasks()
+	queues := s.PEOrder()
+	room := make([]ctg.TaskID, n*len(queues))
+	l := &layout{assign: make([]int, n), order: make([][]ctg.TaskID, len(queues))}
+	for pe, q := range queues {
+		l.order[pe] = append(room[pe*n:pe*n:(pe+1)*n], q...)
 	}
 	for i := range s.Tasks {
 		l.assign[i] = s.Tasks[i].PE
@@ -46,50 +58,10 @@ func layoutOf(s *sched.Schedule) *layout {
 	return l
 }
 
-func (l *layout) clone() *layout {
-	cp := &layout{
-		assign: append([]int(nil), l.assign...),
-		order:  make([][]ctg.TaskID, len(l.order)),
-	}
-	for i := range l.order {
-		cp.order[i] = append([]ctg.TaskID(nil), l.order[i]...)
-	}
-	return cp
-}
-
-// rebuild resets b and re-times a layout on it with Builder.CommitOrder:
-// tasks keep their PE and per-PE order, incoming transactions are placed
-// by the Fig. 3 communication scheduler. Reset gives each finished
-// schedule its own shell, so one builder serves a whole search. With a non-nil bound the rebuild fails with
-// sched.ErrStopped once the committed prefix's metric is no longer
-// better than *bound.
-func rebuild(b *sched.Builder, l *layout, naive bool, bound *metric) (*sched.Schedule, error) {
-	b.Reset(b.Graph(), b.ACG())
-	b.SetContentionAware(!naive)
-	var stop func(ctg.TaskID) bool
-	if bound != nil {
-		c := cutoff{b: b, bound: *bound}
-		stop = c.stop
-	}
-	if err := b.CommitOrder(l.order, stop); err != nil {
-		return nil, err
-	}
-	return b.Finish()
-}
-
-// cutoff tracks the metric of a rebuild's committed prefix. Committed
-// placements are final, so the prefix's misses, and at equal misses its
-// lateness, only grow: once the prefix is no longer better than bound,
-// neither is the finished candidate, and abandoning it is exact.
-type cutoff struct {
-	b              *sched.Builder
-	bound, partial metric
-}
-
-// stop is the CommitOrder callback: it folds in committed task t.
-func (c *cutoff) stop(t ctg.TaskID) bool {
-	c.partial.add(c.b.Graph().Task(t), c.b.TaskPlacement(t).Finish)
-	return !c.partial.better(c.bound)
+// swap exchanges the tasks at positions i and j of PE pe's queue; a
+// second swap undoes it.
+func (l *layout) swap(pe, i, j int) {
+	l.order[pe][i], l.order[pe][j] = l.order[pe][j], l.order[pe][i]
 }
 
 // metric is the lexicographic objective search-and-repair minimizes:
@@ -184,8 +156,9 @@ func criticalTasks(s *sched.Schedule) []ctg.TaskID {
 	return out
 }
 
-// Search-bound defaults. Each attempted move re-times the layout up to
-// the commit that proves it rejected, so the neighborhood is kept local:
+// Search-bound defaults. Each attempted move re-times the layout from the
+// first commit it changes up to the commit that proves it rejected, so
+// the neighborhood is kept local:
 // a critical task only tries swapping past its few nearest earlier
 // neighbors, and only the most critical tasks are considered per round.
 const (
@@ -206,12 +179,11 @@ const (
 // budget is exhausted. moveBudget caps attempted moves (0 selects
 // DefaultRepairBudget).
 func Repair(s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, RepairStats, error) {
-	return repair(sched.NewBuilder(s.Graph, s.ACG, s.Algorithm), s, moveBudget, naive)
+	return repair(newEvaluator(sched.NewBuilder(s.Graph, s.ACG, s.Algorithm), naive), s, moveBudget)
 }
 
-// repair is Repair with every candidate rebuilt on b, a builder for s's
-// graph, ACG and algorithm. Reset leaves its rebuilds unmetered.
-func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*sched.Schedule, RepairStats, error) {
+// repair is Repair with every candidate timed by r.
+func repair(r retimer, s *sched.Schedule, moveBudget int) (*sched.Schedule, RepairStats, error) {
 	stats := RepairStats{InitialMisses: len(s.DeadlineMisses())}
 	if stats.InitialMisses == 0 {
 		stats.FinalMisses = 0
@@ -220,15 +192,16 @@ func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 	stats.Ran = true
 	g, acg := s.Graph, s.ACG
 
-	// The search space is layouts evaluated under rebuild's timing
-	// discipline (strict per-PE order). rebuild of the input layout is
+	// The search space is layouts evaluated under CommitOrder's timing
+	// discipline (strict per-PE order). Re-timing the input layout is
 	// the search baseline — candidates must be compared against it,
 	// not against the original gap-filled schedule, or systematic
 	// timing differences would mask genuine improvements. The best
 	// schedule seen overall (original included) is what we return.
 	cur := layoutOf(s)
-	curSched, err := rebuild(b, cur, naive, nil)
+	curSched, err := r.start(cur)
 	if err != nil {
+		stats.CommitsPlaced, stats.CommitsReused = r.work()
 		return s, stats, nil // cannot even reconstruct: keep the input
 	}
 	curMetric := metricOf(curSched)
@@ -240,11 +213,12 @@ func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 		moveBudget = DefaultRepairBudget
 	}
 
-	// try evaluates a candidate layout; on improvement it becomes the
-	// current solution.
-	try := func(cand *layout) bool {
+	// try evaluates cur with a move applied that changed the queues of
+	// PEs a and c (-1 for none); on improvement it becomes the current
+	// solution, and otherwise the caller undoes the move.
+	try := func(a, c int) bool {
 		stats.MovesTried++
-		candSched, err := rebuild(b, cand, naive, &curMetric)
+		candSched, err := r.retime(a, c, curMetric)
 		if err != nil {
 			if err == sched.ErrStopped {
 				stats.MovesAbandoned++
@@ -252,9 +226,9 @@ func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 			return false // no improvement, ordering cycle or infeasible: reject
 		}
 		if m := metricOf(candSched); m.better(curMetric) {
-			cur, curSched, curMetric = cand, candSched, m
+			curSched, curMetric = r.accept(), m
 			if m.better(bestMetric) {
-				bestSched, bestMetric = candSched, m
+				bestSched, bestMetric = curSched, m
 			}
 			return true
 		}
@@ -289,14 +263,13 @@ func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 					if !budgetLeft() {
 						break swapSearch
 					}
-					cand := cur.clone()
-					cand.order[pe][idx1], cand.order[pe][idx2] =
-						cand.order[pe][idx2], cand.order[pe][idx1]
-					if try(cand) {
+					cur.swap(pe, idx1, idx2)
+					if try(pe, -1) {
 						stats.SwapsAccepted++
 						improved = true
 						break swapSearch
 					}
+					cur.swap(pe, idx1, idx2)
 				}
 			}
 			if !improved {
@@ -328,12 +301,12 @@ func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 				if !budgetLeft() {
 					return false
 				}
-				cand := cur.clone()
-				migrate(cand, curSched, t1, srcPE, dstPE)
-				if try(cand) {
+				from, to := cur.migrate(curSched, t1, srcPE, dstPE)
+				if try(srcPE, dstPE) {
 					stats.MigrationsAccepted++
 					return true
 				}
+				cur.unmigrate(t1, srcPE, dstPE, from, to)
 			}
 			return false
 		}
@@ -381,6 +354,7 @@ func repair(b *sched.Builder, s *sched.Schedule, moveBudget int, naive bool) (*s
 	}
 
 	stats.FinalMisses = bestMetric.misses
+	stats.CommitsPlaced, stats.CommitsReused = r.work()
 	return bestSched, stats, nil
 }
 
@@ -425,23 +399,30 @@ func pesByEnergy(g *ctg.Graph, acg *energy.ACG, assign []int, t ctg.TaskID) []in
 }
 
 // migrate moves task t from srcPE to dstPE in the layout, inserting it
-// into the destination order at the position matching its current start
-// time so the local execution order stays plausible.
-func migrate(l *layout, s *sched.Schedule, t ctg.TaskID, srcPE, dstPE int) {
-	idx := indexOf(l.order[srcPE], t)
-	l.order[srcPE] = append(l.order[srcPE][:idx], l.order[srcPE][idx+1:]...)
+// into the destination order at the position matching its start time
+// in s so the local execution order stays plausible. It returns t's old
+// and new queue positions for unmigrate.
+func (l *layout) migrate(s *sched.Schedule, t ctg.TaskID, srcPE, dstPE int) (from, to int) {
+	from = indexOf(l.order[srcPE], t)
+	l.order[srcPE] = slices.Delete(l.order[srcPE], from, from+1)
 	start := s.Tasks[t].Start
-	insert := len(l.order[dstPE])
+	to = len(l.order[dstPE])
 	for i, other := range l.order[dstPE] {
 		if s.Tasks[other].Start > start {
-			insert = i
+			to = i
 			break
 		}
 	}
-	l.order[dstPE] = append(l.order[dstPE], 0)
-	copy(l.order[dstPE][insert+1:], l.order[dstPE][insert:])
-	l.order[dstPE][insert] = t
+	l.order[dstPE] = slices.Insert(l.order[dstPE], to, t)
 	l.assign[t] = dstPE
+	return from, to
+}
+
+// unmigrate undoes migrate(s, t, srcPE, dstPE), which returned from, to.
+func (l *layout) unmigrate(t ctg.TaskID, srcPE, dstPE, from, to int) {
+	l.order[dstPE] = slices.Delete(l.order[dstPE], to, to+1)
+	l.order[srcPE] = slices.Insert(l.order[srcPE], from, t)
+	l.assign[t] = srcPE
 }
 
 func indexOf(order []ctg.TaskID, t ctg.TaskID) int {

@@ -136,9 +136,9 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestWorkspacePrepareReuse pins Workspace.Prepare's two paths: the
-// same ACG reuses builder and prober in place, with the prober's
-// counters zeroed; a different ACG rebuilds both.
+// TestWorkspacePrepareReuse pins Workspace.Prepare's reuse: the same
+// builder and prober serve every run, with the prober's counters zeroed,
+// on the same ACG and across a platform change alike.
 func TestWorkspacePrepareReuse(t *testing.T) {
 	gA, acg := proberRig(t, 41, 30)
 	gB, _ := proberRig(t, 42, 25)
@@ -157,11 +157,11 @@ func TestWorkspacePrepareReuse(t *testing.T) {
 		t.Errorf("same-ACG Prepare kept %d probes, %d reuses", p2.Probes(), p2.Reuses())
 	}
 	b3, p3 := ws.Prepare(gC, acg2, "z")
-	if b3 == b2 || p3 == p2 {
-		t.Error("platform-change Prepare reused the builder or prober")
+	if b3 != b2 || p3 != p2 {
+		t.Error("platform-change Prepare rebuilt the builder or prober")
 	}
 	var ready []ctg.TaskID
-	if d := Diff(driveEF(t, NewBuilder(gC, acg2, "z").NewProber(), ready), driveEF(t, b3.NewProber(), ready)); d != "" {
+	if d := Diff(driveEF(t, NewBuilder(gC, acg2, "z").NewProber(), ready), driveEF(t, p3, ready)); d != "" {
 		t.Errorf("platform-change workspace builder diverges from fresh:\n%s", d)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // driver scheduling many instances — a batch worker, a sweep harness, a
 // Monte-Carlo campaign — pays the builder's table, route-table and
 // prober allocations once and then amortizes them across every
-// subsequent instance on the same platform via Builder.Reset.
+// subsequent instance via Builder.Reset.
 //
 // A Workspace is single-goroutine state: one scheduling run at a time,
 // and a run probes and commits on one goroutine. Concurrency lives one
@@ -35,20 +35,21 @@ func NewWorkspace(_ int, _ bool) *Workspace {
 func (w *Workspace) Builder() *Builder { return w.builder }
 
 // Prepare readies the workspace for one scheduling run of graph g on
-// acg: on the same platform as the previous run it resets the existing
-// builder in place (zero steady-state allocation beyond the fresh
-// Schedule shell) and zeroes the prober's probe counters; on a platform
-// change it builds a fresh builder and prober. The returned builder has
-// no metrics attached and uses the exact contention model; callers set
-// both after Prepare, per run.
+// acg: after the first run it resets the existing builder in place
+// (zero steady-state allocation on one platform beyond the fresh
+// Schedule shell), grows the prober's overlay to the new platform's
+// link count and zeroes the prober's probe counters. The returned
+// builder has no metrics attached and uses the exact contention model;
+// callers set both after Prepare, per run.
 func (w *Workspace) Prepare(g *ctg.Graph, acg *energy.ACG, algorithm string) (*Builder, *Prober) {
-	if w.builder != nil && w.builder.ACG() == acg {
-		w.builder.SetAlgorithm(algorithm)
-		w.builder.Reset(g, acg)
-		w.prober.probes, w.prober.reuses = 0, 0
+	if w.builder == nil {
+		w.builder = NewBuilder(g, acg, algorithm)
+		w.prober = w.builder.NewProber()
 		return w.builder, w.prober
 	}
-	w.builder = NewBuilder(g, acg, algorithm)
-	w.prober = w.builder.NewProber()
+	w.builder.SetAlgorithm(algorithm)
+	w.builder.Reset(g, acg)
+	w.prober.overlay.Grow(len(w.builder.linkTables))
+	w.prober.probes, w.prober.reuses = 0, 0
 	return w.builder, w.prober
 }

@@ -24,6 +24,14 @@ func NewOverlay(n int) *Overlay {
 	return &Overlay{pending: make([][]Interval, n)}
 }
 
+// Grow extends the overlay to resources with IDs in [0, n); it never
+// shrinks, and keeps the tentative reservations it holds.
+func (o *Overlay) Grow(n int) {
+	if n > len(o.pending) {
+		o.pending = append(o.pending, make([][]Interval, n-len(o.pending))...)
+	}
+}
+
 // Reset discards all tentative reservations. It is O(resources touched
 // since the last Reset), not O(n).
 func (o *Overlay) Reset() {
