@@ -158,6 +158,30 @@ func TestProbeReusesMetric(t *testing.T) {
 	}
 }
 
+// TestReadyDepthPerRound reconciles the ready-depth histogram with the
+// list-scheduling rounds: one commit, and so one observation, per task
+// in an EDF solve and in a single-pass EAS-base solve.
+func TestReadyDepthPerRound(t *testing.T) {
+	g, acg := telemetryRig(t, 4)
+	depth := func(col *telemetry.Collector) int64 {
+		return col.Registry.Histogram(sched.MetricReadyDepth, nil).Count()
+	}
+	col := telemetry.NewCollector(nil)
+	if _, err := edf.ScheduleOpts(g, acg, edf.Options{Telemetry: col}); err != nil {
+		t.Fatal(err)
+	}
+	if got := depth(col); got != int64(g.NumTasks()) {
+		t.Errorf("edf: %s count = %d, want %d", sched.MetricReadyDepth, got, g.NumTasks())
+	}
+	col = telemetry.NewCollector(nil)
+	if _, err := Schedule(g, acg, Options{DisableRepair: true, Telemetry: col}); err != nil {
+		t.Fatal(err)
+	}
+	if got := depth(col); got != int64(g.NumTasks()) {
+		t.Errorf("eas-base: %s count = %d, want %d", sched.MetricReadyDepth, got, g.NumTasks())
+	}
+}
+
 // close64 compares floats to a relative 1e-9.
 func close64(a, b float64) bool {
 	d := a - b
