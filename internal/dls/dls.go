@@ -56,41 +56,28 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 		return nil, err
 	}
 
-	b, pr := ws.Prepare(g, acg, "dls")
-	// peFree[k] tracks TF(p): when PE k's committed work ends.
+	// peFree[k] tracks TF(p): when PE k's committed work ends. Each
+	// round first folds in the previous round's commit.
 	peFree := make([]int64, acg.NumPEs())
-
-	var rtl []ctg.TaskID
+	last := ctg.TaskID(-1)
 	var rows []row
-	for b.Committed() < g.NumTasks() {
-		rtl = b.AppendReady(rtl[:0])
-		if len(rtl) == 0 {
-			return nil, fmt.Errorf("dls: no ready tasks with %d of %d committed",
-				b.Committed(), g.NumTasks())
-		}
-		rows = rows[:0]
-		for _, t := range rtl {
-			rows = append(rows, scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree))
-		}
-
-		bestTask, bestPE, err := choose(rtl, rows)
-		if err != nil {
-			return nil, err
-		}
-		p, err := b.Commit(bestTask, bestPE)
-		if err != nil {
-			return nil, err
-		}
-		if p.Finish > peFree[bestPE] {
-			peFree[bestPE] = p.Finish
-		}
-	}
-	s, err := b.Finish()
+	s, err := ws.ListSchedule(g, acg, "dls", nil, true,
+		func(b *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
+			if last >= 0 {
+				p := b.TaskPlacement(last)
+				peFree[p.PE] = max(peFree[p.PE], p.Finish)
+			}
+			rows = rows[:0]
+			for _, t := range rtl {
+				rows = append(rows, scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree))
+			}
+			t, pe, err := choose(rtl, rows)
+			last = t
+			return t, pe, err
+		})
 	if err != nil {
 		return nil, err
 	}
-	s.Probes = pr.Probes()
-	s.ProbeReuses = pr.Reuses()
 	s.Elapsed = time.Since(started)
 	return s, nil
 }

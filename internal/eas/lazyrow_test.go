@@ -214,7 +214,7 @@ func eagerDLS(t testing.TB, g *ctg.Graph, acg *energy.ACG) *sched.Schedule {
 	peFree := make([]int64, acg.NumPEs())
 	for b.Committed() < n {
 		bestDL, bestTask, bestPE := math.Inf(-1), ctg.TaskID(-1), -1
-		for _, ti := range b.ReadyTasks() {
+		for _, ti := range b.AppendReady(nil) {
 			task := g.Task(ti)
 			for k := range task.ExecTime {
 				if !task.RunnableOn(k) {
@@ -255,7 +255,7 @@ func eagerEDF(t testing.TB, g *ctg.Graph, acg *energy.ACG) *sched.Schedule {
 	b := sched.NewBuilder(g, acg, "edf")
 	pr := b.NewProber()
 	for b.Committed() < g.NumTasks() {
-		rtl := b.ReadyTasks()
+		rtl := b.AppendReady(nil)
 		pick := rtl[0]
 		for _, ti := range rtl[1:] {
 			if dEff[ti] < dEff[pick] {

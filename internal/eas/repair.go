@@ -133,8 +133,10 @@ func criticalTasks(s *sched.Schedule) []ctg.TaskID {
 	for len(frontier) > 0 {
 		cur := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
-		for _, p := range g.Pred(cur) {
-			if !critical[p] {
+		// The flags skip an edge's duplicates, so the in-edges serve
+		// without Pred's deduplicated copy.
+		for _, eid := range g.In(cur) {
+			if p := g.Edge(eid).Src; !critical[p] {
 				critical[p] = true
 				frontier = append(frontier, p)
 			}

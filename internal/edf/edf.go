@@ -55,42 +55,24 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	b, pr := ws.Prepare(g, acg, "edf")
-	b.SetMetrics(sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()))
 	endDrive := opts.Telemetry.T().Span("edf:drive", "edf phases")
-	err = Drive(b, pr, dEff)
+	s, err := ws.ListSchedule(g, acg, "edf", sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), true, Pick(dEff))
 	endDrive()
 	if err != nil {
 		return nil, err
 	}
-	s, err := b.Finish()
-	if err != nil {
-		return nil, err
-	}
-	s.Probes = pr.Probes()
 	s.Elapsed = time.Since(started)
 	sched.PublishSchedule(opts.Telemetry.R(), s)
 	return s, nil
 }
 
-// Drive runs the EDF decision loop on a prepared builder, probing
-// through pr (one of b's probers), until every task is committed: pick
-// the ready task with the earliest effective deadline (ties to the
-// lower task ID), place it on the PE that finishes it earliest (ties
-// to the lower PE index). It is shared with the EAS scheduler's
-// deadline-first fallback, which is exactly this policy on a different
-// builder.
-func Drive(b *sched.Builder, pr *sched.Prober, dEff []int64) error {
-	g := b.Graph()
-	var rtl []ctg.TaskID
-	for b.Committed() < g.NumTasks() {
-		rtl = b.AppendReady(rtl[:0])
-		if len(rtl) == 0 {
-			return fmt.Errorf("edf: no ready tasks with %d of %d committed",
-				b.Committed(), g.NumTasks())
-		}
-		b.Metrics().ObserveReadyDepth(len(rtl))
-		// Earliest effective deadline first; ties to the lower ID.
+// Pick returns the EDF decision rule for sched.Workspace.ListSchedule:
+// the ready task with the earliest effective deadline dEff (ties to the
+// lower task ID), on the PE that finishes it earliest (ties to the
+// lower PE index). The EAS scheduler's deadline-first fallback runs
+// the same rule.
+func Pick(dEff []int64) sched.Pick {
+	return func(_ *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
 		pick := rtl[0]
 		for _, t := range rtl[1:] {
 			if dEff[t] < dEff[pick] {
@@ -99,13 +81,10 @@ func Drive(b *sched.Builder, pr *sched.Prober, dEff []int64) error {
 		}
 		best, err := pr.EarliestFinishPE(pick)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
-		if _, err := b.Commit(pick, best.PE); err != nil {
-			return err
-		}
+		return pick, best.PE, nil
 	}
-	return nil
 }
 
 // EffectiveDeadlines propagates specified deadlines backwards through

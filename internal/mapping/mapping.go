@@ -225,30 +225,20 @@ func Map(g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 // tasks are committed in ascending data-ready order onto their mapped
 // PE, with the exact Fig. 3 communication placement.
 func listScheduleFixed(g *ctg.Graph, acg *energy.ACG, assign []int) (*sched.Schedule, error) {
-	b := sched.NewBuilder(g, acg, "map+ls")
-	for b.Committed() < g.NumTasks() {
-		rtl := b.ReadyTasks()
-		if len(rtl) == 0 {
-			return nil, fmt.Errorf("mapping: no ready tasks")
-		}
-		// Earliest max-predecessor-finish first keeps the derived
-		// order close to the dataflow.
-		best := rtl[0]
-		bestKey := int64(math.MaxInt64)
-		for _, t := range rtl {
-			key := int64(0)
-			for _, p := range g.Pred(t) {
-				if f := b.TaskPlacement(p).Finish; f > key {
-					key = f
+	return sched.NewWorkspace(1, false).ListSchedule(g, acg, "map+ls", nil, true,
+		func(b *sched.Builder, _ *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
+			// Earliest max-predecessor-finish first keeps the derived
+			// order close to the dataflow; ties to the lower task ID.
+			best, bestKey := rtl[0], int64(math.MaxInt64)
+			for _, t := range rtl {
+				key := int64(0)
+				for _, eid := range g.In(t) {
+					key = max(key, b.TaskPlacement(g.Edge(eid).Src).Finish)
+				}
+				if key < bestKey {
+					best, bestKey = t, key
 				}
 			}
-			if key < bestKey || (key == bestKey && t < best) {
-				best, bestKey = t, key
-			}
-		}
-		if _, err := b.Commit(best, assign[best]); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish()
+			return best, assign[best], nil
+		})
 }

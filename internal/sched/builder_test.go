@@ -50,7 +50,7 @@ func TestCommitSemantics(t *testing.T) {
 	g.AddEdge(a, b, 500) // 5 time units across the NoC
 
 	bld := NewBuilder(g, acg, "test")
-	if got := bld.ReadyTasks(); len(got) != 1 || got[0] != a {
+	if got := bld.AppendReady(nil); len(got) != 1 || got[0] != a {
 		t.Fatalf("initial RTL = %v", got)
 	}
 	pa, err := bld.Commit(a, 0)
@@ -63,7 +63,7 @@ func TestCommitSemantics(t *testing.T) {
 	if _, err := bld.Commit(a, 0); err == nil {
 		t.Error("double commit allowed")
 	}
-	if got := bld.ReadyTasks(); len(got) != 1 || got[0] != b {
+	if got := bld.AppendReady(nil); len(got) != 1 || got[0] != b {
 		t.Fatalf("RTL after commit = %v", got)
 	}
 	// Commit b on a different tile: the transaction takes 5 units

@@ -72,7 +72,7 @@ func TestCommitOrderResume(t *testing.T) {
 			stops := 0
 			fresh.CommitOrder(order, func(ctg.TaskID) bool { stops++; return stops == k })
 			fpr := fresh.NewProber()
-			for _, task := range fresh.ReadyTasks() {
+			for _, task := range fresh.AppendReady(nil) {
 				for pe := 0; pe < acg.NumPEs(); pe++ {
 					if !g.Task(task).RunnableOn(pe) {
 						continue

@@ -92,7 +92,7 @@ func driveRandom(t *testing.T, b *Builder, rng *rand.Rand, flipAt int, check fun
 			b.SetContentionAware(false)
 			check()
 		}
-		ready := b.ReadyTasks()
+		ready := b.AppendReady(nil)
 		if len(ready) == 0 {
 			t.Fatal("no ready tasks before completion")
 		}
@@ -149,7 +149,7 @@ func TestProbeCachedDifferential(t *testing.T) {
 			pr, prACG = b.NewProber(), b.acg
 		}
 		before := pr.Reuses()
-		for _, task := range b.ReadyTasks() {
+		for _, task := range b.AppendReady(nil) {
 			for k := 0; k < b.acg.NumPEs(); k++ {
 				got, gotErr := pr.ProbeCached(task, k)
 				want, wantErr := pr.Probe(task, k)
@@ -174,7 +174,7 @@ func TestProbeCachedDifferential(t *testing.T) {
 // tasks hold cache slots.
 func TestReadyListIncremental(t *testing.T) {
 	forEachScenario(t, cacheInputs(t, 1), func(b *Builder) {
-		if got, want := b.ReadyTasks(), scanReady(b); !slices.Equal(got, want) {
+		if got, want := b.AppendReady(nil), scanReady(b); !slices.Equal(got, want) {
 			t.Fatalf("%s after %d commits: ready list %v, full scan %v", b.g.Name, b.Committed(), got, want)
 		}
 		slots := 0

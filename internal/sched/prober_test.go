@@ -109,13 +109,13 @@ func TestProbeZeroAllocs(t *testing.T) {
 	b := NewBuilder(g, acg, "test")
 	// Commit the first half so probes see busy tables.
 	for b.Committed() < g.NumTasks()/2 {
-		ready := b.ReadyTasks()
+		ready := b.AppendReady(nil)
 		if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pr := b.NewProber()
-	ready := b.ReadyTasks()
+	ready := b.AppendReady(nil)
 	task := ready[0]
 	// Warm-up grows the lct scratch and the overlay's pending slices.
 	for k := 0; k < acg.NumPEs(); k++ {
@@ -177,13 +177,13 @@ func TestProbeZeroAllocsWithMetrics(t *testing.T) {
 	b := NewBuilder(g, acg, "test")
 	b.SetMetrics(NewMetrics(telemetry.NewRegistry(), acg.NumPEs()))
 	for b.Committed() < g.NumTasks()/2 {
-		ready := b.ReadyTasks()
+		ready := b.AppendReady(nil)
 		if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pr := b.NewProber()
-	ready := b.ReadyTasks()
+	ready := b.AppendReady(nil)
 	task := ready[0]
 	for k := 0; k < acg.NumPEs(); k++ {
 		if _, err := pr.Probe(task, k); err != nil {
@@ -220,14 +220,14 @@ func TestProbePoolCountersConcurrent(t *testing.T) {
 		b := NewBuilder(g, acg, "test")
 		b.SetMetrics(NewMetrics(reg, acg.NumPEs()))
 		for b.Committed() < g.NumTasks()/3 {
-			ready := b.ReadyTasks()
+			ready := b.AppendReady(nil)
 			if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Listing the ready tasks gives them cache rows. Every builder
 		// committed the same prefix, so they share the first one.
-		task = b.ReadyTasks()[0]
+		task = b.AppendReady(nil)[0]
 		probers[w] = b.NewProber()
 	}
 	runnable := 0
@@ -283,7 +283,7 @@ func TestEarliestFinishPEZeroAllocs(t *testing.T) {
 	g, acg := proberRig(t, 6, 40)
 	b := NewBuilder(g, acg, "test")
 	pr := b.NewProber()
-	ready := b.ReadyTasks()
+	ready := b.AppendReady(nil)
 	task := ready[0]
 	if _, err := pr.EarliestFinishPE(task); err != nil {
 		t.Fatal(err)
@@ -304,12 +304,12 @@ func TestConcurrentProbers(t *testing.T) {
 	g, acg := proberRig(t, 9, 60)
 	b := NewBuilder(g, acg, "test")
 	for b.Committed() < g.NumTasks()/2 {
-		ready := b.ReadyTasks()
+		ready := b.AppendReady(nil)
 		if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ready := b.ReadyTasks()
+	ready := b.AppendReady(nil)
 	seq := b.NewProber()
 	want := make([]ProbeResult, len(ready))
 	for i, task := range ready {
@@ -352,7 +352,7 @@ func TestEarliestFinishPEMatchesSequential(t *testing.T) {
 	pr := b.NewProber()
 	seq := b.NewProber()
 	for b.Committed() < g.NumTasks() {
-		ready := b.ReadyTasks()
+		ready := b.AppendReady(nil)
 		task := ready[0]
 		// Sequential oracle: strict earliest finish, lowest PE wins ties.
 		bestPE, bestFinish := -1, int64(0)
@@ -388,7 +388,7 @@ func TestDiff(t *testing.T) {
 	build := func() *Schedule {
 		b := NewBuilder(g, acg, "test")
 		for b.Committed() < g.NumTasks() {
-			ready := b.ReadyTasks()
+			ready := b.AppendReady(nil)
 			if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
 				t.Fatal(err)
 			}

@@ -136,7 +136,7 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestWorkspacePrepareReuse pins Workspace.Prepare's reuse: the same
+// TestWorkspacePrepareReuse pins Workspace.prepare's reuse: the same
 // builder and prober serve every run, with the prober's counters zeroed,
 // on the same ACG and across a platform change alike.
 func TestWorkspacePrepareReuse(t *testing.T) {
@@ -145,18 +145,18 @@ func TestWorkspacePrepareReuse(t *testing.T) {
 	gC, acg2 := proberRig(t, 43, 20)
 
 	ws := NewWorkspace(1, false)
-	b1, p1 := ws.Prepare(gA, acg, "x")
-	if _, err := p1.EarliestFinishPE(b1.ReadyTasks()[0]); err != nil {
+	b1, p1 := ws.prepare(gA, acg, "x")
+	if _, err := p1.EarliestFinishPE(b1.AppendReady(nil)[0]); err != nil {
 		t.Fatal(err)
 	}
-	b2, p2 := ws.Prepare(gB, acg, "y")
+	b2, p2 := ws.prepare(gB, acg, "y")
 	if b1 != b2 || p1 != p2 {
 		t.Error("same-ACG Prepare rebuilt the builder or prober")
 	}
 	if p2.Probes() != 0 || p2.Reuses() != 0 {
 		t.Errorf("same-ACG Prepare kept %d probes, %d reuses", p2.Probes(), p2.Reuses())
 	}
-	b3, p3 := ws.Prepare(gC, acg2, "z")
+	b3, p3 := ws.prepare(gC, acg2, "z")
 	if b3 != b2 || p3 != p2 {
 		t.Error("platform-change Prepare rebuilt the builder or prober")
 	}

@@ -112,7 +112,7 @@ func TestRowScanDifferential(t *testing.T) {
 		}
 		for round := 0; b.Committed() < w.Graph.NumTasks(); round++ {
 			check(scanReady(b))
-			ready := b.ReadyTasks()
+			ready := b.AppendReady(nil)
 			check(ready)
 			task := ready[round%len(ready)]
 			best, err := pr.EarliestFinishPE(task)

@@ -39,7 +39,7 @@ func fuzzSchedule(t *testing.T, in *byteStream) *sched.Schedule {
 		}
 	}
 	bld := sched.NewBuilder(g, acg, "fuzz")
-	for ready := bld.ReadyTasks(); len(ready) > 0; ready = bld.ReadyTasks() {
+	for ready := bld.AppendReady(nil); len(ready) > 0; ready = bld.AppendReady(nil) {
 		task := ready[in.next()%len(ready)]
 		if _, err := bld.Commit(task, in.next()%g.NumPEs()); err != nil {
 			t.Fatal(err)
