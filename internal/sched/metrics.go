@@ -111,10 +111,6 @@ func (m *Metrics) ObserveReadyDepth(depth int) {
 // probers pick them up at construction. nil detaches (the default).
 func (b *Builder) SetMetrics(m *Metrics) { b.metrics = m }
 
-// Metrics returns the builder's attached metric handles (nil when
-// telemetry is off).
-func (b *Builder) Metrics() *Metrics { return b.metrics }
-
 // Schedule metric names published by PublishSchedule.
 const (
 	// MetricEnergyCompute / MetricEnergyComm are Eq. (3)'s two terms
