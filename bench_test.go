@@ -282,11 +282,13 @@ func BenchmarkEDFScheduler(b *testing.B) {
 }
 
 // BenchmarkDLSScheduler measures the DLS baseline, the solver whose
-// rows the lazy scan prunes hardest: six 300-task Category I graphs on
-// the 4x4 mesh, one workspace reused across solves as
-// a batch worker reuses it, warmed by one solve of each graph so that
-// B/op is the steady state. probes/op counts every F(i,k) answer,
-// evaluated/op only those the probe cache could not serve.
+// rows the lazy scan prunes hardest and whose rows are carried most: six
+// 300-task Category I graphs on the 4x4 mesh, one workspace reused across
+// solves as a batch worker reuses it, warmed by one solve of each graph
+// so that B/op is the steady state. probes/op counts every F(i,k)
+// answer, evaluated/op only those the probe cache could not serve;
+// rows/op counts the ready-task rows scanned and carried/op those reused
+// unscanned because nothing they read had changed.
 func BenchmarkDLSScheduler(b *testing.B) {
 	platform, acg, err := experiments.RandomPlatform()
 	if err != nil {
@@ -308,7 +310,7 @@ func BenchmarkDLSScheduler(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var probes, evaluated int64
+	var probes, evaluated, rows, carried int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -318,9 +320,13 @@ func BenchmarkDLSScheduler(b *testing.B) {
 		}
 		probes += s.Probes
 		evaluated += s.Probes - s.ProbeReuses
+		rows += s.RowScans
+		carried += s.RowsCarried
 	}
 	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.ReportMetric(float64(carried)/float64(b.N), "carried/op")
 }
 
 // BenchmarkWormholeReplay measures the flit-level simulator replaying

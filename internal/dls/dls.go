@@ -25,6 +25,8 @@ package dls
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"nocsched/internal/ctg"
@@ -38,12 +40,14 @@ func Schedule(g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 }
 
 // ScheduleWith runs DLS through a reusable workspace (see
-// eas.ScheduleWith). Each round scans one row per ready task through
-// the workspace's prober and reduces the rows in ascending task order;
-// schedules are bit-identical to Schedule's.
+// eas.ScheduleWith). Each round takes one row per ready task — carried
+// from an earlier round where nothing it read has changed, scanned
+// through the workspace's prober otherwise — and reduces the rows in
+// ascending task order; schedules are bit-identical to Schedule's.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 	started := time.Now()
-	if err := g.Validate(); err != nil {
+	order, err := g.ValidatedOrder()
+	if err != nil {
 		return nil, err
 	}
 	if g.NumPEs() != acg.NumPEs() {
@@ -51,27 +55,37 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 			g.NumPEs(), acg.NumPEs())
 	}
 	meanExec := meanExecTimes(g)
-	sl, err := staticLevels(g, meanExec)
-	if err != nil {
-		return nil, err
-	}
+	sl := staticLevels(g, order, meanExec)
 
 	// peFree[k] tracks TF(p): when PE k's committed work ends. Each
 	// round first folds in the previous round's commit.
 	peFree := make([]int64, acg.NumPEs())
 	last := ctg.TaskID(-1)
-	var rows []row
+	rows := rowsPool.Get().(*[]row)
+	defer rowsPool.Put(rows)
+	*rows = slices.Grow((*rows)[:0], g.NumTasks())[:g.NumTasks()]
 	s, err := ws.ListSchedule(g, acg, "dls", nil, true,
 		func(b *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
+			moved := -1
 			if last >= 0 {
 				p := b.TaskPlacement(last)
 				peFree[p.PE] = max(peFree[p.PE], p.Finish)
+				moved = p.PE
 			}
-			rows = rows[:0]
 			for _, t := range rtl {
-				rows = append(rows, scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree))
+				// A carried row is exact. It read the PE tables and links
+				// its probes read, which Carry checked, and TF on every
+				// runnable PE through the bounds UB_k. The last commit
+				// raised TF on its PE alone (moved): a row that probed
+				// it is re-scanned. A row that did not probe it did not
+				// pick it first (the first PE is always probed), and a
+				// higher TF only lowers its UB_k, so it stays
+				// unpicked and every skip the scan made stays a skip.
+				if !pr.Carry(t, moved) {
+					(*rows)[t] = scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree)
+				}
 			}
-			t, pe, err := choose(rtl, rows)
+			t, pe, err := choose(rtl, *rows)
 			last = t
 			return t, pe, err
 		})
@@ -81,6 +95,10 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	s.Elapsed = time.Since(started)
 	return s, nil
 }
+
+// rowsPool holds the per-task row scratch of ScheduleWith, so that a
+// steady-state solve allocates none.
+var rowsPool = sync.Pool{New: func() any { return new([]row) }}
 
 // row is one ready task's best dynamic level and the PE it occurs on,
 // ties to the lower PE.
@@ -155,14 +173,15 @@ func scanRow(pr *sched.Prober, task *ctg.Task, t ctg.TaskID, sl, mean float64, p
 	return best
 }
 
-// choose reduces one round's rows in ascending task order: the first
-// largest level wins, ties to the lower task then the lower PE.
+// choose reduces one round's rows, indexed by task, in ascending task
+// order: the first largest level wins, ties to the lower task then the
+// lower PE.
 func choose(rtl []ctg.TaskID, rows []row) (ctg.TaskID, int, error) {
 	bestDL := math.Inf(-1)
 	bestTask := ctg.TaskID(-1)
 	bestPE := -1
-	for i, t := range rtl {
-		r := &rows[i]
+	for _, t := range rtl {
+		r := &rows[t]
 		if r.err != nil {
 			return 0, 0, r.err
 		}
@@ -198,12 +217,8 @@ func meanExecTimes(g *ctg.Graph) []float64 {
 
 // staticLevels returns SL(t) for every task: the largest sum of mean
 // execution times (meanExec) along any path from t to a sink,
-// inclusive of t.
-func staticLevels(g *ctg.Graph, meanExec []float64) ([]float64, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+// inclusive of t. order is g's topological order.
+func staticLevels(g *ctg.Graph, order []ctg.TaskID, meanExec []float64) []float64 {
 	sl := make([]float64, g.NumTasks())
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
@@ -213,5 +228,5 @@ func staticLevels(g *ctg.Graph, meanExec []float64) ([]float64, error) {
 		}
 		sl[t] = best + meanExec[t]
 	}
-	return sl, nil
+	return sl
 }

@@ -2,6 +2,7 @@ package dls
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"nocsched/internal/ctg"
@@ -52,10 +53,11 @@ func TestStaticLevels(t *testing.T) {
 	c := mk("c", 50)
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, c, 0)
-	sl, err := staticLevels(g, meanExecTimes(g))
+	order, err := g.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sl := staticLevels(g, order, meanExecTimes(g))
 	want := []float64{350, 250, 50}
 	for i, w := range want {
 		if math.Abs(sl[i]-w) > 1e-9 {
@@ -64,14 +66,16 @@ func TestStaticLevels(t *testing.T) {
 	}
 }
 
+// TestStaticLevelsCycleRejected: static levels need a topological
+// order, so ScheduleWith rejects a cyclic graph before computing them.
 func TestStaticLevelsCycleRejected(t *testing.T) {
 	g := ctg.New("cyc")
-	a, _ := g.AddTask("a", []int64{1}, []float64{1}, ctg.NoDeadline)
-	b, _ := g.AddTask("b", []int64{1}, []float64{1}, ctg.NoDeadline)
+	a, _ := g.AddTask("a", []int64{1, 1, 1, 1}, []float64{1, 1, 1, 1}, ctg.NoDeadline)
+	b, _ := g.AddTask("b", []int64{1, 1, 1, 1}, []float64{1, 1, 1, 1}, ctg.NoDeadline)
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, a, 0)
-	if _, err := staticLevels(g, meanExecTimes(g)); err == nil {
-		t.Fatal("cycle accepted")
+	if _, err := Schedule(g, rig(t)); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("cyclic graph: err %v, want a cycle error", err)
 	}
 }
 

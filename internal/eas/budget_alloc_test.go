@@ -3,6 +3,7 @@ package eas
 import (
 	"testing"
 
+	"nocsched/internal/dls"
 	"nocsched/internal/sched"
 	"nocsched/internal/tgff"
 )
@@ -103,5 +104,35 @@ func BenchmarkEASTightSolve(b *testing.B) {
 		if _, err := ScheduleWith(ws, gs[i%len(gs)], acg, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDLSSolveSteadyStateAllocs pins a steady-state DLS solve on a
+// reused one-worker workspace: its per-solve arrays and the Schedule
+// shell, and nothing per round, so the count does not grow with the
+// graph. The per-task rows the solve carries across rounds come from a
+// pool.
+func TestDLSSolveSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	allocs := func(tasks int) float64 {
+		gs, acg := looseGraphs(t, tasks, 1)
+		ws := sched.NewWorkspace(1, false)
+		solve := func() {
+			if _, err := dls.ScheduleWith(ws, gs[0], acg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solve() // warm-up: grows the workspace's tables and the row pool
+		return testing.AllocsPerRun(20, solve)
+	}
+	big, small := allocs(300), allocs(100)
+	t.Logf("dls.ScheduleWith: %.0f objects/run at 300 tasks, %.0f at 100", big, small)
+	if big > 9 {
+		t.Errorf("300 tasks: dls.ScheduleWith allocates %.0f objects/run, want <= 9", big)
+	}
+	if small != big {
+		t.Errorf("dls.ScheduleWith allocates %.0f objects/run at 100 tasks and %.0f at 300, want the same", small, big)
 	}
 }

@@ -3,6 +3,8 @@ package eas
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"nocsched/internal/ctg"
@@ -164,7 +166,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	// path is untouched on instances EAS handles natively.
 	if !best.Schedule.Feasible() && !opts.DisableRepair && !opts.DisableTightenRetry {
 		endFB := tr.Span("fallback:deadline-first+refine", "eas phases")
-		if fb, err := deadlineFirstSchedule(ws, g, acg, algorithm, opts); err == nil {
+		if fb, err := deadlineFirstSchedule(ws, g, order, acg, algorithm, opts); err == nil {
 			totalProbes += fb.Probes
 			refined, stats, err := refine(newEvaluator(ws.Builder(), opts.NaiveContention), fb, 0)
 			if err == nil {
@@ -187,15 +189,12 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 // deadlineFirstSchedule builds a schedule that prioritizes feasibility:
 // ready tasks are committed in ascending effective-deadline order, each
 // on its earliest-finish PE — exactly the EDF decision rule, so it runs
-// edf.Pick rather than duplicating the selection logic. It is the seed
-// of the fallback pass; its energy is then reduced by RefineEnergy.
-func deadlineFirstSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, algorithm string, opts Options) (*sched.Schedule, error) {
-	dEff, err := edf.EffectiveDeadlines(g)
-	if err != nil {
-		return nil, err
-	}
+// edf.Pick rather than duplicating the selection logic. order is g's
+// topological order. It is the seed of the fallback pass; its energy is
+// then reduced by RefineEnergy.
+func deadlineFirstSchedule(ws *sched.Workspace, g *ctg.Graph, order []ctg.TaskID, acg *energy.ACG, algorithm string, opts Options) (*sched.Schedule, error) {
 	s, err := ws.ListSchedule(g, acg, algorithm, sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()),
-		!opts.NaiveContention, edf.Pick(dEff))
+		!opts.NaiveContention, edf.Pick(g, order))
 	if err != nil {
 		return nil, fmt.Errorf("eas: fallback: %w", err)
 	}
@@ -310,26 +309,38 @@ func scanRow(pr *sched.Prober, task *ctg.Task, ti ctg.TaskID, bd int64) rowEval 
 }
 
 // levelSchedule is Step 2: level-based list scheduling over the Ready
-// Task List. Every round, each RTL row is evaluated by scanRow and the
-// rows are then reduced in ascending RTL order, which reproduces the
-// original full scan's tie-breaks exactly (first-wins under ascending
-// task IDs is equivalent to the historical "ti < best" tie conditions).
+// Task List. Every round each RTL row is carried from an earlier round
+// where nothing it read has changed, and evaluated by scanRow
+// otherwise; the rows are then reduced in ascending RTL order, which
+// reproduces the original full scan's tie-breaks exactly (first-wins
+// under ascending task IDs is equivalent to the historical "ti < best"
+// tie conditions).
 func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *Budget, algorithm string, opts Options) (*sched.Schedule, error) {
-	var rows []rowEval
+	rows := rowsPool.Get().(*[]rowEval)
+	defer rowsPool.Put(rows)
+	*rows = slices.Grow((*rows)[:0], g.NumTasks())[:g.NumTasks()]
 	return ws.ListSchedule(g, acg, algorithm, sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), !opts.NaiveContention,
 		func(_ *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
-			rows = rows[:0]
 			for _, ti := range rtl {
-				rows = append(rows, scanRow(pr, g.Task(ti), ti, budget.BD[ti]))
+				// A row reads its keys, final once the task is ready,
+				// BD_i, fixed for the pass, and its probes, which Carry
+				// checks: a carried row is the scan's bit for bit.
+				if !pr.Carry(ti, -1) {
+					(*rows)[ti] = scanRow(pr, g.Task(ti), ti, budget.BD[ti])
+				}
 			}
-			return choose(g, budget, rtl, rows)
+			return choose(g, budget, rtl, *rows)
 		})
 }
 
-// choose is Step 2's sequential reduction of one round's rows, in
-// ascending RTL order: the most over-budget task goes to its
-// earliest-finish PE (Step 2.3); failing that, the largest-regret task
-// goes to its cheapest feasible PE (2.4).
+// rowsPool holds the per-task row scratch of levelSchedule, so that a
+// steady-state pass allocates none.
+var rowsPool = sync.Pool{New: func() any { return new([]rowEval) }}
+
+// choose is Step 2's sequential reduction of one round's rows, indexed
+// by task, in ascending RTL order: the most over-budget task goes to
+// its earliest-finish PE (Step 2.3); failing that, the largest-regret
+// task goes to its cheapest feasible PE (2.4).
 func choose(g *ctg.Graph, budget *Budget, rtl []ctg.TaskID, rows []rowEval) (ctg.TaskID, int, error) {
 	var (
 		overTask  ctg.TaskID = -1 // most over-budget task (Step 2.3)
@@ -340,8 +351,8 @@ func choose(g *ctg.Graph, budget *Budget, rtl []ctg.TaskID, rows []rowEval) (ctg
 		bestE1               = math.Inf(1)
 		bestPE    int
 	)
-	for i, ti := range rtl {
-		row := &rows[i]
+	for _, ti := range rtl {
+		row := &rows[ti]
 		if row.err != nil {
 			return 0, 0, row.err
 		}

@@ -28,7 +28,7 @@ func TestDeadlineFirstGolden(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		h := sha256.New()
 		for _, in := range inputs {
-			s, err := deadlineFirstSchedule(ws, in.Graph, in.ACG, "eas", Options{NaiveContention: naive})
+			s, err := deadlineFirstSchedule(ws, in.Graph, topoOrder(t, in.Graph), in.ACG, "eas", Options{NaiveContention: naive})
 			if err != nil {
 				t.Fatalf("%s (naive=%v): %v", in.Name, naive, err)
 			}

@@ -3,6 +3,7 @@ package eas
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"nocsched/internal/ctg"
@@ -74,46 +75,63 @@ func sameRow(lazy, eager rowEval, bd int64) bool {
 		math.Float64bits(lazy.e2) == math.Float64bits(eager.e2) && lazy.e1PE == eager.e1PE
 }
 
-// eagerStep2 is the reference Step 2: it evaluates every row of every
-// round both eagerly (eagerRow) and lazily (scanRow), fails the test
-// where they disagree, and commits what choose picks from the eager
-// rows. It returns the schedule and the number of rows compared.
-func eagerStep2(t testing.TB, g *ctg.Graph, acg *energy.ACG, budget *Budget, naive bool) (*sched.Schedule, int) {
+// identicalRow reports whether two scans of one row agree on every
+// field, bit for bit, both without an error.
+func identicalRow(a, b rowEval) bool {
+	return a.err == nil && b.err == nil && a.minF == b.minF && a.minFPE == b.minFPE &&
+		math.Float64bits(a.minFComm) == math.Float64bits(b.minFComm) &&
+		math.Float64bits(a.e1) == math.Float64bits(b.e1) &&
+		math.Float64bits(a.e2) == math.Float64bits(b.e2) && a.e1PE == b.e1PE
+}
+
+// eagerStep2 is the reference Step 2, the always-re-scan loop, run on
+// ref, a workspace the caller reuses across passes and instances. Every
+// round it takes each ready task's row eagerly (eagerRow), by a fresh
+// scanRow on a second prober, and as levelSchedule does on ref's own
+// prober: carried where Carry vouches for it, scanned otherwise. It
+// fails the test where the fresh row disagrees with the eager one on
+// what choose reads, or the kept row with the fresh one on any field,
+// and commits what choose picks from the eager rows. It returns the
+// schedule, the rows compared and how many of them were carried.
+func eagerStep2(t testing.TB, ref *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *Budget, naive bool) (*sched.Schedule, int, int) {
 	t.Helper()
-	b := sched.NewBuilder(g, acg, "eas")
-	if naive {
-		b.SetContentionAware(false)
-	}
-	ref, lazyPr := b.NewProber(), b.NewProber()
-	var rtl []ctg.TaskID
-	var rows []rowEval
-	n := 0
-	for b.Committed() < g.NumTasks() {
-		rtl = b.AppendReady(rtl[:0])
-		rows = rows[:0]
-		for _, ti := range rtl {
-			eager := eagerRow(ref, g.Task(ti), ti, budget.BD[ti])
-			lazy := scanRow(lazyPr, g.Task(ti), ti, budget.BD[ti])
-			if !sameRow(lazy, eager, budget.BD[ti]) {
-				t.Fatalf("%s task %d (BD %d) after %d commits: lazy row %+v, eager %+v",
-					g.Name, ti, budget.BD[ti], b.Committed(), lazy, eager)
+	eager, kept := make([]rowEval, g.NumTasks()), make([]rowEval, g.NumTasks())
+	var eagerPr, freshPr *sched.Prober
+	n, carried := 0, 0
+	s, err := ref.ListSchedule(g, acg, "eas", nil, !naive,
+		func(b *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
+			if eagerPr == nil {
+				eagerPr, freshPr = b.NewProber(), b.NewProber()
 			}
-			rows = append(rows, eager)
-			n++
-		}
-		task, pe, err := choose(g, budget, rtl, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Commit(task, pe); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := b.Finish()
+			for _, ti := range rtl {
+				bd := budget.BD[ti]
+				eager[ti] = eagerRow(eagerPr, g.Task(ti), ti, bd)
+				lazy := scanRow(freshPr, g.Task(ti), ti, bd)
+				if !sameRow(lazy, eager[ti], bd) {
+					t.Fatalf("%s task %d (BD %d) after %d commits: lazy row %+v, eager %+v",
+						g.Name, ti, bd, b.Committed(), lazy, eager[ti])
+				}
+				c := pr.Carry(ti, -1)
+				if c {
+					carried++
+				} else {
+					kept[ti] = scanRow(pr, g.Task(ti), ti, bd)
+				}
+				if !identicalRow(kept[ti], lazy) {
+					t.Fatalf("%s task %d (BD %d) after %d commits (carried %v): row %+v, fresh scan %+v",
+						g.Name, ti, bd, b.Committed(), c, kept[ti], lazy)
+				}
+				n++
+			}
+			return choose(g, budget, rtl, eager)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, n
+	if s.RowsCarried != int64(carried) {
+		t.Errorf("%s: schedule counts %d carried rows, the reference loop %d", g.Name, s.RowsCarried, carried)
+	}
+	return s, n, carried
 }
 
 // budgetPasses are the Step 1 budgets ScheduleWith tries, loosest
@@ -135,16 +153,17 @@ func budgetPasses(t testing.TB, g *ctg.Graph, acg *energy.ACG) []*Budget {
 	return out
 }
 
-// checkStep2 runs eagerStep2 under every budget pass, with both
-// contention models, and requires levelSchedule's lazy schedule to be
-// identical (sched.Diff) to the eager reference's.
-func checkStep2(t testing.TB, ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) int {
+// checkStep2 runs eagerStep2 on ref under every budget pass, with both
+// contention models, and requires levelSchedule's schedule on ws to be
+// identical (sched.Diff) to the reference's. It returns the rows
+// compared and how many of them were carried.
+func checkStep2(t testing.TB, ref, ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (int, int) {
 	t.Helper()
-	n := 0
+	n, carried := 0, 0
 	for _, budget := range budgetPasses(t, g, acg) {
 		for _, naive := range []bool{false, true} {
-			want, rows := eagerStep2(t, g, acg, budget, naive)
-			n += rows
+			want, rows, c := eagerStep2(t, ref, g, acg, budget, naive)
+			n, carried = n+rows, carried+c
 			got, err := levelSchedule(ws, g, acg, budget, "eas", Options{NaiveContention: naive})
 			if err != nil {
 				t.Fatal(err)
@@ -154,13 +173,14 @@ func checkStep2(t testing.TB, ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG
 			}
 		}
 	}
-	return n
+	return n, carried
 }
 
-// TestLazyRowDifferential compares every Step 2 row of every round,
-// lazy against eager, over the golden and conformance corpora, under
-// each budget pass ScheduleWith tries and both contention models, and
-// requires the resulting schedules to be identical.
+// TestLazyRowDifferential compares every Step 2 row of every round —
+// eager, freshly scanned, and carried or scanned as levelSchedule takes
+// it — over the golden and conformance corpora, under each budget pass
+// ScheduleWith tries and both contention models, and requires the
+// resulting schedules to be identical.
 func TestLazyRowDifferential(t *testing.T) {
 	golden, err := workloadgen.Golden()
 	if err != nil {
@@ -170,12 +190,39 @@ func TestLazyRowDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := sched.NewWorkspace(1, false)
-	n := 0
+	ref, ws := sched.NewWorkspace(1, false), sched.NewWorkspace(1, false)
+	n, carried := 0, 0
 	for _, w := range append(golden, conf...) {
-		n += checkStep2(t, ws, w.Graph, w.ACG)
+		rows, c := checkStep2(t, ref, ws, w.Graph, w.ACG)
+		n, carried = n+rows, carried+c
 	}
-	t.Logf("%d rows compared", n)
+	t.Logf("%d rows compared, %d of them carried", n, carried)
+}
+
+// TestCarriedRowDifferential holds carried Step 2 rows to fresh scans
+// where they are plentiful: two 200-task batch-loose-shaped graphs, one
+// of them with every third task's execution time zeroed (a zero-time
+// commit writes no PE table, and a Step 2 row reads nothing else of its
+// PE), and two batch-tight-shaped ones, under every budget pass and
+// both contention models, on one reference workspace reused throughout,
+// so a carried row that outlived its pass would be caught too.
+func TestCarriedRowDifferential(t *testing.T) {
+	loose, acg := looseGraphs(t, 200, 2)
+	zero, err := workloadgen.ZeroEvery(loose[1], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, _ := shapeGraphs(t, tgff.CategoryII, 30, 0.95, 2)
+	ref, ws := sched.NewWorkspace(1, false), sched.NewWorkspace(1, false)
+	n, carried := 0, 0
+	for _, g := range append([]*ctg.Graph{loose[0], zero}, tight...) {
+		rows, c := checkStep2(t, ref, ws, g, acg)
+		n, carried = n+rows, carried+c
+	}
+	t.Logf("%d rows compared, %d of them carried", n, carried)
+	if carried == 0 {
+		t.Fatal("no row was carried")
+	}
 }
 
 // eagerDLS is DLS by definition: every round, the dynamic level of
@@ -289,14 +336,17 @@ func eagerEDF(t testing.TB, g *ctg.Graph, acg *energy.ACG) *sched.Schedule {
 
 // FuzzLazyRows generates small TGFF graphs — up to 60 tasks on a 2x2 to
 // 4x4 mesh, deadline laxity from very tight to loose, some tasks without
-// a deadline — and requires each lazy row scan to schedule exactly as
-// the eager scan it replaces: EAS Step 2 under every budget pass (with
-// every row compared, see eagerStep2), DLS and EDF.
+// a deadline, every third task zero-time for a third of the seeds — and
+// requires each lazy row scan, with rows carried across rounds where
+// nothing they read changed, to schedule exactly as the eager scan it
+// replaces: EAS Step 2 under every budget pass (with every row,
+// carried ones included, compared: see eagerStep2), DLS and EDF.
 func FuzzLazyRows(f *testing.F) {
 	f.Add(uint8(30), uint8(2), uint8(2), 1.2, int64(1))
 	f.Add(uint8(45), uint8(0), uint8(1), 0.4, int64(7))
 	f.Add(uint8(12), uint8(1), uint8(0), 0.05, int64(3))
 	f.Add(uint8(58), uint8(2), uint8(0), 3.0, int64(11))
+	f.Add(uint8(50), uint8(2), uint8(2), 1.5, int64(6))
 	f.Fuzz(func(t *testing.T, tasks, w, h uint8, laxity float64, seed int64) {
 		if math.IsNaN(laxity) || laxity < 0.01 || laxity > 4 {
 			t.Skip("laxity out of range")
@@ -321,8 +371,15 @@ func FuzzLazyRows(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
+		if seed%3 == 0 {
+			// Zero-time tasks: their commits write no PE table but
+			// still raise the PE's finish time, which DLS reads.
+			if g, err = workloadgen.ZeroEvery(g, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ws := sched.NewWorkspace(1, false)
-		checkStep2(t, ws, g, acg)
+		checkStep2(t, sched.NewWorkspace(1, false), ws, g, acg)
 		got, err := dls.ScheduleWith(ws, g, acg)
 		if err != nil {
 			t.Fatal(err)
@@ -338,4 +395,59 @@ func FuzzLazyRows(f *testing.F) {
 			t.Fatalf("EDF eager vs lazy: %s", d)
 		}
 	})
+}
+
+// TestStep2RowCounts pins the deterministic row-scan work of EAS Step 2
+// (the first budget pass, exact contention) and of DLS over four
+// 300-task batch-loose-shaped graphs: the rows scanned, the rows carried
+// and the probes, equal at GOMAXPROCS 1 and 4 and whether each solve
+// gets a fresh workspace or all share one.
+func TestStep2RowCounts(t *testing.T) {
+	gs, acg := looseGraphs(t, 300, 4)
+	type counts struct{ rows, carried, probes int64 }
+	total := func(shared bool) (step2, dlsCounts counts) {
+		ws := sched.NewWorkspace(1, false)
+		add := func(c *counts, s *sched.Schedule) {
+			c.rows += s.RowScans
+			c.carried += s.RowsCarried
+			c.probes += s.Probes
+		}
+		for _, g := range gs {
+			if !shared {
+				ws = sched.NewWorkspace(1, false)
+			}
+			budget, err := ComputeBudget(g, nil, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := levelSchedule(ws, g, acg, budget, "eas", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(&step2, s)
+			if s, err = dls.ScheduleWith(ws, g, acg); err != nil {
+				t.Fatal(err)
+			}
+			add(&dlsCounts, s)
+		}
+		return step2, dlsCounts
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	step2, dlsCounts := total(false)
+	t.Logf("Step 2: %+v; DLS: %+v", step2, dlsCounts)
+	for _, run := range []struct {
+		procs  int
+		shared bool
+	}{{1, true}, {4, false}, {4, true}} {
+		runtime.GOMAXPROCS(run.procs)
+		if s, d := total(run.shared); s != step2 || d != dlsCounts {
+			t.Errorf("GOMAXPROCS %d, shared workspace %v: Step 2 %+v, DLS %+v; want %+v, %+v",
+				run.procs, run.shared, s, d, step2, dlsCounts)
+		}
+	}
+	wantStep2 := counts{rows: 4771, carried: 2794, probes: 13096}
+	wantDLS := counts{rows: 8567, carried: 21883, probes: 12045}
+	if step2 != wantStep2 || dlsCounts != wantDLS {
+		t.Errorf("Step 2 %+v, DLS %+v; pinned %+v, %+v", step2, dlsCounts, wantStep2, wantDLS)
+	}
 }

@@ -134,12 +134,22 @@ func TestFallbackPassActivates(t *testing.T) {
 	}
 }
 
+// topoOrder returns g's topological order, failing the test on a cycle.
+func topoOrder(tb testing.TB, g *ctg.Graph) []ctg.TaskID {
+	tb.Helper()
+	order, err := g.TopoOrder()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return order
+}
+
 func TestDeadlineFirstSchedule(t *testing.T) {
 	acg := rig2x2(t)
 	g := ctg.New("df")
 	hetTask(t, g, "a", 100, 500)
 	hetTask(t, g, "b", 100, 200)
-	s, err := deadlineFirstSchedule(sched.NewWorkspace(1, false), g, acg, "eas", Options{})
+	s, err := deadlineFirstSchedule(sched.NewWorkspace(1, false), g, topoOrder(t, g), acg, "eas", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

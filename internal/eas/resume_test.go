@@ -225,7 +225,7 @@ func FuzzRepairResume(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkSearches(t, "step2", res.Schedule, naive)
-		fb, err := deadlineFirstSchedule(sched.NewWorkspace(1, false), g, acg, "eas", Options{NaiveContention: naive})
+		fb, err := deadlineFirstSchedule(sched.NewWorkspace(1, false), g, topoOrder(t, g), acg, "eas", Options{NaiveContention: naive})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,19 +44,16 @@ func ScheduleOpts(g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule,
 // allocations. Schedules are bit-identical to ScheduleOpts'.
 func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
 	started := time.Now()
-	if err := g.Validate(); err != nil {
+	order, err := g.ValidatedOrder()
+	if err != nil {
 		return nil, err
 	}
 	if g.NumPEs() != acg.NumPEs() {
 		return nil, fmt.Errorf("edf: CTG characterized for %d PEs, platform has %d",
 			g.NumPEs(), acg.NumPEs())
 	}
-	dEff, err := EffectiveDeadlines(g)
-	if err != nil {
-		return nil, err
-	}
 	endDrive := opts.Telemetry.T().Span("edf:drive", "edf phases")
-	s, err := ws.ListSchedule(g, acg, "edf", sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), true, Pick(dEff))
+	s, err := ws.ListSchedule(g, acg, "edf", sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), true, Pick(g, order))
 	endDrive()
 	if err != nil {
 		return nil, err
@@ -66,12 +63,13 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	return s, nil
 }
 
-// Pick returns the EDF decision rule for sched.Workspace.ListSchedule:
-// the ready task with the earliest effective deadline dEff (ties to the
-// lower task ID), on the PE that finishes it earliest (ties to the
-// lower PE index). The EAS scheduler's deadline-first fallback runs
-// the same rule.
-func Pick(dEff []int64) sched.Pick {
+// Pick returns the EDF decision rule for sched.Workspace.ListSchedule
+// on graph g, given its topological order: the ready task with the
+// earliest effective deadline (ties to the lower task ID), on the PE
+// that finishes it earliest (ties to the lower PE index). The EAS
+// scheduler's deadline-first fallback runs the same rule.
+func Pick(g *ctg.Graph, order []ctg.TaskID) sched.Pick {
+	dEff := effectiveDeadlines(g, order)
 	return func(_ *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
 		pick := rtl[0]
 		for _, t := range rtl[1:] {
@@ -98,6 +96,11 @@ func EffectiveDeadlines(g *ctg.Graph) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return effectiveDeadlines(g, order), nil
+}
+
+// effectiveDeadlines is EffectiveDeadlines given g's topological order.
+func effectiveDeadlines(g *ctg.Graph, order []ctg.TaskID) []int64 {
 	dEff := make([]int64, g.NumTasks())
 	for i := range dEff {
 		dEff[i] = g.Task(ctg.TaskID(i)).Deadline
@@ -117,7 +120,7 @@ func EffectiveDeadlines(g *ctg.Graph) ([]int64, error) {
 			}
 		}
 	}
-	return dEff, nil
+	return dEff
 }
 
 func minExec(t *ctg.Task) int64 {

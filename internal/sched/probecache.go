@@ -127,7 +127,8 @@ func (b *Builder) fresh(s uint64, t ctg.TaskID, k int) bool {
 // otherwise. The answer is identical to Probe's either way, and a
 // reused answer still counts as one probe everywhere Probe is counted;
 // Reuses counts it separately. A task AppendReady has not listed yet
-// has no cache row and is always evaluated.
+// has no cache row and is always evaluated. For a listed task, the
+// answer is recorded as a read of the task's current row scan (Carry).
 func (p *Prober) ProbeCached(t ctg.TaskID, k int) (ProbeResult, error) {
 	b := p.b
 	npe := len(b.peTables)
@@ -137,12 +138,14 @@ func (p *Prober) ProbeCached(t ctg.TaskID, k int) (ProbeResult, error) {
 	}
 	e := &b.cache[int(s)*npe+k]
 	if !b.fresh(e.stamp, t, k) {
-		r, err := p.Probe(t, k)
+		r, err := p.probe(t, k)
 		if err == nil {
 			e.stamp, e.start, e.drt = b.stamp, r.Start, r.DRT
+			p.noteRead(int(s), t, k)
 		}
 		return r, err
 	}
+	p.noteRead(int(s), t, k)
 	p.probes++
 	p.reuses++
 	b.metrics.probes().Inc()

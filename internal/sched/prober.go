@@ -49,6 +49,14 @@ type Prober struct {
 	rowOrder   []int32
 	rowHead    rowHead
 	rowKey     []float64
+
+	// Carried rows (carry.go): per ready-list slot, what the slot's last
+	// row scan on this prober read; the rows scanned (Row calls) and the
+	// rows Carry vouched for instead.
+	scans   []rowScan
+	reads   []int32 // rows of NumPEs: the PEs each slot's scan probed
+	rows    int64
+	carried int64
 }
 
 // NewProber returns a read-only prober for the builder.
@@ -85,8 +93,16 @@ func lctLess(b *Builder, a, c ctg.EdgeID) bool {
 }
 
 // Probe computes F(i,k): the placement task t would get on PE k given
-// the builder's committed tables. The builder is not mutated.
+// the builder's committed tables. The builder is not mutated. A plain
+// probe is not recorded as a row read, so a row scan that probes
+// through it is never carried (Carry).
 func (p *Prober) Probe(t ctg.TaskID, k int) (ProbeResult, error) {
+	p.dropScan(t)
+	return p.probe(t, k)
+}
+
+// probe is Probe without the carried-row bookkeeping.
+func (p *Prober) probe(t ctg.TaskID, k int) (ProbeResult, error) {
 	p.probes++
 	b := p.b
 	b.metrics.probes().Inc()

@@ -75,17 +75,20 @@ func (r Row) Comm(k int) float64 { return r.e[k].keys.comm }
 // task AppendReady has listed keeps its keys and order in its slot, so
 // the order is sorted on the first call per kind and reused until the
 // task commits; any other task's row is built in prober scratch on every
-// call.
+// call. For a listed task, Row also starts the row scan Carry vouches
+// for.
 func (p *Prober) Row(t ctg.TaskID, kind RowKind, key RowKey) Row {
 	b := p.b
 	npe := len(b.peTables)
 	var e []cacheEntry
 	var order []int32
 	var head *rowHead
+	p.rows++
 	if s := int(b.slot[t]); s >= 0 {
 		e = b.cache[s*npe : (s+1)*npe]
 		order = b.orders[s*npe : (s+1)*npe]
 		head = &b.heads[s]
+		p.recordScan(s, t)
 	} else {
 		p.rowEntries = slices.Grow(p.rowEntries[:0], npe)[:npe]
 		p.rowOrder = slices.Grow(p.rowOrder[:0], npe)[:npe]

@@ -64,6 +64,10 @@ type Schedule struct {
 	// ProbeReuses counts the Probes answered from the exact probe cache
 	// (Prober.ProbeCached) rather than evaluated.
 	ProbeReuses int64
+	// RowScans counts the ready-task rows scanned (Prober.Row), and
+	// RowsCarried the rows a list scheduler reused unscanned because
+	// nothing they read had changed (Prober.Carry).
+	RowScans, RowsCarried int64
 }
 
 // New allocates an empty schedule shell for the given problem instance.

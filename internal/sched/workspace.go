@@ -19,7 +19,9 @@ import (
 //
 // Every list scheduler — EAS Step 2 and its deadline-first fallback,
 // EDF, DLS and the mapping baseline — runs through ListSchedule, which
-// owns the loop they share and leaves each only its decision rule.
+// owns the loop they share and leaves each only its decision rule. A
+// rule that carries rows from one round to the next (Prober.Carry) keeps
+// its records on the workspace's prober.
 //
 // Reuse never changes results: a schedule produced through a reused
 // workspace is bit-identical (sched.Diff) to one produced by a fresh
@@ -51,8 +53,8 @@ type Pick func(b *Builder, pr *Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error
 // readies the workspace's builder, attaches metrics m (nil: none) and
 // the contention model, then every round lists the ready tasks, records
 // the ready-list depth, and commits the (task, PE) pick returns, until
-// every task is committed. The schedule carries the run's probe and
-// reuse counts.
+// every task is committed. The schedule carries the run's probe, reuse,
+// row-scan and carried-row counts.
 func (w *Workspace) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string, m *Metrics, contention bool, pick Pick) (*Schedule, error) {
 	b, pr := w.prepare(g, acg, algorithm)
 	b.SetMetrics(m)
@@ -77,6 +79,7 @@ func (w *Workspace) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string
 		return nil, err
 	}
 	s.Probes, s.ProbeReuses = pr.Probes(), pr.Reuses()
+	s.RowScans, s.RowsCarried = pr.rows, pr.carried
 	return s, nil
 }
 
@@ -96,5 +99,6 @@ func (w *Workspace) prepare(g *ctg.Graph, acg *energy.ACG, algorithm string) (*B
 	w.builder.Reset(g, acg)
 	w.prober.overlay.Grow(len(w.builder.linkTables))
 	w.prober.probes, w.prober.reuses = 0, 0
+	w.prober.rows, w.prober.carried = 0, 0
 	return w.builder, w.prober
 }

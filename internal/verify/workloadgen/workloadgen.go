@@ -463,3 +463,28 @@ func Golden() ([]Workload, error) {
 	}
 	return ws, nil
 }
+
+// ZeroEvery returns a copy of g in which every nth task, from task 0,
+// runs in zero time on each PE that can run it. Committing such a task
+// writes no PE table, yet still places work on its PE: the corner case
+// of schedulers that track per-PE state beside the tables.
+func ZeroEvery(g *ctg.Graph, nth int) (*ctg.Graph, error) {
+	out := ctg.New(g.Name + "-zero")
+	for i, task := range g.Tasks() {
+		exec := append([]int64(nil), task.ExecTime...)
+		if i%nth == 0 {
+			for k := range exec {
+				exec[k] = min(exec[k], 0)
+			}
+		}
+		if _, err := out.AddTask(task.Name, exec, task.Energy, task.Deadline); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range g.Edges() {
+		if _, err := out.AddEdge(e.Src, e.Dst, e.Volume); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
