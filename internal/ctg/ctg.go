@@ -84,27 +84,8 @@ func New(name string) *Graph { return &Graph{Name: name} }
 // slices are copied; they must have equal length (one entry per PE).
 // deadline may be NoDeadline.
 func (g *Graph) AddTask(name string, execTime []int64, energy []float64, deadline int64) (TaskID, error) {
-	if len(execTime) != len(energy) {
-		return -1, fmt.Errorf("ctg: task %q: exec-time array has %d entries but energy array has %d",
-			name, len(execTime), len(energy))
-	}
-	if len(execTime) == 0 {
-		return -1, fmt.Errorf("ctg: task %q: empty per-PE arrays", name)
-	}
-	if deadline <= 0 && deadline != NoDeadline {
-		return -1, fmt.Errorf("ctg: task %q: non-positive deadline %d", name, deadline)
-	}
-	runnable := false
-	for k, r := range execTime {
-		if r >= 0 {
-			runnable = true
-			if energy[k] < 0 {
-				return -1, fmt.Errorf("ctg: task %q: negative energy %g on PE %d", name, energy[k], k)
-			}
-		}
-	}
-	if !runnable {
-		return -1, fmt.Errorf("ctg: task %q: not runnable on any PE", name)
+	if err := checkTask(name, execTime, energy, deadline); err != nil {
+		return -1, err
 	}
 	id := TaskID(len(g.tasks))
 	g.tasks = append(g.tasks, Task{
@@ -119,24 +100,59 @@ func (g *Graph) AddTask(name string, execTime []int64, energy []float64, deadlin
 	return id, nil
 }
 
+// checkTask is AddTask's validation of one task.
+func checkTask(name string, execTime []int64, energy []float64, deadline int64) error {
+	if len(execTime) != len(energy) {
+		return fmt.Errorf("ctg: task %q: exec-time array has %d entries but energy array has %d",
+			name, len(execTime), len(energy))
+	}
+	if len(execTime) == 0 {
+		return fmt.Errorf("ctg: task %q: empty per-PE arrays", name)
+	}
+	if deadline <= 0 && deadline != NoDeadline {
+		return fmt.Errorf("ctg: task %q: non-positive deadline %d", name, deadline)
+	}
+	runnable := false
+	for k, r := range execTime {
+		if r >= 0 {
+			runnable = true
+			if energy[k] < 0 {
+				return fmt.Errorf("ctg: task %q: negative energy %g on PE %d", name, energy[k], k)
+			}
+		}
+	}
+	if !runnable {
+		return fmt.Errorf("ctg: task %q: not runnable on any PE", name)
+	}
+	return nil
+}
+
 // AddEdge appends the arc src -> dst with the given communication volume
 // in bits and returns its ID. Parallel edges between the same pair are
 // permitted (they model independent messages); self-loops are not.
 func (g *Graph) AddEdge(src, dst TaskID, volume int64) (EdgeID, error) {
-	if !g.validTask(src) || !g.validTask(dst) {
-		return -1, fmt.Errorf("ctg: edge %d->%d references unknown task", src, dst)
-	}
-	if src == dst {
-		return -1, fmt.Errorf("ctg: self-loop on task %d", src)
-	}
-	if volume < 0 {
-		return -1, fmt.Errorf("ctg: edge %d->%d: negative volume %d", src, dst, volume)
+	if err := g.checkEdge(src, dst, volume); err != nil {
+		return -1, err
 	}
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, Src: src, Dst: dst, Volume: volume})
 	g.succ[src] = append(g.succ[src], id)
 	g.pred[dst] = append(g.pred[dst], id)
 	return id, nil
+}
+
+// checkEdge is AddEdge's validation of one arc.
+func (g *Graph) checkEdge(src, dst TaskID, volume int64) error {
+	if !g.validTask(src) || !g.validTask(dst) {
+		return fmt.Errorf("ctg: edge %d->%d references unknown task", src, dst)
+	}
+	if src == dst {
+		return fmt.Errorf("ctg: self-loop on task %d", src)
+	}
+	if volume < 0 {
+		return fmt.Errorf("ctg: edge %d->%d: negative volume %d", src, dst, volume)
+	}
+	return nil
 }
 
 func (g *Graph) validTask(id TaskID) bool { return id >= 0 && int(id) < len(g.tasks) }

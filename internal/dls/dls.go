@@ -61,9 +61,11 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	// round first folds in the previous round's commit.
 	peFree := make([]int64, acg.NumPEs())
 	last := ctg.TaskID(-1)
-	rows := rowsPool.Get().(*[]row)
-	defer rowsPool.Put(rows)
-	*rows = slices.Grow((*rows)[:0], g.NumTasks())[:g.NumTasks()]
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.rows = slices.Grow(sc.rows[:0], g.NumTasks())[:g.NumTasks()]
+	sc.ub = slices.Grow(sc.ub[:0], acg.NumPEs())[:acg.NumPEs()]
+	rows := &sc.rows
 	s, err := ws.ListSchedule(g, acg, "dls", nil, true,
 		func(b *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
 			moved := -1
@@ -82,7 +84,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 				// higher TF only lowers its UB_k, so it stays
 				// unpicked and every skip the scan made stays a skip.
 				if !pr.Carry(t, moved) {
-					(*rows)[t] = scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree)
+					(*rows)[t] = scanRow(pr, g.Task(t), t, sl[t], meanExec[t], peFree, sc.ub)
 				}
 			}
 			t, pe, err := choose(rtl, *rows)
@@ -96,9 +98,16 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	return s, nil
 }
 
-// rowsPool holds the per-task row scratch of ScheduleWith, so that a
-// steady-state solve allocates none.
-var rowsPool = sync.Pool{New: func() any { return new([]row) }}
+// scratchPool holds ScheduleWith's scratch, so that a steady-state
+// solve allocates none.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch is one solve's per-task rows and one scan's per-PE level
+// bounds UB_k (see scanRow).
+type scratch struct {
+	rows []row
+	ub   []float64
+}
 
 // row is one ready task's best dynamic level and the PE it occurs on,
 // ties to the lower PE.
@@ -123,15 +132,12 @@ type row struct {
 // most. The rest are visited by descending SB_k; the scan stops when
 // SB_k falls below the best level found and skips a PE whose UB_k
 // cannot beat it (ties to the lower PE). The result is the full scan's
-// bit for bit.
-func scanRow(pr *sched.Prober, task *ctg.Task, t ctg.TaskID, sl, mean float64, peFree []int64) row {
+// bit for bit. Each UB_k is computed once, into ub (indexed by PE).
+func scanRow(pr *sched.Prober, task *ctg.Task, t ctg.TaskID, sl, mean float64, peFree []int64, ub []float64) row {
 	r := pr.Row(t, sched.RowByLevel, func(k int, drtLB int64, _ float64) float64 {
 		return -(sl - float64(drtLB) + (mean - float64(task.ExecTime[k])))
 	})
 	delta := func(k int) float64 { return mean - float64(task.ExecTime[k]) }
-	ub := func(k int) float64 {
-		return sl - max(float64(r.DRTBound(k)), float64(peFree[k])) + delta(k)
-	}
 	best := row{dl: math.Inf(-1), pe: -1}
 	visit := func(k int) error {
 		p, err := pr.ProbeCached(t, k)
@@ -148,7 +154,10 @@ func scanRow(pr *sched.Prober, task *ctg.Task, t ctg.TaskID, sl, mean float64, p
 	}
 	first, firstUB := -1, math.Inf(-1)
 	for _, k32 := range r.Order {
-		if k, u := int(k32), ub(int(k32)); first < 0 || u > firstUB {
+		k := int(k32)
+		u := sl - max(float64(r.DRTBound(k)), float64(peFree[k])) + delta(k)
+		ub[k] = u
+		if first < 0 || u > firstUB {
 			first, firstUB = k, u
 		}
 	}
@@ -163,7 +172,7 @@ func scanRow(pr *sched.Prober, task *ctg.Task, t ctg.TaskID, sl, mean float64, p
 		if sl-float64(r.DRTBound(k))+delta(k) < best.dl {
 			break
 		}
-		if u := ub(k); k == first || u < best.dl || (u == best.dl && k > best.pe) {
+		if u := ub[k]; k == first || u < best.dl || (u == best.dl && k > best.pe) {
 			continue
 		}
 		if err := visit(k); err != nil {

@@ -119,6 +119,7 @@ func checkRows(t testing.TB, ref, ws *sched.Workspace, g *ctg.Graph, acg *energy
 	meanExec := meanExecTimes(g)
 	sl := staticLevels(g, order, meanExec)
 	peFree := make([]int64, acg.NumPEs())
+	ub := make([]float64, acg.NumPEs()) // scanRow's level-bound scratch
 	eager, kept := make([]row, g.NumTasks()), make([]row, g.NumTasks())
 	var eagerPr, freshPr *sched.Prober
 	last := ctg.TaskID(-1)
@@ -145,7 +146,7 @@ func checkRows(t testing.TB, ref, ws *sched.Workspace, g *ctg.Graph, acg *energy
 						t.Fatalf("%s task %d PE %d: bounds %v >= %v >= level %v do not hold", g.Name, ti, k, sb, ub, dl)
 					}
 				})
-				lazy := scanRow(freshPr, task, ti, sl[ti], meanExec[ti], peFree)
+				lazy := scanRow(freshPr, task, ti, sl[ti], meanExec[ti], peFree, ub)
 				if lazy.err != nil || !sameRow(lazy, eager[ti]) {
 					t.Fatalf("%s task %d after %d commits: lazy (%v, PE %d, err %v), eager (%v, PE %d)",
 						g.Name, ti, b.Committed(), lazy.dl, lazy.pe, lazy.err, eager[ti].dl, eager[ti].pe)
@@ -154,7 +155,7 @@ func checkRows(t testing.TB, ref, ws *sched.Workspace, g *ctg.Graph, acg *energy
 				if c {
 					carried++
 				} else {
-					kept[ti] = scanRow(pr, task, ti, sl[ti], meanExec[ti], peFree)
+					kept[ti] = scanRow(pr, task, ti, sl[ti], meanExec[ti], peFree, ub)
 				}
 				if !sameRow(kept[ti], lazy) {
 					t.Fatalf("%s task %d after %d commits (carried %v): row (%v, PE %d, err %v), fresh scan (%v, PE %d)",
