@@ -1,9 +1,10 @@
 package noc
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"nocsched/internal/jsonx"
 )
 
 // PlatformSpec is the JSON description of a platform, for CLI use:
@@ -83,11 +84,93 @@ func (spec *PlatformSpec) Build() (*Platform, error) {
 	return NewPlatform(topo, classes, spec.Bandwidth)
 }
 
-// ReadPlatformSpec decodes and builds a platform from JSON.
+// ReadPlatformSpec decodes and builds a platform from JSON. Bytes
+// after the spec are ignored.
 func ReadPlatformSpec(r io.Reader) (*Platform, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("noc: spec: read: %w", err)
+	}
 	var spec PlatformSpec
-	if err := json.NewDecoder(r).Decode(&spec); err != nil {
+	if err := spec.DecodeJSON(jsonx.NewDecoder(data)); err != nil {
 		return nil, fmt.Errorf("noc: spec: decode: %w", err)
 	}
 	return spec.Build()
+}
+
+// DecodeJSON reads one spec value from d over what spec already holds,
+// exactly as encoding/json decodes into a PlatformSpec: a null changes
+// nothing, and a repeated key decodes into what the earlier one left.
+func (spec *PlatformSpec) DecodeJSON(d *jsonx.Decoder) error {
+	_, err := d.Object(func(key []byte) error {
+		switch jsonx.Field(key, "topology", "width", "height", "routing", "bandwidth", "classes") {
+		case 0:
+			return d.String(&spec.Topology)
+		case 1:
+			return d.Int(&spec.Width)
+		case 2:
+			return d.Int(&spec.Height)
+		case 3:
+			return d.String(&spec.Routing)
+		case 4:
+			return d.Int64(&spec.Bandwidth)
+		case 5:
+			n, null, err := d.Array(func(i int) error {
+				return jsonx.Elem(&spec.Classes, i, ClassSpec{}).decodeJSON(d)
+			})
+			jsonx.Trim(&spec.Classes, n, null)
+			return err
+		}
+		return d.Skip()
+	})
+	return err
+}
+
+func (c *ClassSpec) decodeJSON(d *jsonx.Decoder) error {
+	_, err := d.Object(func(key []byte) error {
+		switch jsonx.Field(key, "name", "speed", "power") {
+		case 0:
+			return d.String(&c.Name)
+		case 1:
+			return d.Float64(&c.Speed)
+		case 2:
+			return d.Float64(&c.Power)
+		}
+		return d.Skip()
+	})
+	return err
+}
+
+// AppendJSON appends the spec to w as json.Marshal writes it: routing
+// and classes are omitted when empty.
+func (spec *PlatformSpec) AppendJSON(w *jsonx.Writer) {
+	w.BeginObject()
+	w.Key("topology")
+	w.String(spec.Topology)
+	w.Key("width")
+	w.Int(int64(spec.Width))
+	w.Key("height")
+	w.Int(int64(spec.Height))
+	if spec.Routing != "" {
+		w.Key("routing")
+		w.String(spec.Routing)
+	}
+	w.Key("bandwidth")
+	w.Int(spec.Bandwidth)
+	if len(spec.Classes) > 0 {
+		w.Key("classes")
+		w.BeginArray()
+		for _, c := range spec.Classes {
+			w.BeginObject()
+			w.Key("name")
+			w.String(c.Name)
+			w.Key("speed")
+			w.Float(c.Speed)
+			w.Key("power")
+			w.Float(c.Power)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
