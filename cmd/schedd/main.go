@@ -61,8 +61,8 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		addr         = fs.String("addr", "127.0.0.1:9821", "listen address")
 		workers      = fs.Int("workers", 0, "batch engine workers (0 = GOMAXPROCS)")
 		queueDepth   = fs.Int("queue-depth", 0, "admission queue bound (0 = 2*workers)")
-		cacheEntries = fs.Int("cache-entries", 0, "schedule cache entry bound (0 = 1024)")
-		cacheBytes   = fs.Int64("cache-bytes", 0, "schedule cache byte bound (0 = 64 MiB)")
+		cacheEntries = fs.Int("cache-entries", 0, "schedule cache entry bound, and the body memo's (0 = 1024)")
+		cacheBytes   = fs.Int64("cache-bytes", 0, "schedule cache byte bound, and on its own the body memo's (0 = 64 MiB)")
 		defTimeout   = fs.Duration("default-timeout", 30*time.Second, "per-request deadline when the request carries no timeout_ms")
 		maxBody      = fs.Int64("max-body-bytes", 0, "request body bound (0 = 8 MiB)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a graceful drain may take before giving up")

@@ -1,30 +1,31 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
-	"crypto/sha256"
+	"hash/maphash"
 
 	"nocsched/internal/energy"
-	"nocsched/internal/sched"
 	"nocsched/internal/telemetry"
 )
 
-// cacheEntry is one immutable cached solve: the schedule itself (for
-// spot checks and sched.Diff-based tests) plus the rendered 200 body,
+// cacheEntry is one immutable cached solve: the rendered 200 body,
 // split around the value of its "cache" field so each response stamps
 // its own provenance between head and tail. A hit therefore serializes
 // nothing, and two responses for one digest are bit-identical in every
-// byte the cache owns. Entries are never mutated after insertion.
+// byte the cache owns. An entry holds nothing but those bytes, so the
+// byte bound counts all it keeps alive. Entries are never mutated
+// after insertion.
 type cacheEntry struct {
 	digest     string
 	head, tail []byte
-	schedule   *sched.Schedule
 	size       int64
 }
 
 // entryOverhead is the accounted fixed cost of one entry beyond its
 // rendered response bytes (digest string, struct, list bookkeeping) —
 // an estimate, but a stable one, so the byte bound is deterministic.
+// A memo record's overhead is the same estimate.
 const entryOverhead = 512
 
 // schedCache is the content-addressed schedule cache: digest →
@@ -116,13 +117,19 @@ func (c *schedCache) publish() {
 	c.bytesG.Set(float64(c.bytes))
 }
 
-// lru is a least-recently-used map bounded by entry count. A full
-// put evicts from the cold end. Not safe for concurrent use — the
+// lru is a least-recently-used map bounded by entry count and, when
+// size is set, by the summed size of its values. A put evicts from the
+// cold end until both bounds hold; like schedCache.put, it never
+// evicts the value it just put. Not safe for concurrent use — the
 // Server's mutex guards every instance.
 type lru[K comparable, V any] struct {
 	max   int
 	ll    *list.List // front = most recently used; values are *lruEntry[K, V]
 	byKey map[K]*list.Element
+
+	maxBytes int64
+	size     func(V) int64 // nil: the entry-count bound alone
+	bytes    int64
 }
 
 type lruEntry[K comparable, V any] struct {
@@ -150,15 +157,27 @@ func (c *lru[K, V]) get(key K) V {
 func (c *lru[K, V]) put(key K, val V) {
 	if el := c.byKey[key]; el != nil {
 		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry[K, V]).val = val
-		return
+		e := el.Value.(*lruEntry[K, V])
+		c.bytes += c.sizeOf(val) - c.sizeOf(e.val)
+		e.val = val
+	} else {
+		c.byKey[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
+		c.bytes += c.sizeOf(val)
 	}
-	c.byKey[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
-	for c.ll.Len() > c.max {
+	for c.ll.Len() > c.max || (c.ll.Len() > 1 && c.bytes > c.maxBytes) {
 		el := c.ll.Back()
+		e := el.Value.(*lruEntry[K, V])
 		c.ll.Remove(el)
-		delete(c.byKey, el.Value.(*lruEntry[K, V]).key)
+		delete(c.byKey, e.key)
+		c.bytes -= c.sizeOf(e.val)
 	}
+}
+
+func (c *lru[K, V]) sizeOf(v V) int64 {
+	if c.size == nil {
+		return 0
+	}
+	return c.size(v)
 }
 
 func (c *lru[K, V]) len() int { return c.ll.Len() }
@@ -168,8 +187,51 @@ func (c *lru[K, V]) len() int { return c.ll.Len() }
 // so same-platform requests share one copy of its routes.
 type acgCache = lru[string, *energy.ACG]
 
-// bodyMemo maps the SHA-256 of a raw request body to the workload
-// digest that body resolved to. Decoding, validation and the digest
-// are pure functions of the body bytes, so a remembered body needs
-// none of them again. Only bodies that resolved are ever recorded.
-type bodyMemo = lru[[sha256.Size]byte, string]
+// bodyMemo maps a raw request body to the workload digest that body
+// resolved to. Decoding, validation and the digest are pure functions
+// of the body bytes, so a remembered body needs none of them again.
+// Only bodies that resolved are ever recorded.
+//
+// Records are found by a seeded maphash of the body, which is several
+// times cheaper than SHA-256, and each keeps its own copy of the body:
+// a record answers only a body byte-equal to the one it recorded, so a
+// hash collision costs a decode, never a wrong answer. The copies are
+// bounded in count and in bytes.
+type bodyMemo struct {
+	seed maphash.Seed
+	recs *lru[uint64, *memoRecord]
+}
+
+// memoRecord is one resolved body and its digest; never mutated after
+// insertion.
+type memoRecord struct {
+	body   []byte
+	digest string
+}
+
+func (r *memoRecord) size() int64 { return int64(len(r.body)+len(r.digest)) + entryOverhead }
+
+func newBodyMemo(maxEntries int, maxBytes int64) *bodyMemo {
+	recs := newLRU[uint64, *memoRecord](maxEntries)
+	recs.maxBytes, recs.size = maxBytes, (*memoRecord).size
+	return &bodyMemo{seed: maphash.MakeSeed(), recs: recs}
+}
+
+// key hashes a body; the seed never changes, so it needs no lock.
+func (m *bodyMemo) key(body []byte) uint64 { return maphash.Bytes(m.seed, body) }
+
+// get returns the digest body resolved to, when the record filed under
+// its key (whose recency it refreshes) holds exactly body; else "".
+func (m *bodyMemo) get(key uint64, body []byte) string {
+	rec := m.recs.get(key)
+	if rec == nil || !bytes.Equal(rec.body, body) {
+		return ""
+	}
+	return rec.digest
+}
+
+// put records that body, filed under key, resolved to digest. The
+// record copies body: the caller's buffer is recycled.
+func (m *bodyMemo) put(key uint64, body []byte, digest string) {
+	m.recs.put(key, &memoRecord{body: bytes.Clone(body), digest: digest})
+}

@@ -126,6 +126,36 @@ func TestACGCacheEviction(t *testing.T) {
 	}
 }
 
+// TestLRUByteBound: with a size function the lru also holds its summed
+// sizes within maxBytes, a replaced value is re-counted, and the
+// newest value survives alone when it exceeds the bound.
+func TestLRUByteBound(t *testing.T) {
+	c := newLRU[string, int64](10)
+	c.maxBytes, c.size = 10, func(v int64) int64 { return v }
+	check := func(step string, bytes int64, keys ...string) {
+		t.Helper()
+		if c.bytes != bytes || c.len() != len(keys) {
+			t.Fatalf("%s: %d values of %d bytes, want %d of %d", step, c.len(), c.bytes, len(keys), bytes)
+		}
+		for _, k := range keys {
+			if c.byKey[k] == nil {
+				t.Fatalf("%s: %s evicted", step, k)
+			}
+		}
+	}
+	c.put("a", 4)
+	c.put("b", 4)
+	check("two fit", 8, "a", "b")
+	c.put("c", 4)
+	check("third evicts the oldest", 8, "b", "c")
+	c.put("b", 6)
+	check("replace re-counts", 10, "b", "c")
+	c.put("d", 20)
+	check("oversize survives alone", 20, "d")
+	c.put("e", 1)
+	check("oversize ages out", 1, "e")
+}
+
 func counterValue(t *testing.T, r *telemetry.Registry, name string) int64 {
 	t.Helper()
 	for _, c := range r.Snapshot().Counters {

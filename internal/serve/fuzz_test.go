@@ -40,9 +40,10 @@ func checkTyped(t *testing.T, code int, body []byte) {
 // FuzzServeRequest posts arbitrary bodies to a live handler: no body
 // may panic the server, every non-200 carries a typed ErrorResponse,
 // and a body sent twice gets the same status and bytes apart from the
-// cache value and solve_us. A 504 or 429 on the first send is a timing
-// outcome, not a property of the body (a 504's retry is a documented
-// hit), so its repeat is not compared.
+// cache value and solve_us; a body first answered 200 is answered
+// from the body memo the second time. A 504 or 429 on the first send
+// is a timing outcome, not a property of the body (a 504's retry is a
+// documented hit), so its repeat is not compared.
 func FuzzServeRequest(f *testing.F) {
 	valid, _, _ := testWorkload(f, 2, 8, "edf")
 	var req Request
@@ -83,8 +84,12 @@ func FuzzServeRequest(f *testing.F) {
 		if code1 == http.StatusGatewayTimeout || code1 == http.StatusTooManyRequests {
 			return
 		}
+		memoBefore := counterOf(s, MetricBodyMemoHits)
 		code2, got2 := send(body)
 		checkTyped(t, code2, got2)
+		if n := counterOf(s, MetricBodyMemoHits) - memoBefore; code1 == http.StatusOK && n != 1 {
+			t.Fatalf("repeat of a body first answered 200 made %d memo hits, want 1", n)
+		}
 		if code1 != code2 {
 			t.Fatalf("same body answered %d then %d:\n%s\n%s", code1, code2, got1, got2)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"nocsched/internal/batch"
 	"nocsched/internal/noc"
 	"nocsched/internal/sched"
 	"nocsched/internal/verify"
@@ -39,19 +41,16 @@ func doPost(url string, body []byte) (int, http.Header, []byte, error) {
 }
 
 // encoderBody is the 200 body the handler wrote before responses were
-// pre-rendered: the Response re-derived from the cached schedule, with
-// Cache = src, through a json.Encoder with two-space indent. Only
-// solve_us, a timing, is taken from the served body.
-func encoderBody(t *testing.T, s *Server, digest, src string, served []byte) []byte {
+// pre-rendered: the Response re-derived from a serial solve of the
+// request, with Cache = src, through a json.Encoder with two-space
+// indent. Only solve_us, a timing, is taken from the served body.
+func encoderBody(t *testing.T, s *Server, request []byte, digest, src string, served []byte) []byte {
 	t.Helper()
 	var got Response
 	if err := json.Unmarshal(served, &got); err != nil {
 		t.Fatalf("decode served body: %v", err)
 	}
-	sc := cachedSchedule(s, digest)
-	if sc == nil {
-		t.Fatalf("digest %s not cached", digest)
-	}
+	sc := serialSchedule(t, s, request)
 	var sb strings.Builder
 	if err := sc.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -78,9 +77,9 @@ func encoderBody(t *testing.T, s *Server, digest, src string, served []byte) []b
 	return buf.Bytes()
 }
 
-// checkRendered asserts one 200 response is the encoder's output for
-// its disposition, with matching headers.
-func checkRendered(t *testing.T, s *Server, src string, code int, h http.Header, body []byte) {
+// checkRendered asserts one 200 response to request is the encoder's
+// output for its disposition, with matching headers.
+func checkRendered(t *testing.T, s *Server, request []byte, src string, code int, h http.Header, body []byte) {
 	t.Helper()
 	if code != http.StatusOK {
 		t.Fatalf("%s: status %d: %s", src, code, body)
@@ -91,7 +90,7 @@ func checkRendered(t *testing.T, s *Server, src string, code int, h http.Header,
 	if want := strconv.Itoa(len(body)); h.Get("Content-Length") != want {
 		t.Errorf("%s: Content-Length %q, body is %s bytes", src, h.Get("Content-Length"), want)
 	}
-	if want := encoderBody(t, s, h.Get("X-Nocsched-Digest"), src, body); !bytes.Equal(body, want) {
+	if want := encoderBody(t, s, request, h.Get("X-Nocsched-Digest"), src, body); !bytes.Equal(body, want) {
 		t.Errorf("%s: served body differs from the encoder's output\nserved:\n%s\nencoder:\n%s", src, body, want)
 	}
 }
@@ -104,25 +103,22 @@ func TestRenderedBytesMatchEncoder(t *testing.T) {
 	body, _, _ := testWorkload(t, 9, 20, "eas")
 
 	code, h, got := postRaw(t, ts.URL, body)
-	checkRendered(t, s, CacheMiss, code, h, got)
+	checkRendered(t, s, body, CacheMiss, code, h, got)
 	code, h, got = postRaw(t, ts.URL, body)
-	checkRendered(t, s, CacheHit, code, h, got)
+	checkRendered(t, s, body, CacheHit, code, h, got)
 	if n := counterOf(s, MetricBodyMemoHits); n != 1 {
 		t.Fatalf("memo hits = %d after a repeated body, want 1", n)
 	}
 	// Same workload, other bytes: a hit through decode and digest.
-	code, h, got = postRaw(t, ts.URL, append([]byte(" "), body...))
-	checkRendered(t, s, CacheHit, code, h, got)
+	spaced := append([]byte(" "), body...)
+	code, h, got = postRaw(t, ts.URL, spaced)
+	checkRendered(t, s, spaced, CacheHit, code, h, got)
 
 	// Shared: take the entry out of the cache and stand a flight in its
 	// place, so the next request for the digest must join it.
 	digest := h.Get("X-Nocsched-Digest")
+	entry := dropEntry(s, digest)
 	s.mu.Lock()
-	el := s.cache.byKey[digest]
-	entry := el.Value.(*cacheEntry)
-	s.cache.ll.Remove(el)
-	delete(s.cache.byKey, digest)
-	s.cache.bytes -= entry.size
 	f := &flight{digest: digest, done: make(chan struct{})}
 	s.flights[digest] = f
 	s.mu.Unlock()
@@ -148,7 +144,7 @@ func TestRenderedBytesMatchEncoder(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	checkRendered(t, s, CacheShared, r.code, r.h, r.body)
+	checkRendered(t, s, body, CacheShared, r.code, r.h, r.body)
 }
 
 // TestBodyMemoMatchesFullPath: for key-order, whitespace,
@@ -201,7 +197,7 @@ func TestBodyMemoMatchesFullPath(t *testing.T) {
 func memoLen(s *Server) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.memo.len()
+	return s.memo.recs.len()
 }
 
 func cacheLen(s *Server) int {
@@ -210,15 +206,40 @@ func cacheLen(s *Server) int {
 	return s.cache.ll.Len()
 }
 
-// cachedSchedule returns the cached schedule for digest, or nil.
-func cachedSchedule(s *Server, digest string) *sched.Schedule {
+// dropEntry takes digest's entry out of the cache, as an eviction
+// would, and returns it.
+func dropEntry(s *Server, digest string) *cacheEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el := s.cache.byKey[digest]
-	if el == nil {
-		return nil
+	entry := el.Value.(*cacheEntry)
+	s.cache.ll.Remove(el)
+	delete(s.cache.byKey, digest)
+	s.cache.bytes -= entry.size
+	return entry
+}
+
+// serialSchedule re-derives the schedule a request body resolves to by
+// a serial solve on a one-worker engine of its own. Solves are
+// deterministic, so this is the schedule the server rendered.
+func serialSchedule(t *testing.T, s *Server, body []byte) *sched.Schedule {
+	t.Helper()
+	var req Request
+	if err := decodeRequest(body, &req); err != nil {
+		t.Fatal(err)
 	}
-	return el.Value.(*cacheEntry).schedule
+	wl, err := s.resolve(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := batch.New(batch.Options{Workers: 1}).Run(context.Background(), []batch.Instance{wl.instance()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	return res[0].Schedule
 }
 
 // TestBodyMemoSkipsRejectedBodies: a rejected body gets the same 400
@@ -280,6 +301,84 @@ func TestBodyMemoBound(t *testing.T) {
 	}
 }
 
+// TestBodyMemoIsExact: a memo record filed under an incoming body's
+// key, as a hash collision would file it, but holding other bytes never
+// answers that body. The body is decoded and served under its own
+// digest, and is not counted as a memo hit.
+func TestBodyMemoIsExact(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 1})
+	a, _, _ := testWorkload(t, 5, 12, "edf")
+	b, _, _ := testWorkload(t, 6, 12, "edf")
+	_, hb, _ := postRaw(t, ts.URL, b)
+	digestA, digestB := digestOf(t, a), hb.Get("X-Nocsched-Digest")
+	if digestA == digestB {
+		t.Fatal("test workloads share a digest")
+	}
+	s.mu.Lock()
+	s.memo.recs.put(s.memo.key(a), &memoRecord{body: bytes.Clone(b), digest: digestB})
+	s.mu.Unlock()
+
+	memoBefore := counterOf(s, MetricBodyMemoHits)
+	code, h, got := postRaw(t, ts.URL, a)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, got)
+	}
+	var r Response
+	if err := json.Unmarshal(got, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Digest != digestA || h.Get("X-Nocsched-Digest") != digestA || r.Cache != CacheMiss {
+		t.Errorf("served digest %s (header %s, cache %q), want %s from a miss",
+			r.Digest, h.Get("X-Nocsched-Digest"), r.Cache, digestA)
+	}
+	if n := counterOf(s, MetricBodyMemoHits) - memoBefore; n != 0 {
+		t.Errorf("%d memo hits for a body whose record holds other bytes", n)
+	}
+	// The decode path filed a's own record in place of the planted one.
+	if _, h, _ := postRaw(t, ts.URL, a); h.Get("X-Nocsched-Digest") != digestA ||
+		counterOf(s, MetricBodyMemoHits)-memoBefore != 1 {
+		t.Errorf("repeat: digest %s, %d memo hits; want %s from the memo",
+			h.Get("X-Nocsched-Digest"), counterOf(s, MetricBodyMemoHits)-memoBefore, digestA)
+	}
+}
+
+// TestBodyMemoByteBound: CacheBytes bounds the memo's bodies on their
+// own. With every body larger than the bound, the records other than
+// the newest retain nothing, as schedCache.put never evicts the newest
+// entry; and the memo's byte count is the sum of its records' sizes.
+func TestBodyMemoByteBound(t *testing.T) {
+	const bound = 1 << 10
+	s, ts := testServer(t, Options{Workers: 1, CacheBytes: bound})
+	for i := 0; i < 4; i++ {
+		body, _, _ := testWorkload(t, int64(20+i), 12, "edf")
+		if len(body) <= bound {
+			t.Fatalf("test body is only %d bytes", len(body))
+		}
+		if code, _, got := postRaw(t, ts.URL, body); code != http.StatusOK {
+			t.Fatalf("POST %d = %d: %s", i, code, got)
+		}
+		s.mu.Lock()
+		recs := s.memo.recs
+		var sum int64
+		for el := recs.ll.Front(); el != nil; el = el.Next() {
+			sum += el.Value.(*lruEntry[uint64, *memoRecord]).val.size()
+		}
+		newest := recs.ll.Front().Value.(*lruEntry[uint64, *memoRecord]).val
+		retained, n := recs.bytes, recs.len()
+		s.mu.Unlock()
+		if sum != retained {
+			t.Fatalf("POST %d: memo counts %d bytes, its records hold %d", i, retained, sum)
+		}
+		if !bytes.Equal(newest.body, body) {
+			t.Fatalf("POST %d: the newest record is not the body just sent", i)
+		}
+		if retained-newest.size() > bound {
+			t.Errorf("POST %d: %d records retain %d bytes beyond the newest, bound %d",
+				i, n, retained-newest.size(), bound)
+		}
+	}
+}
+
 // TestServeBodyTooLarge: a body over MaxBodyBytes is a typed 400.
 func TestServeBodyTooLarge(t *testing.T) {
 	s, ts := testServer(t, Options{Workers: 1, MaxBodyBytes: 256})
@@ -304,9 +403,7 @@ func TestServeBodyTooLarge(t *testing.T) {
 // memo hit, a memo hit whose digest was evicted, a decoded hit, or a
 // request that joined an in-flight solve.
 func TestCacheCountsEachRequestOnce(t *testing.T) {
-	// A one-byte bound keeps only the newest entry cached, while the
-	// memo keeps every body: the way to a memo hit with no entry.
-	s, ts := testServer(t, Options{Workers: 1, CacheEntries: 8, CacheBytes: 1})
+	s, ts := testServer(t, Options{Workers: 1, CacheEntries: 8})
 	a, _, _ := testWorkload(t, 12, 12, "edf")
 	b, _, _ := testWorkload(t, 13, 12, "edf")
 	c, _, _ := testWorkload(t, 14, 40, "eas")
@@ -321,16 +418,21 @@ func TestCacheCountsEachRequestOnce(t *testing.T) {
 				step, h, m, counterOf(s, MetricBodyMemoHits), hits, misses, memo)
 		}
 	}
-	send := func(body []byte, want string) {
+	send := func(body []byte, want string) string {
 		t.Helper()
-		if code, h, got := postRaw(t, ts.URL, body); code != http.StatusOK || h.Get("X-Nocsched-Cache") != want {
+		code, h, got := postRaw(t, ts.URL, body)
+		if code != http.StatusOK || h.Get("X-Nocsched-Cache") != want {
 			t.Fatalf("status %d cache %q, want 200 %q: %s", code, h.Get("X-Nocsched-Cache"), want, got)
 		}
+		return h.Get("X-Nocsched-Digest")
 	}
-	send(a, CacheMiss)
+	digestA := send(a, CacheMiss)
 	expect("miss a", 0, 1, 0)
-	send(b, CacheMiss) // evicts a's entry; a's body stays in the memo
+	send(b, CacheMiss)
 	expect("miss b", 0, 2, 0)
+	// Evict a's entry while its body stays in the memo: the way to a
+	// memo record whose digest is no longer cached.
+	dropEntry(s, digestA)
 	send(a, CacheMiss)
 	expect("memo hit, entry evicted", 0, 3, 0)
 	send(a, CacheHit)

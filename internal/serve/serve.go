@@ -12,8 +12,9 @@
 //     solved before is answered from an immutable cached entry — the
 //     rendered response bytes, no engine time — under LRU eviction
 //     with entry-count and byte bounds. A body whose exact bytes have
-//     resolved before skips decoding and digesting too: a memo maps
-//     the body's SHA-256 to its digest;
+//     resolved before skips decoding and digesting too: a memo finds
+//     the body by a seeded maphash, checks it byte for byte against
+//     its own copy, and names its digest;
 //   - singleflight collapse: concurrent identical submissions join the
 //     one in-flight solve instead of queueing duplicates, so a
 //     thundering herd of one hot workload costs one solve;
@@ -48,7 +49,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,11 +81,12 @@ type Options struct {
 	// QueueDepth bounds the admission queue; a request arriving while
 	// the queue is full is rejected with 429. <= 0 selects 2*Workers.
 	QueueDepth int
-	// CacheEntries bounds the schedule cache's entry count; <= 0
-	// selects 1024.
+	// CacheEntries bounds the schedule cache's entry count, and the
+	// body memo's record count; <= 0 selects 1024.
 	CacheEntries int
-	// CacheBytes bounds the schedule cache's accounted bytes; <= 0
-	// selects 64 MiB.
+	// CacheBytes bounds the schedule cache's accounted bytes, and on
+	// its own as well the bytes of request bodies the body memo keeps;
+	// <= 0 selects 64 MiB.
 	CacheBytes int64
 	// ACGEntries bounds the platform→ACG cache; <= 0 selects 64.
 	ACGEntries int
@@ -232,11 +233,15 @@ type Server struct {
 	stream *batch.Stream
 	cancel context.CancelFunc
 
-	mu      sync.Mutex // guards cache, flights, acgs, memo
-	cache   *schedCache
-	flights map[string]*flight
-	acgs    *acgCache
-	memo    *bodyMemo
+	mu         sync.Mutex // guards cache, flights, acgs, acgFlights, memo
+	cache      *schedCache
+	flights    map[string]*flight
+	acgs       *acgCache
+	acgFlights map[string]*acgFlight
+	memo       *bodyMemo
+	// buildACG is the package's buildACG; a field so a test can count
+	// builds.
+	buildACG func(noc.PlatformSpec) (*energy.ACG, error)
 
 	submitMu sync.Mutex // serializes stream admission + pending map
 	pending  map[int]*flight
@@ -286,13 +291,15 @@ func New(opts Options) *Server {
 			Telemetry:  opts.Telemetry,
 		}),
 		flights:       make(map[string]*flight),
+		acgFlights:    make(map[string]*acgFlight),
+		buildACG:      buildACG,
 		pending:       make(map[int]*flight),
 		collectorDone: make(chan struct{}),
 	}
 	r := opts.Telemetry.R()
 	s.cache = newSchedCache(opts.CacheEntries, opts.CacheBytes, r)
 	s.acgs = newLRU[string, *energy.ACG](opts.ACGEntries)
-	s.memo = newLRU[[sha256.Size]byte, string](opts.CacheEntries)
+	s.memo = newBodyMemo(opts.CacheEntries, opts.CacheBytes)
 	if r != nil {
 		s.mRequests = r.Counter(MetricRequests)
 		s.mSolves = r.Counter(MetricSolves)
@@ -458,32 +465,50 @@ func (s *Server) resolve(req *Request) (*workload, error) {
 	return &workload{digest: digest, algorithm: algorithm, graph: req.Graph, acg: acg, timeout: timeout}, nil
 }
 
+// acgFlight is one in-progress platform build; concurrent first
+// requests for its platform key wait for it instead of building their
+// own. acg/err are written once, before done is closed.
+type acgFlight struct {
+	done chan struct{}
+	acg  *energy.ACG
+	err  error
+}
+
+// buildACG builds a platform and its ACG.
+func buildACG(spec noc.PlatformSpec) (*energy.ACG, error) {
+	platform, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	return energy.BuildACG(platform, energy.DefaultModel())
+}
+
 // acgFor returns the shared ACG for a platform key, building (and
-// caching) it on first use.
+// caching) it on first use. The build runs outside the lock, once per
+// key: requests that arrive while it runs wait for it.
 func (s *Server) acgFor(key string, spec noc.PlatformSpec) (*energy.ACG, error) {
 	s.mu.Lock()
 	if acg := s.acgs.get(key); acg != nil {
 		s.mu.Unlock()
 		return acg, nil
 	}
+	if f := s.acgFlights[key]; f != nil {
+		s.mu.Unlock()
+		<-f.done
+		return f.acg, f.err
+	}
+	f := &acgFlight{done: make(chan struct{})}
+	s.acgFlights[key] = f
 	s.mu.Unlock()
-	// Build outside the lock: platform+ACG construction is pure, and a
-	// racing duplicate build just loses the put.
-	platform, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	acg, err := energy.BuildACG(platform, energy.DefaultModel())
-	if err != nil {
-		return nil, err
-	}
+	f.acg, f.err = s.buildACG(spec)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cached := s.acgs.get(key); cached != nil {
-		return cached, nil
+	if f.err == nil {
+		s.acgs.put(key, f.acg)
 	}
-	s.acgs.put(key, acg)
-	return acg, nil
+	delete(s.acgFlights, key)
+	s.mu.Unlock()
+	close(f.done)
+	return f.acg, f.err
 }
 
 // instance maps a workload onto the batch engine's vocabulary.
@@ -716,11 +741,10 @@ func renderEntry(digest string, r *batch.Result, rep *verify.Report) (*cacheEntr
 		return nil, fmt.Errorf("serve: render response: %w", err)
 	}
 	return &cacheEntry{
-		digest:   digest,
-		head:     body[:at:at],
-		tail:     body[at:],
-		schedule: s,
-		size:     int64(len(body)) + entryOverhead,
+		digest: digest,
+		head:   body[:at:at],
+		tail:   body[at:],
+		size:   int64(len(body)) + entryOverhead,
 	}, nil
 }
 
@@ -758,14 +782,14 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buf
 	return err
 }
 
-// memoHit answers a body seen before from the cache: the memo names
-// its digest and the cache still holds that digest's entry. It counts
-// a cache hit only on success; a miss is left to schedule, so every
-// request counts once.
-func (s *Server) memoHit(key [sha256.Size]byte) *cacheEntry {
+// memoHit answers a body seen before from the cache: the memo holds
+// a record of exactly these bytes, and the cache still holds its
+// digest's entry. It counts a cache hit only on success; a miss is
+// left to schedule, so every request counts once.
+func (s *Server) memoHit(key uint64, body []byte) *cacheEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	digest := s.memo.get(key)
+	digest := s.memo.get(key, body)
 	if digest == "" {
 		return nil
 	}
@@ -803,8 +827,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	key := sha256.Sum256(buf.Bytes())
-	if entry := s.memoHit(key); entry != nil {
+	key := s.memo.key(buf.Bytes())
+	if entry := s.memoHit(key, buf.Bytes()); entry != nil {
 		s.mMemoHits.Inc()
 		entry.write(w, CacheHit)
 		return
@@ -822,7 +846,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	s.memo.put(key, wl.digest)
+	s.memo.put(key, buf.Bytes(), wl.digest)
 	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(r.Context(), wl.timeout)
 	defer cancel()

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -540,6 +541,52 @@ func TestServerACGSharing(t *testing.T) {
 	}
 	if a1 != a2 {
 		t.Error("equivalent platforms built two ACGs")
+	}
+}
+
+// TestACGBuildSingleflight: concurrent first requests for one new
+// platform build its ACG once; the others wait for that build.
+func TestACGBuildSingleflight(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 1})
+	var builds atomic.Int64
+	s.buildACG = func(spec noc.PlatformSpec) (*energy.ACG, error) {
+		builds.Add(1)
+		time.Sleep(20 * time.Millisecond) // keep the race window open
+		return buildACG(spec)
+	}
+
+	spec := noc.PlatformSpec{Topology: "mesh", Width: 2, Height: 2, Routing: "xy", Bandwidth: 256}
+	platform, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tgff.SuiteParams(tgff.CategoryI, 0, platform)
+	p.Name, p.Seed, p.NumTasks = "acg-flight", 3, 10
+	g, err := tgff.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(Request{Graph: g, Platform: &spec, Algorithm: "edf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if code, _, got, err := doPost(ts.URL, body); err != nil || code != http.StatusOK {
+				t.Errorf("status %d (%v): %s", code, err, got)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if b := builds.Load(); b != 1 {
+		t.Errorf("%d concurrent first requests built the platform %d times, want 1", n, b)
 	}
 }
 
