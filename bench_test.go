@@ -283,7 +283,7 @@ func BenchmarkEDFScheduler(b *testing.B) {
 
 // BenchmarkDLSScheduler measures the DLS baseline, the solver whose
 // rows the lazy scan prunes hardest and whose rows are carried most: six
-// 300-task Category I graphs on the 4x4 mesh, one workspace reused across
+// 300-task Category I graphs on the 4x4 mesh, one builder reused across
 // solves as a batch worker reuses it, warmed by one solve of each graph
 // so that B/op is the steady state. probes/op counts every F(i,k)
 // answer, evaluated/op only those the probe cache could not serve;
@@ -304,7 +304,7 @@ func BenchmarkDLSScheduler(b *testing.B) {
 		}
 		graphs = append(graphs, g)
 	}
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	for _, g := range graphs {
 		if _, err := dls.ScheduleWith(ws, g, acg); err != nil {
 			b.Fatal(err)

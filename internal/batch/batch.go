@@ -11,8 +11,8 @@
 //   - instance-level parallelism: each worker schedules whole instances
 //     end to end, so N workers keep N cores busy without any
 //     cross-instance synchronization beyond the queue;
-//   - builder reuse: each worker owns one sched.Workspace whose builder
-//     is Reset between instances, so the PE/link tables, route-table
+//   - builder reuse: each worker owns one sched.Builder, which is
+//     Reset between instances, so the PE/link tables, route-table
 //     pointers and probe scratch are allocated once per worker and
 //     platform, not once per instance. Routes themselves live once, in
 //     the shared read-only ACG.
@@ -304,9 +304,9 @@ func reorder(done <-chan Result, out chan<- Result) {
 	close(out)
 }
 
-// worker owns one Workspace and drains the admission queue through it.
+// worker owns one Builder and drains the admission queue through it.
 func (e *Engine) worker(ctx context.Context, id int, in <-chan job, done chan<- Result) {
-	ws := sched.NewWorkspace(1, false)
+	b := new(sched.Builder)
 	for j := range in {
 		e.mDepth.Add(-1)
 		r := Result{Index: j.idx, Name: j.inst.Name, Algorithm: j.inst.Algorithm, Worker: id}
@@ -317,7 +317,7 @@ func (e *Engine) worker(ctx context.Context, id int, in <-chan job, done chan<- 
 			r.Err = err
 		} else {
 			started := time.Now()
-			r.Schedule, r.EAS, r.Err = e.schedule(ws, &j.inst)
+			r.Schedule, r.EAS, r.Err = e.schedule(b, &j.inst)
 			r.Latency = time.Since(started)
 			e.mLatency.Observe(r.Latency.Microseconds())
 			if r.Err != nil {
@@ -335,24 +335,24 @@ func (e *Engine) worker(ctx context.Context, id int, in <-chan job, done chan<- 
 	}
 }
 
-// schedule dispatches one instance through the worker's workspace.
-func (e *Engine) schedule(ws *sched.Workspace, inst *Instance) (*sched.Schedule, *eas.Result, error) {
+// schedule dispatches one instance through the worker's builder.
+func (e *Engine) schedule(b *sched.Builder, inst *Instance) (*sched.Schedule, *eas.Result, error) {
 	switch inst.Algorithm {
 	case "", AlgoEAS:
 		o := inst.EAS
 		if e.opts.Telemetry != nil {
 			o.Telemetry = e.opts.Telemetry
 		}
-		r, err := eas.ScheduleWith(ws, inst.Graph, inst.ACG, o)
+		r, err := eas.ScheduleWith(b, inst.Graph, inst.ACG, o)
 		if err != nil {
 			return nil, nil, err
 		}
 		return r.Schedule, r, nil
 	case AlgoEDF:
-		s, err := edf.ScheduleWith(ws, inst.Graph, inst.ACG, edf.Options{Telemetry: e.opts.Telemetry})
+		s, err := edf.ScheduleWith(b, inst.Graph, inst.ACG, edf.Options{Telemetry: e.opts.Telemetry})
 		return s, nil, err
 	case AlgoDLS:
-		s, err := dls.ScheduleWith(ws, inst.Graph, inst.ACG)
+		s, err := dls.ScheduleWith(b, inst.Graph, inst.ACG)
 		return s, nil, err
 	default:
 		return nil, nil, fmt.Errorf("batch: unknown algorithm %q", inst.Algorithm)

@@ -36,15 +36,15 @@ import (
 
 // Schedule runs DLS on graph g against architecture acg.
 func Schedule(g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
-	return ScheduleWith(sched.NewWorkspace(1, false), g, acg)
+	return ScheduleWith(new(sched.Builder), g, acg)
 }
 
-// ScheduleWith runs DLS through a reusable workspace (see
+// ScheduleWith runs DLS on the reusable builder b (see
 // eas.ScheduleWith). Each round takes one row per ready task — carried
 // from an earlier round where nothing it read has changed, scanned
-// through the workspace's prober otherwise — and reduces the rows in
+// through the builder's prober otherwise — and reduces the rows in
 // ascending task order; schedules are bit-identical to Schedule's.
-func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
+func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 	started := time.Now()
 	order, err := g.ValidatedOrder()
 	if err != nil {
@@ -66,8 +66,8 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (*sched.Sc
 	sc.rows = slices.Grow(sc.rows[:0], g.NumTasks())[:g.NumTasks()]
 	sc.ub = slices.Grow(sc.ub[:0], acg.NumPEs())[:acg.NumPEs()]
 	rows := &sc.rows
-	s, err := ws.ListSchedule(g, acg, "dls", nil, true,
-		func(b *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
+	s, err := b.ListSchedule(g, acg, "dls", nil, true,
+		func(_ *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
 			moved := -1
 			if last >= 0 {
 				p := b.TaskPlacement(last)

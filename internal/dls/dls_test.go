@@ -171,7 +171,7 @@ func TestDLSRejectsBadInput(t *testing.T) {
 
 // TestDLSCountsProbes: Schedule.Probes counts the F(i,k) probes DLS
 // evaluated, one per ready task x capable PE per round, and neither it
-// nor Schedule.ProbeReuses carries over when a workspace is reused.
+// nor Schedule.ProbeReuses carries over when a builder is reused.
 func TestDLSCountsProbes(t *testing.T) {
 	p, err := noc.NewHeterogeneousMesh(4, 4, noc.RouteXY, 256)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestDLSCountsProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	seq, err := ScheduleWith(ws, g, acg)
 	if err != nil {
 		t.Fatal(err)

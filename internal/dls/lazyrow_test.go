@@ -53,7 +53,7 @@ func TestLazyRowDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, ws := sched.NewWorkspace(1, false), sched.NewWorkspace(1, false)
+	ref, ws := new(sched.Builder), new(sched.Builder)
 	n, carried := 0, 0
 	for _, w := range append(golden, conf...) {
 		rows, c := checkRows(t, ref, ws, w.Graph, w.ACG)
@@ -67,7 +67,7 @@ func TestLazyRowDifferential(t *testing.T) {
 // generated and with every third task's execution time zeroed. A
 // zero-time commit leaves its PE's table unwritten but can still raise
 // the PE's finish time TF, which only Carry's moved argument catches.
-// One reference workspace is reused across every graph, so a carried
+// One reference builder is reused across every graph, so a carried
 // row that outlived its solve would be caught too.
 func TestCarriedRowDifferential(t *testing.T) {
 	platform, err := noc.NewHeterogeneousMesh(4, 4, noc.RouteXY, 256)
@@ -78,7 +78,7 @@ func TestCarriedRowDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, ws := sched.NewWorkspace(1, false), sched.NewWorkspace(1, false)
+	ref, ws := new(sched.Builder), new(sched.Builder)
 	n, carried := 0, 0
 	for i := 0; i < 3; i++ {
 		p := tgff.SuiteParams(tgff.CategoryI, i, platform)
@@ -103,14 +103,14 @@ func TestCarriedRowDifferential(t *testing.T) {
 }
 
 // checkRows is one TestLazyRowDifferential instance, solved by the
-// always-re-scan reference loop on ref, a workspace the caller reuses
+// always-re-scan reference loop on ref, a builder the caller reuses
 // across instances. Every round it takes each ready task's row eagerly
 // (eagerRow), by a fresh scanRow on a second prober, and as ScheduleWith
 // does on ref's own prober: carried where Carry vouches for it, scanned
 // otherwise. The rows must agree bit for bit; rounds commit what the
 // eager rows choose, and the result must be identical to ScheduleWith's
 // on ws. It returns the rows compared and how many were carried.
-func checkRows(t testing.TB, ref, ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (int, int) {
+func checkRows(t testing.TB, ref, ws *sched.Builder, g *ctg.Graph, acg *energy.ACG) (int, int) {
 	t.Helper()
 	order, err := g.TopoOrder()
 	if err != nil {

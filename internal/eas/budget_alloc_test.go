@@ -41,7 +41,7 @@ func TestComputeBudgetSteadyStateAllocs(t *testing.T) {
 }
 
 // TestLooseSolveSteadyStateAllocs pins a steady-state EAS solve of a
-// batch-loose-shaped instance on a reused one-worker workspace. At the
+// batch-loose-shaped instance on a reused one-worker builder. At the
 // whole-graph Step 1 it made 1,542 allocations, 1,519 of them Step 1's;
 // 27 remained, 21 once the solve computed its topological order once
 // instead of in Validate and again in every Step 1 pass, and 11 since
@@ -51,13 +51,13 @@ func TestLooseSolveSteadyStateAllocs(t *testing.T) {
 		t.Skip("-race instrumentation allocates")
 	}
 	gs, acg := looseGraphs(t, 500, 1)
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	solve := func() {
 		if _, err := ScheduleWith(ws, gs[0], acg, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	solve() // warm-up: grows the workspace's tables and the Step 1 scratch
+	solve() // warm-up: grows the builder's tables and the Step 1 scratch
 	avg := testing.AllocsPerRun(20, solve)
 	t.Logf("ScheduleWith: %.0f objects/run", avg)
 	if avg > 11 {
@@ -80,10 +80,10 @@ func BenchmarkComputeBudget(b *testing.B) {
 
 // BenchmarkEASLooseSolve times whole EAS solves of the nocbench
 // batch-loose shape: ten 500-task Category I graphs at laxity 3.0, one
-// worker, one reused workspace.
+// worker, one reused builder.
 func BenchmarkEASLooseSolve(b *testing.B) {
 	gs, acg := looseGraphs(b, 500, 10)
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,10 +95,10 @@ func BenchmarkEASLooseSolve(b *testing.B) {
 
 // BenchmarkEASTightSolve times whole EAS solves of the nocbench
 // batch-tight shape: ten 30-task Category II graphs at laxity 0.95 on
-// the 4x4 mesh, one worker, one reused workspace.
+// the 4x4 mesh, one worker, one reused builder.
 func BenchmarkEASTightSolve(b *testing.B) {
 	gs, acg := shapeGraphs(b, tgff.CategoryII, 30, 0.95, 10)
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -109,7 +109,7 @@ func BenchmarkEASTightSolve(b *testing.B) {
 }
 
 // TestDLSSolveSteadyStateAllocs pins a steady-state DLS solve on a
-// reused one-worker workspace: its per-solve arrays and the Schedule
+// reused one-worker builder: its per-solve arrays and the Schedule
 // shell, and nothing per round, so the count does not grow with the
 // graph. The per-task rows the solve carries across rounds come from a
 // pool.
@@ -119,13 +119,13 @@ func TestDLSSolveSteadyStateAllocs(t *testing.T) {
 	}
 	allocs := func(tasks int) float64 {
 		gs, acg := looseGraphs(t, tasks, 1)
-		ws := sched.NewWorkspace(1, false)
+		ws := new(sched.Builder)
 		solve := func() {
 			if _, err := dls.ScheduleWith(ws, gs[0], acg); err != nil {
 				t.Fatal(err)
 			}
 		}
-		solve() // warm-up: grows the workspace's tables and the row pool
+		solve() // warm-up: grows the builder's tables and the row pool
 		return testing.AllocsPerRun(20, solve)
 	}
 	big, small := allocs(300), allocs(100)

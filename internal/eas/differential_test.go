@@ -93,7 +93,7 @@ func differentialCases(t *testing.T) []diffCase {
 		}
 		cases = append(cases, diffCase{name: w.name, g: g, acg: macg})
 	}
-	// The 2x2 encoder goes first, so a workspace reused in case order
+	// The 2x2 encoder goes first, so a builder reused in case order
 	// grows from 2x2 to 4x4 (its prober's overlay with it), shrinks
 	// back to 2x2 and grows to 3x3.
 	enc := len(cases) - 3
@@ -101,16 +101,16 @@ func differentialCases(t *testing.T) []diffCase {
 }
 
 // The differential tests below solve every suite instance twice: once
-// fresh, and once on one workspace reused across all cases in order, so
+// fresh, and once on one builder reused across all cases in order, so
 // the reused builder crosses the 2x2 -> 4x4 -> 2x2 -> 3x3 platform
 // changes as well as same-platform resets. The two schedules must be bit-identical
 // — same placements, same transaction slots, exactly equal total energy
 // — after the same numbers of probes and probe reuses.
 
 // TestEASDifferential covers EAS (Steps 1-3 with every pass and the
-// fallback sharing the workspace).
+// fallback sharing the builder).
 func TestEASDifferential(t *testing.T) {
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	for _, tc := range differentialCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh, err := Schedule(tc.g, tc.acg, Options{})
@@ -134,7 +134,7 @@ func TestEASDifferential(t *testing.T) {
 
 // TestEDFDifferential covers the same property for the EDF baseline.
 func TestEDFDifferential(t *testing.T) {
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	for _, tc := range differentialCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh, err := edf.Schedule(tc.g, tc.acg)
@@ -152,7 +152,7 @@ func TestEDFDifferential(t *testing.T) {
 
 // TestDLSDifferential covers the same property for the DLS baseline.
 func TestDLSDifferential(t *testing.T) {
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	for _, tc := range differentialCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh, err := dls.Schedule(tc.g, tc.acg)
@@ -168,12 +168,12 @@ func TestDLSDifferential(t *testing.T) {
 	}
 }
 
-// checkReuse requires a reused-workspace schedule to match the fresh
+// checkReuse requires a reused-builder schedule to match the fresh
 // one bit for bit, probe and reuse counts included.
 func checkReuse(t *testing.T, fresh, reused *sched.Schedule) {
 	t.Helper()
 	if d := sched.Diff(fresh, reused); d != "" {
-		t.Errorf("fresh vs reused workspace: %s", d)
+		t.Errorf("fresh vs reused builder: %s", d)
 	}
 	if fresh.Probes != reused.Probes {
 		t.Errorf("probe counts diverge: fresh %d, reused %d", fresh.Probes, reused.Probes)

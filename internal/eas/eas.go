@@ -34,13 +34,6 @@ type Options struct {
 	// and returns the best schedule found. Disable to get the paper's
 	// single-pass behavior exactly.
 	DisableTightenRetry bool
-	// RepairBudget caps the number of *attempted* repair moves (each
-	// attempt re-times the layout until its committed prefix proves the
-	// move rejected); 0 selects DefaultRepairBudget. Bounding attempts
-	// keeps Step 3 cheap even on hopelessly infeasible instances, where
-	// pure greedy search would otherwise grind through an enormous
-	// neighborhood.
-	RepairBudget int
 	// Telemetry collects scheduler metrics (probe counts, ready-list
 	// depth, energy breakdown) and phase spans; nil (the default)
 	// disables all collection at zero cost. Telemetry never influences
@@ -71,16 +64,16 @@ type Result struct {
 // Schedule runs the full EAS algorithm (Steps 1-3, or 1-2 when repair is
 // disabled) on graph g against the architecture acg.
 func Schedule(g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
-	return ScheduleWith(sched.NewWorkspace(1, false), g, acg, opts)
+	return ScheduleWith(new(sched.Builder), g, acg, opts)
 }
 
-// ScheduleWith runs EAS through a reusable workspace: every budgeting
-// pass and the feasibility fallback share the workspace's builder and
-// prober (reset between passes), and a driver scheduling many
-// instances — the batch engine's workers — reuses the same workspace
-// across calls, amortizing all table and route-table allocation.
-// Schedules are bit-identical to Schedule's.
-func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
+// ScheduleWith runs EAS on the reusable builder b: every budgeting
+// pass, Step 3 and the feasibility fallback run on b and its prober
+// (reset between passes), and a driver scheduling many instances — the
+// batch engine's workers — reuses the same builder across calls,
+// amortizing all table and route-table allocation. Schedules are
+// bit-identical to Schedule's.
+func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 	started := time.Now()
 	order, err := g.ValidatedOrder()
 	if err != nil {
@@ -128,7 +121,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 			return nil, err
 		}
 		endStep = tr.Span("step2:level-schedule", "eas phases")
-		s, err := levelSchedule(ws, g, acg, budget, algorithm, opts)
+		s, err := levelSchedule(b, g, acg, budget, algorithm, opts)
 		endStep()
 		if err != nil {
 			endPass()
@@ -140,7 +133,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 		if !opts.DisableRepair && !s.Feasible() {
 			endStep = tr.Span("step3:repair", "eas phases")
 			// Step 3 re-times its candidates on Step 2's builder.
-			repaired, stats, err := repair(newEvaluator(ws.Builder(), opts.NaiveContention), s, opts.RepairBudget)
+			repaired, stats, err := repair(newEvaluator(b, opts.NaiveContention), s, 0)
 			endStep()
 			if err != nil {
 				endPass()
@@ -166,9 +159,9 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	// path is untouched on instances EAS handles natively.
 	if !best.Schedule.Feasible() && !opts.DisableRepair && !opts.DisableTightenRetry {
 		endFB := tr.Span("fallback:deadline-first+refine", "eas phases")
-		if fb, err := deadlineFirstSchedule(ws, g, order, acg, algorithm, opts); err == nil {
+		if fb, err := deadlineFirstSchedule(b, g, order, acg, algorithm, opts); err == nil {
 			totalProbes += fb.Probes
-			refined, stats, err := refine(newEvaluator(ws.Builder(), opts.NaiveContention), fb, 0)
+			refined, stats, err := refine(newEvaluator(b, opts.NaiveContention), fb, 0)
 			if err == nil {
 				cand := &Result{Schedule: refined, Budget: best.Budget, RefineStats: stats}
 				cand.RepairStats = best.RepairStats
@@ -192,8 +185,8 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 // edf.Pick rather than duplicating the selection logic. order is g's
 // topological order. It is the seed of the fallback pass; its energy is
 // then reduced by RefineEnergy.
-func deadlineFirstSchedule(ws *sched.Workspace, g *ctg.Graph, order []ctg.TaskID, acg *energy.ACG, algorithm string, opts Options) (*sched.Schedule, error) {
-	s, err := ws.ListSchedule(g, acg, algorithm, sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()),
+func deadlineFirstSchedule(b *sched.Builder, g *ctg.Graph, order []ctg.TaskID, acg *energy.ACG, algorithm string, opts Options) (*sched.Schedule, error) {
+	s, err := b.ListSchedule(g, acg, algorithm, sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()),
 		!opts.NaiveContention, edf.Pick(g, order))
 	if err != nil {
 		return nil, fmt.Errorf("eas: fallback: %w", err)
@@ -315,11 +308,11 @@ func scanRow(pr *sched.Prober, task *ctg.Task, ti ctg.TaskID, bd int64) rowEval 
 // reproduces the original full scan's tie-breaks exactly (first-wins
 // under ascending task IDs is equivalent to the historical "ti < best"
 // tie conditions).
-func levelSchedule(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *Budget, algorithm string, opts Options) (*sched.Schedule, error) {
+func levelSchedule(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, budget *Budget, algorithm string, opts Options) (*sched.Schedule, error) {
 	rows := rowsPool.Get().(*[]rowEval)
 	defer rowsPool.Put(rows)
 	*rows = slices.Grow((*rows)[:0], g.NumTasks())[:g.NumTasks()]
-	return ws.ListSchedule(g, acg, algorithm, sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), !opts.NaiveContention,
+	return b.ListSchedule(g, acg, algorithm, sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), !opts.NaiveContention,
 		func(_ *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
 			for _, ti := range rtl {
 				// A row reads its keys, final once the task is ready,

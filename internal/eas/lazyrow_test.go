@@ -85,7 +85,7 @@ func identicalRow(a, b rowEval) bool {
 }
 
 // eagerStep2 is the reference Step 2, the always-re-scan loop, run on
-// ref, a workspace the caller reuses across passes and instances. Every
+// ref, a builder the caller reuses across passes and instances. Every
 // round it takes each ready task's row eagerly (eagerRow), by a fresh
 // scanRow on a second prober, and as levelSchedule does on ref's own
 // prober: carried where Carry vouches for it, scanned otherwise. It
@@ -93,7 +93,7 @@ func identicalRow(a, b rowEval) bool {
 // what choose reads, or the kept row with the fresh one on any field,
 // and commits what choose picks from the eager rows. It returns the
 // schedule, the rows compared and how many of them were carried.
-func eagerStep2(t testing.TB, ref *sched.Workspace, g *ctg.Graph, acg *energy.ACG, budget *Budget, naive bool) (*sched.Schedule, int, int) {
+func eagerStep2(t testing.TB, ref *sched.Builder, g *ctg.Graph, acg *energy.ACG, budget *Budget, naive bool) (*sched.Schedule, int, int) {
 	t.Helper()
 	eager, kept := make([]rowEval, g.NumTasks()), make([]rowEval, g.NumTasks())
 	var eagerPr, freshPr *sched.Prober
@@ -157,7 +157,7 @@ func budgetPasses(t testing.TB, g *ctg.Graph, acg *energy.ACG) []*Budget {
 // contention models, and requires levelSchedule's schedule on ws to be
 // identical (sched.Diff) to the reference's. It returns the rows
 // compared and how many of them were carried.
-func checkStep2(t testing.TB, ref, ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG) (int, int) {
+func checkStep2(t testing.TB, ref, ws *sched.Builder, g *ctg.Graph, acg *energy.ACG) (int, int) {
 	t.Helper()
 	n, carried := 0, 0
 	for _, budget := range budgetPasses(t, g, acg) {
@@ -190,7 +190,7 @@ func TestLazyRowDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, ws := sched.NewWorkspace(1, false), sched.NewWorkspace(1, false)
+	ref, ws := new(sched.Builder), new(sched.Builder)
 	n, carried := 0, 0
 	for _, w := range append(golden, conf...) {
 		rows, c := checkStep2(t, ref, ws, w.Graph, w.ACG)
@@ -204,7 +204,7 @@ func TestLazyRowDifferential(t *testing.T) {
 // of them with every third task's execution time zeroed (a zero-time
 // commit writes no PE table, and a Step 2 row reads nothing else of its
 // PE), and two batch-tight-shaped ones, under every budget pass and
-// both contention models, on one reference workspace reused throughout,
+// both contention models, on one reference builder reused throughout,
 // so a carried row that outlived its pass would be caught too.
 func TestCarriedRowDifferential(t *testing.T) {
 	loose, acg := looseGraphs(t, 200, 2)
@@ -213,7 +213,7 @@ func TestCarriedRowDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tight, _ := shapeGraphs(t, tgff.CategoryII, 30, 0.95, 2)
-	ref, ws := sched.NewWorkspace(1, false), sched.NewWorkspace(1, false)
+	ref, ws := new(sched.Builder), new(sched.Builder)
 	n, carried := 0, 0
 	for _, g := range append([]*ctg.Graph{loose[0], zero}, tight...) {
 		rows, c := checkStep2(t, ref, ws, g, acg)
@@ -378,8 +378,8 @@ func FuzzLazyRows(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		ws := sched.NewWorkspace(1, false)
-		checkStep2(t, sched.NewWorkspace(1, false), ws, g, acg)
+		ws := new(sched.Builder)
+		checkStep2(t, new(sched.Builder), ws, g, acg)
 		got, err := dls.ScheduleWith(ws, g, acg)
 		if err != nil {
 			t.Fatal(err)
@@ -401,12 +401,12 @@ func FuzzLazyRows(f *testing.F) {
 // (the first budget pass, exact contention) and of DLS over four
 // 300-task batch-loose-shaped graphs: the rows scanned, the rows carried
 // and the probes, equal at GOMAXPROCS 1 and 4 and whether each solve
-// gets a fresh workspace or all share one.
+// gets a fresh builder or all share one.
 func TestStep2RowCounts(t *testing.T) {
 	gs, acg := looseGraphs(t, 300, 4)
 	type counts struct{ rows, carried, probes int64 }
 	total := func(shared bool) (step2, dlsCounts counts) {
-		ws := sched.NewWorkspace(1, false)
+		ws := new(sched.Builder)
 		add := func(c *counts, s *sched.Schedule) {
 			c.rows += s.RowScans
 			c.carried += s.RowsCarried
@@ -414,7 +414,7 @@ func TestStep2RowCounts(t *testing.T) {
 		}
 		for _, g := range gs {
 			if !shared {
-				ws = sched.NewWorkspace(1, false)
+				ws = new(sched.Builder)
 			}
 			budget, err := ComputeBudget(g, nil, 1, 0)
 			if err != nil {
@@ -441,7 +441,7 @@ func TestStep2RowCounts(t *testing.T) {
 	}{{1, true}, {4, false}, {4, true}} {
 		runtime.GOMAXPROCS(run.procs)
 		if s, d := total(run.shared); s != step2 || d != dlsCounts {
-			t.Errorf("GOMAXPROCS %d, shared workspace %v: Step 2 %+v, DLS %+v; want %+v, %+v",
+			t.Errorf("GOMAXPROCS %d, shared builder %v: Step 2 %+v, DLS %+v; want %+v, %+v",
 				run.procs, run.shared, s, d, step2, dlsCounts)
 		}
 	}

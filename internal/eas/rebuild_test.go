@@ -323,7 +323,7 @@ func TestRepairCandidateSteadyStateAllocs(t *testing.T) {
 // BenchmarkRepairTight times Step 3 alone on batch-tight-shaped
 // instances: repair from each instance's Step 2 schedule, re-timing on
 // one warm builder reset per instance, as ScheduleWith re-times on its
-// workspace's builder, so table growth no solve pays stays out.
+// own builder, so table growth no solve pays stays out.
 func BenchmarkRepairTight(b *testing.B) {
 	var missing []*sched.Schedule
 	for _, tc := range tightCases(b, 20) {

@@ -35,14 +35,14 @@ func Schedule(g *ctg.Graph, acg *energy.ACG) (*sched.Schedule, error) {
 
 // ScheduleOpts runs the EDF baseline with explicit options.
 func ScheduleOpts(g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
-	return ScheduleWith(sched.NewWorkspace(1, false), g, acg, opts)
+	return ScheduleWith(new(sched.Builder), g, acg, opts)
 }
 
-// ScheduleWith runs the EDF baseline through a reusable workspace (see
-// eas.ScheduleWith): batch drivers reuse one workspace across many
-// instances, amortizing the builder's table and route-table
-// allocations. Schedules are bit-identical to ScheduleOpts'.
-func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
+// ScheduleWith runs the EDF baseline on the reusable builder b (see
+// eas.ScheduleWith): batch drivers reuse one builder across many
+// instances, amortizing its table and route-table allocations.
+// Schedules are bit-identical to ScheduleOpts'.
+func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options) (*sched.Schedule, error) {
 	started := time.Now()
 	order, err := g.ValidatedOrder()
 	if err != nil {
@@ -53,7 +53,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 			g.NumPEs(), acg.NumPEs())
 	}
 	endDrive := opts.Telemetry.T().Span("edf:drive", "edf phases")
-	s, err := ws.ListSchedule(g, acg, "edf", sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), true, Pick(g, order))
+	s, err := b.ListSchedule(g, acg, "edf", sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), true, Pick(g, order))
 	endDrive()
 	if err != nil {
 		return nil, err
@@ -63,7 +63,7 @@ func ScheduleWith(ws *sched.Workspace, g *ctg.Graph, acg *energy.ACG, opts Optio
 	return s, nil
 }
 
-// Pick returns the EDF decision rule for sched.Workspace.ListSchedule
+// Pick returns the EDF decision rule for sched.Builder.ListSchedule
 // on graph g, given its topological order: the ready task with the
 // earliest effective deadline (ties to the lower task ID), on the PE
 // that finishes it earliest (ties to the lower PE index). The EAS

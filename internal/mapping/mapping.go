@@ -225,7 +225,7 @@ func Map(g *ctg.Graph, acg *energy.ACG, opts Options) (*Result, error) {
 // tasks are committed in ascending data-ready order onto their mapped
 // PE, with the exact Fig. 3 communication placement.
 func listScheduleFixed(g *ctg.Graph, acg *energy.ACG, assign []int) (*sched.Schedule, error) {
-	return sched.NewWorkspace(1, false).ListSchedule(g, acg, "map+ls", nil, true,
+	return new(sched.Builder).ListSchedule(g, acg, "map+ls", nil, true,
 		func(b *sched.Builder, _ *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
 			// Earliest max-predecessor-finish first keeps the derived
 			// order close to the dataflow; ties to the lower task ID.

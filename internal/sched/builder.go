@@ -16,6 +16,15 @@ import (
 // task's incoming transactions and execution slot on the shared tables.
 // The paper's probe-and-restore F(i,k) evaluation is a Prober, which
 // predicts exactly what Commit would reserve without writing the tables.
+//
+// A Builder is also the reusable solver handle. Its zero value is ready
+// for ListSchedule, which Resets it onto each new instance and probes
+// through the builder's own Prober, so a driver scheduling many
+// instances — a batch worker, a sweep harness — pays the table,
+// route-table and prober allocations once, and on one platform then
+// allocates only each run's Schedule. A schedule from a reused builder is bit-identical
+// (Diff) to one from a fresh builder. A Builder is single-goroutine
+// state: one run at a time; each batch worker owns one.
 type Builder struct {
 	g         *ctg.Graph
 	acg       *energy.ACG
@@ -77,6 +86,11 @@ type Builder struct {
 	// metrics holds pre-resolved telemetry handles (nil when telemetry
 	// is off); probers copy the handles they need at construction.
 	metrics *Metrics
+
+	// prober and rtl are ListSchedule's: the builder's own prober, kept
+	// across runs, and the ready-list buffer.
+	prober *Prober
+	rtl    []ctg.TaskID
 }
 
 // Placement is the outcome of probing or committing one task on one PE.
@@ -98,29 +112,71 @@ type Placement struct {
 	Trans []TransactionPlacement
 }
 
-// NewBuilder returns a Builder for one scheduling run.
+// NewBuilder returns a Builder for one scheduling run: the zero
+// Builder Reset onto g and acg.
 func NewBuilder(g *ctg.Graph, acg *energy.ACG, algorithm string) *Builder {
-	b := &Builder{
-		g:          g,
-		acg:        acg,
-		algorithm:  algorithm,
-		peTables:   make([]schedtable.Table, acg.NumPEs()),
-		linkTables: make([]schedtable.Table, acg.Platform().Topo.NumLinks()),
-		placed:     make([]bool, g.NumTasks()),
-		schedule:   New(g, acg, algorithm),
-		contention: true,
-	}
-	b.bindRoutes()
-	b.resizeStamps()
-	b.resetReady()
+	b := &Builder{algorithm: algorithm}
+	b.Reset(g, acg)
 	return b
 }
 
-// SetAlgorithm renames the algorithm recorded in schedules the builder
-// produces. It takes effect at the next Reset — the schedule shell
-// under construction keeps the name it was created with — so reuse
-// drivers (Workspace.ListSchedule) call it immediately before Reset.
-func (b *Builder) SetAlgorithm(name string) { b.algorithm = name }
+// The reusable solver's old names, kept only for bench/nocbench until
+// the benchmark moves to Builder; nothing else may use them.
+type Workspace = Builder
+
+// A zero Builder; both arguments are ignored.
+func NewWorkspace(int, bool) *Builder { return new(Builder) }
+
+// A Pick is one list scheduler's decision rule: given the round's Ready
+// Task List rtl (task-ID order, never empty), it names the task to
+// commit and its PE. It may probe through pr and read b's committed
+// placements, but must not commit.
+type Pick func(b *Builder, pr *Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error)
+
+// ListSchedule runs one list-scheduling solve of graph g on acg, the
+// one loop EAS Step 2 and its deadline-first fallback, EDF, DLS and the
+// mapping baseline share: it Resets the builder, attaches metrics m
+// (nil: none) and the contention model, then every round lists the
+// ready tasks, records the ready-list depth, and commits the (task, PE)
+// pick returns, until every task is committed. Picks probe through the
+// builder's own prober, which ListSchedule keeps across runs with its
+// counters zeroed, so a rule that carries rows from one round to the
+// next (Prober.Carry) finds its records there. The schedule carries the
+// run's probe, reuse, row-scan and carried-row counts.
+func (b *Builder) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string, m *Metrics, contention bool, pick Pick) (*Schedule, error) {
+	b.algorithm = algorithm
+	b.Reset(g, acg)
+	b.SetMetrics(m)
+	b.SetContentionAware(contention)
+	if b.prober == nil {
+		b.prober = b.NewProber()
+	}
+	pr := b.prober
+	pr.overlay.Grow(len(b.linkTables))
+	pr.probes, pr.reuses, pr.rows, pr.carried = 0, 0, 0, 0
+	for b.Committed() < g.NumTasks() {
+		b.rtl = b.AppendReady(b.rtl[:0])
+		if len(b.rtl) == 0 {
+			return nil, fmt.Errorf("%s: no ready tasks with %d of %d committed",
+				algorithm, b.Committed(), g.NumTasks())
+		}
+		m.ObserveReadyDepth(len(b.rtl))
+		t, k, err := pick(b, pr, b.rtl)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := b.Commit(t, k); err != nil {
+			return nil, err
+		}
+	}
+	s, err := b.Finish()
+	if err != nil {
+		return nil, err
+	}
+	s.Probes, s.ProbeReuses = pr.Probes(), pr.Reuses()
+	s.RowScans, s.RowsCarried = pr.rows, pr.carried
+	return s, nil
+}
 
 // resetTables resizes ts to n zero-state tables, reusing both the slice
 // and each table's interval storage when capacity allows.
@@ -145,11 +201,11 @@ func resetTables(ts []schedtable.Table, n int) []schedtable.Table {
 // default; callers wanting either must set it again after Reset.
 //
 // Reset preserves the builder's identity, so Probers created from it
-// remain valid across same-ACG resets, and a Workspace resizes
-// its own prober across platform changes — that is what lets a batch
-// worker drive thousands of instances through one builder/prober pair
-// with zero steady-state allocation. Step 3 does not reset per
-// candidate: it rewinds (Rewind) and resumes CommitOrder.
+// remain valid across same-ACG resets, and ListSchedule resizes the
+// builder's own prober across platform changes — that is what lets a
+// batch worker drive thousands of instances through one builder with
+// zero steady-state allocation. Step 3 does not reset per candidate:
+// it rewinds (Rewind) and resumes CommitOrder.
 func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 	if acg != b.acg {
 		b.acg = acg
@@ -262,8 +318,8 @@ func (b *Builder) TaskPlacement(t ctg.TaskID) TaskPlacement { return b.schedule.
 func (b *Builder) Ready(t ctg.TaskID) bool { return !b.placed[t] && b.pending[t] == 0 }
 
 // AppendReady appends the current Ready Task List (RTL) to dst in
-// task-ID order and returns the extended slice; Workspace.ListSchedule
-// polls it every round. Commits keep the list, so this costs O(ready
+// task-ID order and returns the extended slice; ListSchedule polls it
+// every round. Commits keep the list, so this costs O(ready
 // tasks), not O(tasks). A task listed for the first time gets its
 // probe-cache slot here: only tasks a scheduler polls for can be served
 // by ProbeCached.

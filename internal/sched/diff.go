@@ -6,7 +6,7 @@ import "fmt"
 // a human-readable description of the first discrepancy, or "" when the
 // schedules are identical: same task placements (PE, start, finish),
 // same transaction placements (PEs, slot, route) and exactly equal
-// total energy. It is the oracle of the differential tests: workspace
+// total energy. It is the oracle of the differential tests: builder
 // reuse, the probe cache and the lazy row scans promise bit-identical
 // schedules, not merely equivalent-cost ones.
 func Diff(a, b *Schedule) string {

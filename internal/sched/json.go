@@ -112,44 +112,14 @@ func (s *Schedule) AppendJSON(w *jsonx.Writer) {
 // rejected rather than silently misinterpreted). Routes are re-derived
 // from the ACG.
 func ReadJSON(r io.Reader, g *ctg.Graph, acg *energy.ACG) (*Schedule, error) {
-	var js jsonSchedule
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
-		return nil, fmt.Errorf("sched: decode: %w", err)
-	}
-	if js.Graph != g.Name {
-		return nil, fmt.Errorf("sched: schedule is for graph %q, not %q", js.Graph, g.Name)
-	}
-	if name := acg.Platform().Topo.Name(); js.Platform != name {
-		return nil, fmt.Errorf("sched: schedule is for platform %q, not %q", js.Platform, name)
-	}
-	if len(js.Tasks) != g.NumTasks() || len(js.Trans) != g.NumEdges() {
-		return nil, fmt.Errorf("sched: schedule shape (%d tasks, %d transactions) does not match graph (%d, %d)",
-			len(js.Tasks), len(js.Trans), g.NumTasks(), g.NumEdges())
-	}
-	full := New(g, acg, js.Algorithm)
-	for _, jp := range js.Tasks {
-		if jp.Task < 0 || int(jp.Task) >= g.NumTasks() {
-			return nil, fmt.Errorf("sched: placement references unknown task %d", jp.Task)
-		}
-		full.Tasks[jp.Task] = TaskPlacement{Task: jp.Task, PE: jp.PE, Start: jp.Start, Finish: jp.End}
-	}
-	for _, jt := range js.Trans {
-		if jt.Edge < 0 || int(jt.Edge) >= g.NumEdges() {
-			return nil, fmt.Errorf("sched: placement references unknown edge %d", jt.Edge)
-		}
-		if jt.Src < 0 || jt.Src >= acg.NumPEs() || jt.Dst < 0 || jt.Dst >= acg.NumPEs() {
-			return nil, fmt.Errorf("sched: transaction %d references unknown PE", jt.Edge)
-		}
-		tr := TransactionPlacement{Edge: jt.Edge, SrcPE: jt.Src, DstPE: jt.Dst, Start: jt.Start, Finish: jt.End}
-		if acg.TransferTime(g.Edge(jt.Edge).Volume, jt.Src, jt.Dst) > 0 {
-			tr.Route = acg.Route(jt.Src, jt.Dst)
-		}
-		full.Transactions[jt.Edge] = tr
-	}
-	if err := full.Validate(); err != nil {
+	s, err := readJSON(r, g, acg, true)
+	if err != nil {
 		return nil, err
 	}
-	return full, nil
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // ReadJSONLenient imports a schedule without validating it, for
@@ -163,6 +133,14 @@ func ReadJSON(r io.Reader, g *ctg.Graph, acg *energy.ACG) (*Schedule, error) {
 // routes are re-derived from the ACG for in-range endpoint pairs with
 // a positive transfer time, exactly as ReadJSON does.
 func ReadJSONLenient(r io.Reader, g *ctg.Graph, acg *energy.ACG) (*Schedule, error) {
+	return readJSON(r, g, acg, false)
+}
+
+// readJSON decodes a schedule and binds it to g and acg by name. Strict
+// mode also rejects a shape that does not match g and any placement
+// that references an unknown task, edge or PE; lenient mode drops such
+// placements.
+func readJSON(r io.Reader, g *ctg.Graph, acg *energy.ACG, strict bool) (*Schedule, error) {
 	var js jsonSchedule
 	if err := json.NewDecoder(r).Decode(&js); err != nil {
 		return nil, fmt.Errorf("sched: decode: %w", err)
@@ -173,20 +151,33 @@ func ReadJSONLenient(r io.Reader, g *ctg.Graph, acg *energy.ACG) (*Schedule, err
 	if name := acg.Platform().Topo.Name(); js.Platform != name {
 		return nil, fmt.Errorf("sched: schedule is for platform %q, not %q", js.Platform, name)
 	}
+	if strict && (len(js.Tasks) != g.NumTasks() || len(js.Trans) != g.NumEdges()) {
+		return nil, fmt.Errorf("sched: schedule shape (%d tasks, %d transactions) does not match graph (%d, %d)",
+			len(js.Tasks), len(js.Trans), g.NumTasks(), g.NumEdges())
+	}
 	full := New(g, acg, js.Algorithm)
 	for _, jp := range js.Tasks {
 		if jp.Task < 0 || int(jp.Task) >= g.NumTasks() {
+			if strict {
+				return nil, fmt.Errorf("sched: placement references unknown task %d", jp.Task)
+			}
 			continue
 		}
 		full.Tasks[jp.Task] = TaskPlacement{Task: jp.Task, PE: jp.PE, Start: jp.Start, Finish: jp.End}
 	}
 	for _, jt := range js.Trans {
 		if jt.Edge < 0 || int(jt.Edge) >= g.NumEdges() {
+			if strict {
+				return nil, fmt.Errorf("sched: placement references unknown edge %d", jt.Edge)
+			}
 			continue
 		}
+		knownPEs := jt.Src >= 0 && jt.Src < acg.NumPEs() && jt.Dst >= 0 && jt.Dst < acg.NumPEs()
+		if strict && !knownPEs {
+			return nil, fmt.Errorf("sched: transaction %d references unknown PE", jt.Edge)
+		}
 		tr := TransactionPlacement{Edge: jt.Edge, SrcPE: jt.Src, DstPE: jt.Dst, Start: jt.Start, Finish: jt.End}
-		if jt.Src >= 0 && jt.Src < acg.NumPEs() && jt.Dst >= 0 && jt.Dst < acg.NumPEs() &&
-			acg.TransferTime(g.Edge(jt.Edge).Volume, jt.Src, jt.Dst) > 0 {
+		if knownPEs && acg.TransferTime(g.Edge(jt.Edge).Volume, jt.Src, jt.Dst) > 0 {
 			tr.Route = acg.Route(jt.Src, jt.Dst)
 		}
 		full.Transactions[jt.Edge] = tr

@@ -1,50 +1,30 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"nocsched/internal/ctg"
+	"nocsched/internal/energy"
 )
 
-// driveEF schedules every task on pr's builder with a deterministic
-// earliest-finish policy: lowest ready task ID first, onto the PE that
-// finishes it earliest (ties to the lower PE index). The prober and the
-// ready slice are caller-owned so steady-state allocation tests can
-// hoist them out of the measured loop.
+// driveEF schedules every task on pr's builder with efPick. The
+// prober and the ready slice are caller-owned so steady-state
+// allocation tests can hoist them out of the measured loop.
 func driveEF(tb testing.TB, pr *Prober, ready []ctg.TaskID) *Schedule {
 	tb.Helper()
 	b := pr.b
-	g := b.Graph()
-	npe := b.ACG().NumPEs()
-	for b.Committed() < g.NumTasks() {
+	for b.Committed() < b.Graph().NumTasks() {
 		ready = b.AppendReady(ready[:0])
 		if len(ready) == 0 {
 			tb.Fatal("no ready tasks before completion")
 		}
-		pick := ready[0]
-		for _, t := range ready[1:] {
-			if t < pick {
-				pick = t
-			}
+		t, k, err := efPick(b, pr, ready)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		bestPE, bestFinish := -1, int64(0)
-		for k := 0; k < npe; k++ {
-			if !g.Task(pick).RunnableOn(k) {
-				continue
-			}
-			p, err := pr.Probe(pick, k)
-			if err != nil {
-				tb.Fatalf("probe task %d PE %d: %v", pick, k, err)
-			}
-			if bestPE < 0 || p.Finish < bestFinish {
-				bestPE, bestFinish = k, p.Finish
-			}
-		}
-		if bestPE < 0 {
-			tb.Fatalf("task %d runnable nowhere", pick)
-		}
-		if _, err := b.Commit(pick, bestPE); err != nil {
-			tb.Fatalf("commit task %d PE %d: %v", pick, bestPE, err)
+		if _, err := b.Commit(t, k); err != nil {
+			tb.Fatalf("commit task %d PE %d: %v", t, k, err)
 		}
 	}
 	s, err := b.Finish()
@@ -52,6 +32,30 @@ func driveEF(tb testing.TB, pr *Prober, ready []ctg.TaskID) *Schedule {
 		tb.Fatal(err)
 	}
 	return s
+}
+
+// efPick is a deterministic earliest-finish rule: the lowest ready task
+// ID, onto the PE that finishes it earliest (ties to the lower PE
+// index), found by probing every PE that can run it.
+func efPick(b *Builder, pr *Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
+	t := rtl[0]
+	bestPE, bestFinish := -1, int64(0)
+	for k := 0; k < b.ACG().NumPEs(); k++ {
+		if !b.Graph().Task(t).RunnableOn(k) {
+			continue
+		}
+		p, err := pr.Probe(t, k)
+		if err != nil {
+			return 0, 0, err
+		}
+		if bestPE < 0 || p.Finish < bestFinish {
+			bestPE, bestFinish = k, p.Finish
+		}
+	}
+	if bestPE < 0 {
+		return 0, 0, fmt.Errorf("task %d runnable nowhere", t)
+	}
+	return t, bestPE, nil
 }
 
 // TestResetMatchesFresh is the builder-level half of the reuse
@@ -96,7 +100,8 @@ func TestResetMatchesFresh(t *testing.T) {
 }
 
 // TestResetRestoresDefaults pins the state Reset must not leak between
-// instances: the naive contention model and a stale algorithm label.
+// instances, the naive contention model, and the label ListSchedule
+// must not: each run's schedule carries the algorithm it was run as.
 func TestResetRestoresDefaults(t *testing.T) {
 	g, acg := proberRig(t, 21, 20)
 	b := NewBuilder(g, acg, "first")
@@ -105,11 +110,14 @@ func TestResetRestoresDefaults(t *testing.T) {
 	if !b.contention {
 		t.Error("Reset kept the naive contention model")
 	}
-	b.SetAlgorithm("second")
-	b.Reset(g, acg)
-	var ready []ctg.TaskID
-	if s := driveEF(t, b.NewProber(), ready); s.Algorithm != "second" {
-		t.Errorf("schedule algorithm = %q, want %q", s.Algorithm, "second")
+	for _, name := range []string{"first", "second"} {
+		s, err := b.ListSchedule(g, acg, name, nil, true, efPick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Algorithm != name {
+			t.Errorf("schedule algorithm = %q, want %q", s.Algorithm, name)
+		}
 	}
 }
 
@@ -136,32 +144,39 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestWorkspacePrepareReuse pins Workspace.prepare's reuse: the same
-// builder and prober serve every run, with the prober's counters zeroed,
-// on the same ACG and across a platform change alike.
-func TestWorkspacePrepareReuse(t *testing.T) {
+// TestListScheduleReuse pins the reusable handle: a zero Builder
+// driven through ListSchedule on one ACG and across platform changes
+// keeps one prober, zeroes its counters every run, and schedules each
+// instance as a fresh builder and prober do (Diff), with the same
+// probe count.
+func TestListScheduleReuse(t *testing.T) {
 	gA, acg := proberRig(t, 41, 30)
 	gB, _ := proberRig(t, 42, 25)
 	gC, acg2 := proberRig(t, 43, 20)
 
-	ws := NewWorkspace(1, false)
-	b1, p1 := ws.prepare(gA, acg, "x")
-	if _, err := p1.EarliestFinishPE(b1.AppendReady(nil)[0]); err != nil {
-		t.Fatal(err)
-	}
-	b2, p2 := ws.prepare(gB, acg, "y")
-	if b1 != b2 || p1 != p2 {
-		t.Error("same-ACG Prepare rebuilt the builder or prober")
-	}
-	if p2.Probes() != 0 || p2.Reuses() != 0 {
-		t.Errorf("same-ACG Prepare kept %d probes, %d reuses", p2.Probes(), p2.Reuses())
-	}
-	b3, p3 := ws.prepare(gC, acg2, "z")
-	if b3 != b2 || p3 != p2 {
-		t.Error("platform-change Prepare rebuilt the builder or prober")
-	}
+	var b Builder
+	var pr *Prober
 	var ready []ctg.TaskID
-	if d := Diff(driveEF(t, NewBuilder(gC, acg2, "z").NewProber(), ready), driveEF(t, p3, ready)); d != "" {
-		t.Errorf("platform-change workspace builder diverges from fresh:\n%s", d)
+	for i, run := range []struct {
+		g   *ctg.Graph
+		acg *energy.ACG
+	}{{gA, acg}, {gB, acg}, {gC, acg2}, {gA, acg}} {
+		s, err := b.ListSchedule(run.g, run.acg, "ef", nil, true, efPick)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if i == 0 {
+			pr = b.prober
+		} else if b.prober != pr {
+			t.Errorf("run %d replaced the builder's prober", i)
+		}
+		fresh := NewBuilder(run.g, run.acg, "ef").NewProber()
+		if d := Diff(driveEF(t, fresh, ready), s); d != "" {
+			t.Errorf("run %d diverges from a fresh builder:\n%s", i, d)
+		}
+		if s.Probes != fresh.Probes() || s.ProbeReuses != 0 {
+			t.Errorf("run %d counted %d probes, %d reuses; a fresh prober counts %d, 0",
+				i, s.Probes, s.ProbeReuses, fresh.Probes())
+		}
 	}
 }

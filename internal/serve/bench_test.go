@@ -21,7 +21,7 @@ import (
 // serve-zipf request shape: a 100-task Category I graph on the default
 // 4x4 platform (a body of about 47 KB), solved by EAS. The layers are
 // the handler's decode, the workload digest, the EAS solve on a reused
-// workspace, the oracle check and the response render.
+// builder, the oracle check and the response render.
 func BenchmarkMissPath(b *testing.B) {
 	spec := DefaultPlatform()
 	platform, err := spec.Build()
@@ -44,7 +44,7 @@ func BenchmarkMissPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws := sched.NewWorkspace(1, false)
+	ws := new(sched.Builder)
 	res, err := eas.ScheduleWith(ws, g, acg, eas.Options{})
 	if err != nil {
 		b.Fatal(err)

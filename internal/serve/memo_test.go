@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"nocsched/internal/batch"
 	"nocsched/internal/noc"
 	"nocsched/internal/sched"
+	"nocsched/internal/telemetry"
 	"nocsched/internal/verify"
 )
 
@@ -465,5 +468,39 @@ func TestCacheCountsEachRequestOnce(t *testing.T) {
 	}
 	if memo := counterOf(s, MetricBodyMemoHits); memo > h {
 		t.Errorf("memo hits %d exceed cache hits %d", memo, h)
+	}
+}
+
+// TestLyingContentLength: a request that claims 8 MiB (the default
+// MaxBodyBytes) but carries one byte gets its 400 without schedd
+// reserving the claimed size. The handler allocates about 1 MiB, the
+// most readBody reserves; a build with the race detector allocates
+// that reservation twice, so the bound is 3 MiB.
+func TestLyingContentLength(t *testing.T) {
+	s := New(Options{Workers: 1, Telemetry: telemetry.NewCollector(nil)})
+	s.MarkReady()
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	h := s.Handler()
+	const claimed, bound = 8 << 20, 3 << 20
+	// Two collections empty bodyBufs, so the request starts from a new
+	// buffer, as on a cold server.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader("{"))
+	r.ContentLength = claimed
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, r)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= bound {
+		t.Errorf("a %d-byte claim with a 1-byte body allocated %d bytes, want < %d", claimed, alloc, bound)
 	}
 }

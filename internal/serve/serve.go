@@ -331,7 +331,7 @@ func (s *Server) MarkReady() { s.ready.Store(true) }
 // Warmup pushes a built-in miniature workload through the entire cold
 // path — decode, canonicalize, admit, solve, verify, render, cache —
 // so the first real request pays no first-use costs (worker
-// workspaces, code paths), then flips readiness. Errors leave the
+// builders, code paths), then flips readiness. Errors leave the
 // server not-ready.
 func (s *Server) Warmup() error {
 	spec := noc.PlatformSpec{Topology: "mesh", Width: 3, Height: 3, Routing: "xy", Bandwidth: 256}
@@ -772,11 +772,13 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 const maxPooledBody = 1 << 20
 
 // readBody reads the whole request body, under the MaxBodyBytes bound,
-// into buf, sized up front from Content-Length when the client sent
-// one so the buffer is not regrown.
+// into buf. It reserves what Content-Length claims up to maxPooledBody,
+// so a common body is read without regrowing the buffer; a client may
+// claim more than it sends, so a longer body grows the buffer only as
+// its bytes arrive.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
 	if n := r.ContentLength; n > 0 && n <= s.opts.MaxBodyBytes {
-		buf.Grow(int(n) + bytes.MinRead)
+		buf.Grow(int(min(n, maxPooledBody-bytes.MinRead)) + bytes.MinRead)
 	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	return err

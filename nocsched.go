@@ -272,19 +272,9 @@ func EAS(g *Graph, acg *ACG, opts EASOptions) (*EASResult, error) {
 	return eas.Schedule(g, acg, opts)
 }
 
-// EDFOptions configure the EDF baseline's telemetry; the zero value is
-// the default.
-type EDFOptions = edf.Options
-
 // EDF runs the baseline Earliest-Deadline-First scheduler.
 func EDF(g *Graph, acg *ACG) (*Schedule, error) {
 	return edf.Schedule(g, acg)
-}
-
-// EDFWithOptions runs the EDF baseline with explicit options.
-// Telemetry never changes the schedule.
-func EDFWithOptions(g *Graph, acg *ACG, opts EDFOptions) (*Schedule, error) {
-	return edf.ScheduleOpts(g, acg, opts)
 }
 
 // ScheduleDiff compares two schedules of the same instance and returns
@@ -395,7 +385,7 @@ var Replay = sim.Replay
 
 // Telemetry bundles a metrics registry and a phase tracer into the one
 // optional handle the schedulers and the simulator accept
-// (EASOptions.Telemetry, EDFOptions.Telemetry, SimOptions.Telemetry).
+// (EASOptions.Telemetry, SimOptions.Telemetry).
 // A nil *Telemetry disables collection at zero cost; attaching one
 // never changes scheduling decisions (schedules stay bit-identical,
 // guarded by differential tests).
