@@ -1,7 +1,8 @@
 // Command schedbench is the scheduler determinism harness: it sweeps
 // task count x mesh size x algorithm over TGFF-style graphs, schedules
-// each configuration once, and writes the probe counts, energy and
-// deadline misses as a JSON report (see BENCH_sched.json at the repo
+// each configuration once, and writes the probe counts, the tests a
+// finish bound settled instead of a probe, energy and deadline misses
+// as a JSON report (see BENCH_sched.json at the repo
 // root for the committed baseline).
 //
 // Usage:
@@ -51,8 +52,12 @@ type Config struct {
 	Edges     int    `json:"edges"`
 	Algorithm string `json:"algorithm"`
 
-	Probes         int64   `json:"probes"`
-	ProbeReuses    int64   `json:"probe_reuses"`
+	Probes      int64 `json:"probes"`
+	ProbeReuses int64 `json:"probe_reuses"`
+	// BoundSettled counts the tests a finish bound settled without a
+	// probe (sched.Schedule.BoundSettled); only EAS Step 2 has any, so
+	// the field is left out where it is zero.
+	BoundSettled   int64   `json:"bound_settled,omitempty"`
 	EnergyNJ       float64 `json:"energy_nj"`
 	DeadlineMisses int     `json:"deadline_misses"`
 }
@@ -182,6 +187,7 @@ func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, sess *diag.Se
 		Algorithm:      algo,
 		Probes:         s.Probes,
 		ProbeReuses:    s.ProbeReuses,
+		BoundSettled:   s.BoundSettled,
 		EnergyNJ:       s.TotalEnergy(),
 		DeadlineMisses: len(s.DeadlineMisses()),
 	}, nil

@@ -93,10 +93,12 @@ type Budget struct {
 // search-and-repair cannot eliminate all deadline misses.
 //
 // Tasks are relabeled by topological position once per call, and each
-// deadline's backward pass sweeps only from the deadline task's
-// position down. The working memory comes from a pool, so a
-// steady-state call allocates only the returned Budget and the
-// topological order; the EAS driver computes the order once per solve.
+// deadline's backward pass walks only the deadline task's ancestor
+// cone, pushing paths over in-arcs in descending position; a task
+// outside the cone costs one stamp test, not a walk of its arcs. The
+// working memory comes from a pool, so a steady-state call allocates
+// only the returned Budget and the topological order; the EAS driver
+// computes the order once per solve.
 //
 // ComputeBudget rejects a weight whose slack share is not finite: each
 // weight may be finite while their sum along a path overflows, which
@@ -144,8 +146,8 @@ func computeBudget(g *ctg.Graph, order []ctg.TaskID, weight WeightFunc, scale fl
 		}
 	}
 
-	// Relabel tasks by topological position and lay their out-arcs flat
-	// in g.Out order. The same forward pass computes fwd (the longest
+	// Relabel tasks by topological position and lay their in-arcs flat
+	// in g.In order. The same forward pass computes fwd (the longest
 	// mean path ending at the task, inclusive, with expected
 	// communication time on the arcs when enabled), fwdW (the weight
 	// sum along that arg-max path; ties break toward the heavier path
@@ -160,31 +162,33 @@ func computeBudget(g *ctg.Graph, order []ctg.TaskID, weight WeightFunc, scale fl
 		nd := &nodes[p]
 		*nd = budgetNode{mean: b.Mean[t], weight: b.Weight[t], bd: ctg.NoDeadline}
 		bestLen, bestW := 0.0, 0.0
+		nd.inLo = int32(len(arcs))
 		for _, eid := range g.In(t) {
 			e := g.Edge(eid)
-			pn := &nodes[s.pos[e.Src]]
-			cand := pn.fwd + arcTime(e.Volume, commBandwidth)
+			a := budgetArc{src: s.pos[e.Src], comm: arcTime(e.Volume, commBandwidth)}
+			arcs = append(arcs, a)
+			pn := &nodes[a.src]
+			cand := pn.fwd + a.comm
 			if cand > bestLen || (cand == bestLen && pn.fwdW > bestW) {
 				bestLen, bestW = cand, pn.fwdW
 			}
 		}
+		nd.inHi = int32(len(arcs))
 		nd.fwd = bestLen + nd.mean
 		nd.fwdW = bestW + nd.weight
-		nd.outLo = int32(len(arcs))
-		for _, eid := range g.Out(t) {
-			e := g.Edge(eid)
-			arcs = append(arcs, budgetArc{dst: s.pos[e.Dst], comm: arcTime(e.Volume, commBandwidth)})
-		}
-		nd.outHi = int32(len(arcs))
 	}
 	s.nodes, s.arcs = nodes, arcs
 
-	// Per deadline task d: a backward pass from d's position down, since
-	// no ancestor of d lies past it. Descending positions make every
-	// successor final before its predecessors. A task joins d's
-	// ancestor cone (stamp) when one of its arcs reaches a cone task;
-	// each cone task's share is priced as soon as its backward path is
-	// final.
+	// Per deadline task d: a walk of d's ancestor cone in descending
+	// position, from d down to the lowest cone task found so far. A
+	// task joins the cone (stamp) when a cone successor pushes its
+	// backward path over an in-arc; every successor lies higher, so by
+	// the time the walk reaches a cone task its path is final, and its
+	// share is priced then. Positions outside the cone cost one stamp
+	// test and none of their arcs. The pushed (length, weight) pairs
+	// meet in a lexicographic max, which no NaN reaches (lengths and
+	// weight sums are non-negative, at worst +Inf), so the result does
+	// not depend on arc order.
 	var stamp int32
 	for i := 0; i < n; i++ {
 		td := g.Task(ctg.TaskID(i))
@@ -195,33 +199,25 @@ func computeBudget(g *ctg.Graph, order []ctg.TaskID, weight WeightFunc, scale fl
 		stamp++
 		pd := s.pos[i]
 		d := &nodes[pd]
-		d.stamp, d.bwd, d.bwdW = stamp, d.mean, d.weight
-		bad := int32(-1)
-		for p := pd; p >= 0; p-- {
+		d.stamp, d.bwd, d.bwdW = stamp, 0, 0
+		lo, bad := pd, int32(-1)
+		for p := pd; p >= lo; p-- {
 			nt := &nodes[p]
-			if p < pd {
-				bestLen, bestW := -1.0, 0.0
-				for _, a := range arcs[nt.outLo:nt.outHi] {
-					// Arcs past d cannot reach it; skip them before
-					// touching their far-away destination.
-					if a.dst > pd {
-						continue
-					}
-					sn := &nodes[a.dst]
-					if sn.stamp != stamp {
-						continue
-					}
-					cand := sn.bwd + a.comm
-					if cand > bestLen || (cand == bestLen && sn.bwdW > bestW) {
-						bestLen, bestW = cand, sn.bwdW
-					}
+			if nt.stamp != stamp {
+				continue // t cannot reach d
+			}
+			nt.bwd += nt.mean
+			nt.bwdW += nt.weight
+			for _, a := range arcs[nt.inLo:nt.inHi] {
+				pn := &nodes[a.src]
+				cand := nt.bwd + a.comm
+				switch {
+				case pn.stamp != stamp:
+					pn.stamp, pn.bwd, pn.bwdW = stamp, cand, nt.bwdW
+					lo = min(lo, a.src)
+				case cand > pn.bwd || (cand == pn.bwd && nt.bwdW > pn.bwdW):
+					pn.bwd, pn.bwdW = cand, nt.bwdW
 				}
-				if bestLen < 0 {
-					continue // t cannot reach d
-				}
-				nt.stamp = stamp
-				nt.bwd = bestLen + nt.mean
-				nt.bwdW = bestW + nt.weight
 			}
 			pathLen := nt.fwd + nt.bwd - nt.mean
 			slack := deadline - pathLen
@@ -258,29 +254,30 @@ func computeBudget(g *ctg.Graph, order []ctg.TaskID, weight WeightFunc, scale fl
 
 // budgetNode is one task's Step 1 state at its topological position:
 // its mean and weight, its longest forward path (fwd, fwdW), its
-// longest backward path to the current deadline task (bwd, bwdW), its
-// budgeted deadline so far, and its out-arcs arcs[outLo:outHi]. stamp equals the current
-// deadline's stamp when the task reaches that deadline task, which
-// spares a reset per deadline.
+// longest backward path to the current deadline task (bwd, bwdW; the
+// best pushed so far until the cone walk reaches the task), its
+// budgeted deadline so far, and its in-arcs arcs[inLo:inHi]. stamp
+// equals the current deadline's stamp when the task reaches that
+// deadline task, which spares a reset per deadline.
 type budgetNode struct {
 	mean, weight float64
 	fwd, fwdW    float64
 	bwd, bwdW    float64
 	bd           int64
 	stamp        int32
-	outLo, outHi int32
+	inLo, inHi   int32
 }
 
-// budgetArc is an out-arc by topological position: its destination and
-// the expected communication time charged to it.
+// budgetArc is an in-arc by topological position: its source and the
+// expected communication time charged to it.
 type budgetArc struct {
-	dst  int32
+	src  int32
 	comm float64
 }
 
 // budgetScratch is ComputeBudget's reusable working memory: the
 // per-task filtered arrays handed to the WeightFunc, the task-to-
-// position map, the nodes and the flat arcs.
+// position map, the nodes and the flat in-arcs.
 type budgetScratch struct {
 	times    []int64
 	energies []float64

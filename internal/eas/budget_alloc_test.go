@@ -80,17 +80,31 @@ func BenchmarkComputeBudget(b *testing.B) {
 
 // BenchmarkEASLooseSolve times whole EAS solves of the nocbench
 // batch-loose shape: ten 500-task Category I graphs at laxity 3.0, one
-// worker, one reused builder.
+// worker, one reused builder. probes/op counts every F(i,k) answer over
+// all passes, evaluated/op only those the probe cache could not serve,
+// settled/op the Step 2 membership tests the finish bound settled
+// without a probe, and rows/op the Step 2 rows scanned by the pass that
+// produced the schedule.
 func BenchmarkEASLooseSolve(b *testing.B) {
 	gs, acg := looseGraphs(b, 500, 10)
 	ws := new(sched.Builder)
+	var probes, evaluated, settled, rows int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScheduleWith(ws, gs[i%len(gs)], acg, Options{}); err != nil {
+		r, err := ScheduleWith(ws, gs[i%len(gs)], acg, Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		probes += r.Probes
+		evaluated += r.Probes - r.ProbeReuses
+		settled += r.BoundSettled
+		rows += r.Schedule.RowScans
 	}
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
+	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
 
 // BenchmarkEASTightSolve times whole EAS solves of the nocbench

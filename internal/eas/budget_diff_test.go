@@ -355,6 +355,12 @@ func FuzzBudgetDifferential(f *testing.F) {
 		f.Add(int64(i), uint8(5*i+1), float64(i)/7, uint8(i))
 	}
 	f.Add(int64(99), uint8(47), 1.0, uint8(2))
+	// 11 tasks, one of them a deadline task with no arcs: its cone is
+	// itself.
+	f.Add(int64(114), uint8(10), 1.0, uint8(0))
+	// 37 tasks with a chain of six deadline tasks, each in the ancestor
+	// cone of the next: nested cones share tasks across deadlines.
+	f.Add(int64(106), uint8(40), 0.5, uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, size uint8, scale float64, sel uint8) {
 		if math.IsNaN(scale) || math.IsInf(scale, 0) {
 			scale = 1

@@ -52,13 +52,18 @@ type Result struct {
 	// RefineStats is non-zero only when the feasibility fallback ran
 	// and its energy-refinement pass produced the returned schedule.
 	RefineStats RefineStats
-	// Probes is the total number of F(i,k) probes evaluated across all
+	// Probes is the total number of F(i,k) probes answered across all
 	// budgeting passes and the fallback (the returned Schedule's own
-	// Probes field counts only the pass that produced it).
+	// Probes field counts only the pass that produced it). A Step 2
+	// membership test that FinishBound settled is not a probe.
 	Probes int64
 	// ProbeReuses is how many of Probes were answered from the exact
 	// probe cache (Step 2 only; the fallback's EDF probes never are).
 	ProbeReuses int64
+	// BoundSettled is the total number of Step 2 membership tests the
+	// table-tail bound settled in place of a probe (Schedule.BoundSettled),
+	// over the same passes as Probes.
+	BoundSettled int64
 }
 
 // Schedule runs the full EAS algorithm (Steps 1-3, or 1-2 when repair is
@@ -103,7 +108,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 	}
 
 	var best *Result
-	var totalProbes, totalReuses int64
+	var totalProbes, totalReuses, totalSettled int64
 	tr := opts.Telemetry.T()
 	for passNo, p := range passes {
 		// Span ignores the name on a nil tracer: format it only when
@@ -129,6 +134,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 		}
 		totalProbes += s.Probes
 		totalReuses += s.ProbeReuses
+		totalSettled += s.BoundSettled
 		cand := &Result{Schedule: s, Budget: budget}
 		if !opts.DisableRepair && !s.Feasible() {
 			endStep = tr.Span("step3:repair", "eas phases")
@@ -175,6 +181,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 	best.Schedule.Elapsed = time.Since(started)
 	best.Probes = totalProbes
 	best.ProbeReuses = totalReuses
+	best.BoundSettled = totalSettled
 	sched.PublishSchedule(opts.Telemetry.R(), best.Schedule)
 	return best, nil
 }
@@ -202,7 +209,9 @@ type rowEval struct {
 	// the lower PE) and where it occurs; minFComm is that placement's
 	// communication energy (for the degenerate-e1 guard). Exact only
 	// when the reduction reads them: the task is over budget
-	// (minF >= BD_i) or no PE met the budget.
+	// (minF >= BD_i) or no PE met the budget. A PE whose finish bound
+	// settled its membership enters minF with that bound, which proves
+	// minF < BD_i and puts the PE in E1.
 	minF     int64
 	minFPE   int
 	minFComm float64
@@ -219,16 +228,20 @@ type rowEval struct {
 // probe:
 //   - a PE whose finish bound drtLB + exec exceeds BD_i cannot meet the
 //     budget and is not probed;
+//   - a PE whose upper finish bound (Prober.FinishBound) lies strictly
+//     below BD_i is in L_i and rules out Step 2.3, so it is not probed
+//     either, provided its cost is below +Inf and so enters E1;
 //   - the first two PEs that meet the budget are E1 and E2, and once
-//     one of the probed PEs finishes strictly before BD_i the task is
+//     one of the visited PEs finishes strictly before BD_i the task is
 //     not over budget (Step 2.3 tests minF >= BD_i), so the scan stops;
 //   - a task without a deadline meets its budget everywhere and is
 //     never probed.
 //
 // Only when the scan ends with the task over budget, or with no PE in
-// L_i, does the reduction read minF; then the PEs the budget bound
-// skipped are probed too, unless their bound already loses to minF.
-// The result equals the full scan's wherever the reduction reads it.
+// L_i, does the reduction read minF; no bound settled a PE then, and the
+// PEs the lower bound skipped are probed too, unless their bound
+// already loses to minF. The result equals the full scan's wherever the
+// reduction reads it.
 func scanRow(pr *sched.Prober, task *ctg.Task, ti ctg.TaskID, bd int64) rowEval {
 	row := rowEval{minF: math.MaxInt64, minFPE: -1,
 		e1: math.Inf(1), e2: math.Inf(1), e1PE: -1}
@@ -252,22 +265,29 @@ func scanRow(pr *sched.Prober, task *ctg.Task, ti ctg.TaskID, bd int64) rowEval 
 	}
 	for _, k32 := range r.Order {
 		k := int(k32)
+		cost := task.Energy[k] + r.Comm(k)
 		if deadline {
 			// L_i membership: F(i,k) <= BD_i.
 			if r.DRTBound(k)+task.ExecTime[k] > bd {
 				continue
 			}
-			f, err := probe(k)
-			if err != nil {
-				row.err = err
-				return row
-			}
-			if f > bd {
-				continue
+			if f := pr.FinishBound(ti, k); f < bd && cost < math.Inf(1) {
+				pr.Settle(ti, k)
+				if f < row.minF {
+					row.minF, row.minFPE, row.minFComm = f, k, r.Comm(k)
+				}
+			} else {
+				f, err := probe(k)
+				if err != nil {
+					row.err = err
+					return row
+				}
+				if f > bd {
+					continue
+				}
 			}
 		}
 		// The E1/E2 running minima, with the full scan's update rule.
-		cost := task.Energy[k] + r.Comm(k)
 		switch {
 		case cost < row.e1:
 			row.e2 = row.e1

@@ -2,6 +2,7 @@ package eas
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -225,6 +226,50 @@ func TestCarriedRowDifferential(t *testing.T) {
 	}
 }
 
+// TestStep2BoundSaturates holds Step 2 to the eager scan where the
+// finish bound's sum of transfer times passes math.MaxInt64 while every
+// real transaction fits. On a 2x2 mesh at one bit per time unit, three
+// senders pinned to PEs 1, 2 and 3 each send 0.4 x MaxInt64 bits to a
+// receiver that runs only on PE 0. The transfers from PEs 2 and 3 share
+// the link into PE 0, so the receiver's data are ready at 0.8 x MaxInt64,
+// past its deadline of 0.6 x MaxInt64, while its lower finish bound is
+// 0.4 x MaxInt64. A bound that wrapped instead of saturating would come
+// out negative and admit PE 0 to L_i.
+func TestStep2BoundSaturates(t *testing.T) {
+	const (
+		vol      = math.MaxInt64 / 5 * 2
+		deadline = math.MaxInt64 / 5 * 3
+	)
+	if vol <= math.MaxInt64/3 {
+		t.Fatal("three transfers must overflow int64")
+	}
+	platform, err := noc.NewHeterogeneousMesh(2, 2, noc.RouteXY, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acg, err := energy.BuildACG(platform, energy.DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ctg.New("bound-saturates")
+	pinned := func(name string, pe int, d int64) ctg.TaskID {
+		exec := []int64{-1, -1, -1, -1}
+		exec[pe] = 10
+		id, err := g.AddTask(name, exec, []float64{1, 1, 1, 1}, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	recv := pinned("recv", 0, deadline)
+	for pe := 1; pe <= 3; pe++ {
+		if _, err := g.AddEdge(pinned(fmt.Sprint("send", pe), pe, ctg.NoDeadline), recv, vol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkStep2(t, new(sched.Builder), new(sched.Builder), g, acg)
+}
+
 // eagerDLS is DLS by definition: every round, the dynamic level of
 // every ready task on every capable PE, the first largest committed.
 func eagerDLS(t testing.TB, g *ctg.Graph, acg *energy.ACG) *sched.Schedule {
@@ -347,6 +392,9 @@ func FuzzLazyRows(f *testing.F) {
 	f.Add(uint8(12), uint8(1), uint8(0), 0.05, int64(3))
 	f.Add(uint8(58), uint8(2), uint8(0), 3.0, int64(11))
 	f.Add(uint8(50), uint8(2), uint8(2), 1.5, int64(6))
+	// Loose: 58 tasks at laxity 3.0 with a deadline on every sink, where
+	// the finish bound settles most L_i memberships.
+	f.Add(uint8(56), uint8(2), uint8(2), 3.0, int64(4))
 	f.Fuzz(func(t *testing.T, tasks, w, h uint8, laxity float64, seed int64) {
 		if math.IsNaN(laxity) || laxity < 0.01 || laxity > 4 {
 			t.Skip("laxity out of range")
@@ -399,18 +447,22 @@ func FuzzLazyRows(f *testing.F) {
 
 // TestStep2RowCounts pins the deterministic row-scan work of EAS Step 2
 // (the first budget pass, exact contention) and of DLS over four
-// 300-task batch-loose-shaped graphs: the rows scanned, the rows carried
-// and the probes, equal at GOMAXPROCS 1 and 4 and whether each solve
-// gets a fresh builder or all share one.
+// 300-task batch-loose-shaped graphs: the rows scanned, the rows
+// carried, the probes and the membership tests a finish bound settled
+// instead of a probe, equal at GOMAXPROCS 1 and 4 and whether each
+// solve gets a fresh builder or all share one. Every Step 2 test the
+// bound settles is one probe fewer: probes plus settled tests equal the
+// 13,096 probes of the probe-only scan.
 func TestStep2RowCounts(t *testing.T) {
 	gs, acg := looseGraphs(t, 300, 4)
-	type counts struct{ rows, carried, probes int64 }
+	type counts struct{ rows, carried, probes, settled int64 }
 	total := func(shared bool) (step2, dlsCounts counts) {
 		ws := new(sched.Builder)
 		add := func(c *counts, s *sched.Schedule) {
 			c.rows += s.RowScans
 			c.carried += s.RowsCarried
 			c.probes += s.Probes
+			c.settled += s.BoundSettled
 		}
 		for _, g := range gs {
 			if !shared {
@@ -445,9 +497,13 @@ func TestStep2RowCounts(t *testing.T) {
 				run.procs, run.shared, s, d, step2, dlsCounts)
 		}
 	}
-	wantStep2 := counts{rows: 4771, carried: 2794, probes: 13096}
+	wantStep2 := counts{rows: 4771, carried: 2794, probes: 5635, settled: 7461}
 	wantDLS := counts{rows: 8567, carried: 21883, probes: 12045}
 	if step2 != wantStep2 || dlsCounts != wantDLS {
 		t.Errorf("Step 2 %+v, DLS %+v; pinned %+v, %+v", step2, dlsCounts, wantStep2, wantDLS)
+	}
+	if step2.probes+step2.settled != 13096 {
+		t.Errorf("Step 2: %d probes + %d settled tests, want the probe-only scan's 13096",
+			step2.probes, step2.settled)
 	}
 }

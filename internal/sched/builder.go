@@ -142,7 +142,7 @@ type Pick func(b *Builder, pr *Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error
 // builder's own prober, which ListSchedule keeps across runs with its
 // counters zeroed, so a rule that carries rows from one round to the
 // next (Prober.Carry) finds its records there. The schedule carries the
-// run's probe, reuse, row-scan and carried-row counts.
+// run's probe, reuse, row-scan, carried-row and bound-settled counts.
 func (b *Builder) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string, m *Metrics, contention bool, pick Pick) (*Schedule, error) {
 	b.algorithm = algorithm
 	b.Reset(g, acg)
@@ -153,7 +153,7 @@ func (b *Builder) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string, 
 	}
 	pr := b.prober
 	pr.overlay.Grow(len(b.linkTables))
-	pr.probes, pr.reuses, pr.rows, pr.carried = 0, 0, 0, 0
+	pr.probes, pr.reuses, pr.rows, pr.carried, pr.settled = 0, 0, 0, 0, 0
 	for b.Committed() < g.NumTasks() {
 		b.rtl = b.AppendReady(b.rtl[:0])
 		if len(b.rtl) == 0 {
@@ -174,7 +174,7 @@ func (b *Builder) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string, 
 		return nil, err
 	}
 	s.Probes, s.ProbeReuses = pr.Probes(), pr.Reuses()
-	s.RowScans, s.RowsCarried = pr.rows, pr.carried
+	s.RowScans, s.RowsCarried, s.BoundSettled = pr.rows, pr.carried, pr.settled
 	return s, nil
 }
 

@@ -56,10 +56,11 @@ type Schedule struct {
 	// paper compares scheduler run times with and without
 	// search-and-repair.
 	Elapsed time.Duration
-	// Probes counts the F(i,k) feasibility probes evaluated while
-	// building the schedule — the unit the performance harness
-	// normalizes by (probes/sec is scheduler throughput independent of
-	// graph shape).
+	// Probes counts the F(i,k) feasibility probes answered while
+	// building the schedule, ProbeReuses included — the unit the
+	// performance harness normalizes by (probes/sec is scheduler
+	// throughput independent of graph shape). A test FinishBound
+	// settled is not a probe; BoundSettled counts those.
 	Probes int64
 	// ProbeReuses counts the Probes answered from the exact probe cache
 	// (Prober.ProbeCached) rather than evaluated.
@@ -68,6 +69,9 @@ type Schedule struct {
 	// RowsCarried the rows a list scheduler reused unscanned because
 	// nothing they read had changed (Prober.Carry).
 	RowScans, RowsCarried int64
+	// BoundSettled counts the tests a table-tail bound settled in place
+	// of a probe (Prober.Settle): EAS Step 2's L_i memberships.
+	BoundSettled int64
 }
 
 // New allocates an empty schedule shell for the given problem instance.

@@ -41,6 +41,16 @@ type Table struct {
 // Reset removes all reservations.
 func (t *Table) Reset() { t.busy = t.busy[:0] }
 
+// Tail returns the end of the table's last busy slot, or 0 for an empty
+// table: every time from the tail on is free. Slots are sorted by
+// Start and never overlap, so the last one ends last.
+func (t *Table) Tail() int64 {
+	if n := len(t.busy); n > 0 {
+		return t.busy[n-1].End
+	}
+	return 0
+}
+
 // firstAtOrAfter returns the index of the first busy slot with
 // End > start (i.e. the first slot that could conflict with anything at
 // or after start).

@@ -7,6 +7,30 @@ import (
 	"testing/quick"
 )
 
+// TestTailIsLastEnd: Tail is the latest end of any busy slot, whatever
+// order the slots were reserved in, 0 on an empty table, and every
+// window from the tail on is free.
+func TestTailIsLastEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tb Table
+	if got := tb.Tail(); got != 0 {
+		t.Fatalf("empty table: Tail = %d, want 0", got)
+	}
+	var last int64
+	for range 200 {
+		start, dur := rng.Int63n(5000), 1+rng.Int63n(40)
+		if tb.Reserve(start, dur) == nil {
+			last = max(last, start+dur)
+		}
+		if got := tb.Tail(); got != last {
+			t.Fatalf("Tail = %d, want the latest end %d", got, last)
+		}
+		if got := tb.FindEarliest(last, 1+rng.Int63n(100)); got != last {
+			t.Fatalf("FindEarliest from the tail %d = %d", last, got)
+		}
+	}
+}
+
 func TestReserveAndConflict(t *testing.T) {
 	var tb Table
 	if err := tb.Reserve(10, 5); err != nil {
