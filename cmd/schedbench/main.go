@@ -54,6 +54,8 @@ type Config struct {
 
 	Probes      int64 `json:"probes"`
 	ProbeReuses int64 `json:"probe_reuses"`
+	RowScans    int64 `json:"row_scans"`
+	RowsCarried int64 `json:"rows_carried"`
 	// BoundSettled counts the tests a finish bound settled without a
 	// probe (sched.Schedule.BoundSettled); only EAS Step 2 has any, so
 	// the field is left out where it is zero.
@@ -187,6 +189,8 @@ func benchConfig(g *ctg.Graph, acg *energy.ACG, mesh, algo string, sess *diag.Se
 		Algorithm:      algo,
 		Probes:         s.Probes,
 		ProbeReuses:    s.ProbeReuses,
+		RowScans:       s.RowScans,
+		RowsCarried:    s.RowsCarried,
 		BoundSettled:   s.BoundSettled,
 		EnergyNJ:       s.TotalEnergy(),
 		DeadlineMisses: len(s.DeadlineMisses()),

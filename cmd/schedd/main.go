@@ -44,6 +44,20 @@ import (
 	"nocsched/internal/telemetry"
 )
 
+// The HTTP server's timeouts: a stalled connection cannot hold its
+// goroutine for good. Headers get what internal/obs's ops server gives
+// them; an idle keep-alive connection lasts far longer than the gaps a
+// load generator leaves between its requests.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for handler h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stderr, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "schedd:", err)
@@ -96,7 +110,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

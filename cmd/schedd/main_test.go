@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -14,6 +17,7 @@ import (
 
 	"nocsched/internal/noc"
 	"nocsched/internal/serve"
+	"nocsched/internal/telemetry"
 	"nocsched/internal/tgff"
 )
 
@@ -89,6 +93,100 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(log, "drained cleanly") {
 		t.Errorf("missing clean-drain marker:\n%s", log)
+	}
+}
+
+// TestHTTPServerTimeouts drives the daemon's HTTP server on a real
+// listener: connections that stall inside their request headers are
+// closed once readHeaderTimeout passes, while a request whose headers
+// trickle in but arrive in time gets the same answer, byte for byte, as
+// one sent at once.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := serve.New(serve.Options{Workers: 1, Telemetry: telemetry.NewCollector(nil)})
+	defer func() { _ = s.Close() }()
+	s.MarkReady()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(s.Handler())
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	body := workloadBody(t)
+	head := fmt.Sprintf("POST /v1/schedule HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", addr, len(body))
+	// send writes one request on a fresh connection, each chunk of its
+	// headers pause after the last, and returns the response body.
+	send := func(chunks int, pause time.Duration) ([]byte, error) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		defer c.Close()
+		step := (len(head) + chunks - 1) / chunks
+		for i := 0; i < len(head); i += step {
+			if i > 0 {
+				time.Sleep(pause)
+			}
+			if _, err := io.WriteString(c, head[i:min(i+step, len(head))]); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := c.Write(body); err != nil {
+			return nil, err
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return io.ReadAll(resp.Body)
+	}
+	// The first request solves; later ones are cache hits, whose bodies
+	// echo the first solve's and so are comparable byte for byte.
+	if _, err := send(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := send(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const stalled = 3
+	closed := make(chan error, stalled)
+	for i := 0; i < stalled; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := io.WriteString(c, head[:len(head)/2]); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			// The server closes the connection (EOF, so a nil error from
+			// ReadAll) before this deadline, or the read times out.
+			_ = c.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second))
+			_, err := io.ReadAll(c)
+			closed <- err
+		}()
+	}
+	// A request whose headers take about a fifth of the timeout.
+	got, err := send(8, readHeaderTimeout/40)
+	if err != nil {
+		t.Fatalf("slow request: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("slow request answered differently:\n%s\nwant:\n%s", got, want)
+	}
+	for i := 0; i < stalled; i++ {
+		if err := <-closed; err != nil {
+			t.Errorf("stalled connection %d: %v", i, err)
+		}
 	}
 }
 

@@ -52,18 +52,11 @@ type Result struct {
 	// RefineStats is non-zero only when the feasibility fallback ran
 	// and its energy-refinement pass produced the returned schedule.
 	RefineStats RefineStats
-	// Probes is the total number of F(i,k) probes answered across all
-	// budgeting passes and the fallback (the returned Schedule's own
-	// Probes field counts only the pass that produced it). A Step 2
-	// membership test that FinishBound settled is not a probe.
-	Probes int64
-	// ProbeReuses is how many of Probes were answered from the exact
-	// probe cache (Step 2 only; the fallback's EDF probes never are).
-	ProbeReuses int64
-	// BoundSettled is the total number of Step 2 membership tests the
-	// table-tail bound settled in place of a probe (Schedule.BoundSettled),
-	// over the same passes as Probes.
-	BoundSettled int64
+	// Work is the solver work of every budgeting pass and the fallback
+	// summed (the returned Schedule's own Work counts only the pass
+	// that produced it). Only Step 2 reuses probes or settles tests by
+	// the table-tail bound; the fallback's EDF probes never are reused.
+	sched.Work
 }
 
 // Schedule runs the full EAS algorithm (Steps 1-3, or 1-2 when repair is
@@ -108,7 +101,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 	}
 
 	var best *Result
-	var totalProbes, totalReuses, totalSettled int64
+	var work sched.Work
 	tr := opts.Telemetry.T()
 	for passNo, p := range passes {
 		// Span ignores the name on a nil tracer: format it only when
@@ -132,9 +125,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 			endPass()
 			return nil, err
 		}
-		totalProbes += s.Probes
-		totalReuses += s.ProbeReuses
-		totalSettled += s.BoundSettled
+		work.Add(s.Work)
 		cand := &Result{Schedule: s, Budget: budget}
 		if !opts.DisableRepair && !s.Feasible() {
 			endStep = tr.Span("step3:repair", "eas phases")
@@ -166,7 +157,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 	if !best.Schedule.Feasible() && !opts.DisableRepair && !opts.DisableTightenRetry {
 		endFB := tr.Span("fallback:deadline-first+refine", "eas phases")
 		if fb, err := deadlineFirstSchedule(b, g, order, acg, algorithm, opts); err == nil {
-			totalProbes += fb.Probes
+			work.Add(fb.Work)
 			refined, stats, err := refine(newEvaluator(b, opts.NaiveContention), fb, 0)
 			if err == nil {
 				cand := &Result{Schedule: refined, Budget: best.Budget, RefineStats: stats}
@@ -179,9 +170,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 		endFB()
 	}
 	best.Schedule.Elapsed = time.Since(started)
-	best.Probes = totalProbes
-	best.ProbeReuses = totalReuses
-	best.BoundSettled = totalSettled
+	best.Work = work
 	sched.PublishSchedule(opts.Telemetry.R(), best.Schedule)
 	return best, nil
 }
@@ -193,7 +182,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 // topological order. It is the seed of the fallback pass; its energy is
 // then reduced by RefineEnergy.
 func deadlineFirstSchedule(b *sched.Builder, g *ctg.Graph, order []ctg.TaskID, acg *energy.ACG, algorithm string, opts Options) (*sched.Schedule, error) {
-	s, err := b.ListSchedule(g, acg, algorithm, sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()),
+	s, err := b.ListSchedule(g, acg, algorithm, opts.Telemetry.R(),
 		!opts.NaiveContention, edf.Pick(g, order))
 	if err != nil {
 		return nil, fmt.Errorf("eas: fallback: %w", err)
@@ -332,7 +321,7 @@ func levelSchedule(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, budget *Budg
 	rows := rowsPool.Get().(*[]rowEval)
 	defer rowsPool.Put(rows)
 	*rows = slices.Grow((*rows)[:0], g.NumTasks())[:g.NumTasks()]
-	return b.ListSchedule(g, acg, algorithm, sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), !opts.NaiveContention,
+	return b.ListSchedule(g, acg, algorithm, opts.Telemetry.R(), !opts.NaiveContention,
 		func(_ *sched.Builder, pr *sched.Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
 			for _, ti := range rtl {
 				// A row reads its keys, final once the task is ready,

@@ -53,7 +53,7 @@ func ScheduleWith(b *sched.Builder, g *ctg.Graph, acg *energy.ACG, opts Options)
 			g.NumPEs(), acg.NumPEs())
 	}
 	endDrive := opts.Telemetry.T().Span("edf:drive", "edf phases")
-	s, err := b.ListSchedule(g, acg, "edf", sched.NewMetrics(opts.Telemetry.R(), acg.NumPEs()), true, Pick(g, order))
+	s, err := b.ListSchedule(g, acg, "edf", opts.Telemetry.R(), true, Pick(g, order))
 	endDrive()
 	if err != nil {
 		return nil, err

@@ -34,7 +34,11 @@ import (
 //     series with `le` labels (the registry's int64 bounds plus the
 //     `+Inf` overflow bucket), then `n_sum` and `n_count`;
 //   - grids       -> `# TYPE n counter` + one `{row="r",col="c"}`
-//     labeled sample per non-zero cell, row-major.
+//     labeled sample per non-zero cell, row-major. A name registered
+//     under several shapes (one per platform size) is one family, and
+//     each of its samples also carries a leading `shape="RxC"` label,
+//     since cell (r, c) of one shape is another tile than (r, c) of the
+//     next.
 //
 // Metric names are sanitized to the Prometheus charset and label
 // values escaped per the format rules. Because Snapshot ordering is a
@@ -67,11 +71,19 @@ func WritePrometheus(w io.Writer, s telemetry.Snapshot) error {
 		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", n, cum)
 		fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", n, h.Sum, n, h.Count)
 	}
-	for _, g := range s.Grids {
+	for i, g := range s.Grids {
 		n := SanitizeMetricName(g.Name)
-		fmt.Fprintf(&b, "# TYPE %s counter\n", n)
+		// Snapshot sorts the shapes of one name next to each other.
+		first := i == 0 || s.Grids[i-1].Name != g.Name
+		if first {
+			fmt.Fprintf(&b, "# TYPE %s counter\n", n)
+		}
+		shape := ""
+		if !first || (i+1 < len(s.Grids) && s.Grids[i+1].Name == g.Name) {
+			shape = fmt.Sprintf("shape=\"%dx%d\",", g.Rows, g.Cols)
+		}
 		for _, cell := range g.Cells {
-			fmt.Fprintf(&b, "%s{row=\"%d\",col=\"%d\"} %d\n", n, cell.Row, cell.Col, cell.Value)
+			fmt.Fprintf(&b, "%s{%srow=\"%d\",col=\"%d\"} %d\n", n, shape, cell.Row, cell.Col, cell.Value)
 		}
 	}
 	_, err := io.WriteString(w, b.String())

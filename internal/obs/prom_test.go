@@ -80,6 +80,32 @@ func TestPromValidates(t *testing.T) {
 	}
 }
 
+// TestPromGridShapes: a grid name registered under two shapes, as two
+// platform sizes register sched_probe_pair_total, is one family with
+// one TYPE line, and each sample names its shape, so cell (0,1) of the
+// 3x3 grid and of the 4x4 grid stay two series.
+func TestPromGridShapes(t *testing.T) {
+	r := telemetry.NewRegistry()
+	r.Grid("pairs", 4, 4).Add(0, 1, 5)
+	r.Grid("pairs", 3, 3).Add(0, 1, 7)
+	r.Grid("pairs", 3, 3).Add(2, 2, 1)
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE pairs counter
+pairs{shape="3x3",row="0",col="1"} 7
+pairs{shape="3x3",row="2",col="2"} 1
+pairs{shape="4x4",row="0",col="1"} 5
+`
+	if buf.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	if n, err := ValidateExposition(&buf); err != nil || n != 3 {
+		t.Errorf("validator: n=%d err=%v, want 3 samples", n, err)
+	}
+}
+
 // TestPromEmptySnapshot: a nil registry serves an empty but valid
 // document.
 func TestPromEmptySnapshot(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"nocsched/internal/energy"
 	"nocsched/internal/noc"
 	"nocsched/internal/schedtable"
+	"nocsched/internal/telemetry"
 )
 
 // Builder incrementally constructs a Schedule while maintaining the
@@ -83,10 +84,6 @@ type Builder struct {
 	// claim that modeling contention matters.
 	contention bool
 
-	// metrics holds pre-resolved telemetry handles (nil when telemetry
-	// is off); probers copy the handles they need at construction.
-	metrics *Metrics
-
 	// prober and rtl are ListSchedule's: the builder's own prober, kept
 	// across runs, and the ready-list buffer.
 	prober *Prober
@@ -135,32 +132,31 @@ type Pick func(b *Builder, pr *Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error
 
 // ListSchedule runs one list-scheduling solve of graph g on acg, the
 // one loop EAS Step 2 and its deadline-first fallback, EDF, DLS and the
-// mapping baseline share: it Resets the builder, attaches metrics m
-// (nil: none) and the contention model, then every round lists the
-// ready tasks, records the ready-list depth, and commits the (task, PE)
-// pick returns, until every task is committed. Picks probe through the
-// builder's own prober, which ListSchedule keeps across runs with its
-// counters zeroed, so a rule that carries rows from one round to the
+// mapping baseline share: it Resets the builder, sets the contention
+// model, then every round lists the ready tasks and commits the (task,
+// PE) pick returns, until every task is committed. Picks probe through
+// the builder's own prober, which ListSchedule keeps across runs with
+// its work zeroed, so a rule that carries rows from one round to the
 // next (Prober.Carry) finds its records there. The schedule carries the
-// run's probe, reuse, row-scan, carried-row and bound-settled counts.
-func (b *Builder) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string, m *Metrics, contention bool, pick Pick) (*Schedule, error) {
+// run's Work. When the run ends, failed or not, it publishes its work
+// into registry r (nil: none) once (publish).
+func (b *Builder) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string, r *telemetry.Registry, contention bool, pick Pick) (s *Schedule, err error) {
 	b.algorithm = algorithm
 	b.Reset(g, acg)
-	b.SetMetrics(m)
 	b.SetContentionAware(contention)
 	if b.prober == nil {
 		b.prober = b.NewProber()
 	}
 	pr := b.prober
 	pr.overlay.Grow(len(b.linkTables))
-	pr.probes, pr.reuses, pr.rows, pr.carried, pr.settled = 0, 0, 0, 0, 0
+	pr.restart(len(b.peTables), r != nil)
+	defer func() { b.publish(r, err != nil) }()
 	for b.Committed() < g.NumTasks() {
 		b.rtl = b.AppendReady(b.rtl[:0])
 		if len(b.rtl) == 0 {
 			return nil, fmt.Errorf("%s: no ready tasks with %d of %d committed",
 				algorithm, b.Committed(), g.NumTasks())
 		}
-		m.ObserveReadyDepth(len(b.rtl))
 		t, k, err := pick(b, pr, b.rtl)
 		if err != nil {
 			return nil, err
@@ -169,12 +165,10 @@ func (b *Builder) ListSchedule(g *ctg.Graph, acg *energy.ACG, algorithm string, 
 			return nil, err
 		}
 	}
-	s, err := b.Finish()
-	if err != nil {
+	if s, err = b.Finish(); err != nil {
 		return nil, err
 	}
-	s.Probes, s.ProbeReuses = pr.Probes(), pr.Reuses()
-	s.RowScans, s.RowsCarried, s.BoundSettled = pr.rows, pr.carried, pr.settled
+	s.Work = pr.work
 	return s, nil
 }
 
@@ -196,9 +190,9 @@ func resetTables(ts []schedtable.Table, n int) []schedtable.Table {
 // allocation it can. With the same ACG the steady-state cost is one
 // fresh Schedule shell, the one Finish hands out, and nothing else (the
 // allocation-regression test pins this); a different ACG rebuilds the
-// per-table stamps and grows the table storage if it must. Metrics are
-// detached and the contention model is restored to the exact Fig. 3
-// default; callers wanting either must set it again after Reset.
+// per-table stamps and grows the table storage if it must. The
+// contention model is restored to the exact Fig. 3 default; callers
+// wanting the naive model must set it again after Reset.
 //
 // Reset preserves the builder's identity, so Probers created from it
 // remain valid across same-ACG resets, and ListSchedule resizes the
@@ -234,7 +228,6 @@ func (b *Builder) Reset(g *ctg.Graph, acg *energy.ACG) {
 	b.schedule = New(g, acg, b.algorithm)
 	b.nCommitted = 0
 	b.contention = true
-	b.metrics = nil
 	b.resetReady()
 }
 
@@ -272,7 +265,6 @@ func (b *Builder) markPlaced(t ctg.TaskID) {
 			b.ready = append(b.ready, d)
 		}
 	}
-	b.metrics.commits().Inc()
 }
 
 // bindRoutes points routeTabs at the link tables of the ACG's flat

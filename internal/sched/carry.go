@@ -106,6 +106,6 @@ func (p *Prober) Carry(t ctg.TaskID, moved int) bool {
 		rec.task = -1
 		return false
 	}
-	p.carried++
+	p.work.RowsCarried++
 	return true
 }

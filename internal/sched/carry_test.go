@@ -96,10 +96,10 @@ func TestCarryRecord(t *testing.T) {
 	b.AppendReady(nil)
 	want("after Reset", src, -1, false)
 
-	if pr.carried != carried {
-		t.Errorf("%d rows counted as carried, want %d", pr.carried, carried)
+	if pr.work.RowsCarried != carried {
+		t.Errorf("%d rows counted as carried, want %d", pr.work.RowsCarried, carried)
 	}
-	if pr.rows != 5 {
-		t.Errorf("%d rows counted as scanned, want 5", pr.rows)
+	if pr.work.RowScans != 5 {
+		t.Errorf("%d rows counted as scanned, want 5", pr.work.RowScans)
 	}
 }

@@ -37,79 +37,35 @@ var readyDepthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 // (percent of makespan).
 var occupancyBounds = []int64{1, 5, 10, 20, 40, 60, 80, 100}
 
-// Metrics is the scheduler's pre-resolved metric handle set. Resolving
-// once at builder setup keeps the hot probe path to one nil check and
-// one atomic add per update; every handle is nil-safe, so a nil
-// *Metrics (telemetry disabled) behaves identically to handles resolved
-// from a nil registry. The zero-alloc probe guards cover both states.
-type Metrics struct {
-	Probes     *telemetry.Counter
-	Reuses     *telemetry.Counter
-	Commits    *telemetry.Counter
-	ProbePairs *telemetry.CounterGrid
-	ReadyDepth *telemetry.Histogram
-}
-
-// NewMetrics resolves the scheduler metric handles from a registry
-// (nil registry: nil, disabled). npes sizes the PE-pair grid.
-func NewMetrics(r *telemetry.Registry, npes int) *Metrics {
+// publish adds the run that just ended on the builder to registry r
+// (nil: none), once: its probes and reuses, its commits, its PE-pair
+// tally, and one ready-list depth per round. logReady[i] is the
+// ready-list length before log[i] committed, which is that round's
+// depth; a failed run's last round committed nothing, and rtl still
+// holds its list.
+func (b *Builder) publish(r *telemetry.Registry, failed bool) {
 	if r == nil {
-		return nil
-	}
-	return &Metrics{
-		Probes:     r.Counter(MetricProbes),
-		Reuses:     r.Counter(MetricProbeReuses),
-		Commits:    r.Counter(MetricCommits),
-		ProbePairs: r.Grid(MetricProbePairs, npes, npes),
-		ReadyDepth: r.Histogram(MetricReadyDepth, readyDepthBounds),
-	}
-}
-
-// probes returns the probe counter, nil-safely.
-func (m *Metrics) probes() *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Probes
-}
-
-// reuses returns the probe-reuse counter, nil-safely.
-func (m *Metrics) reuses() *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Reuses
-}
-
-// commits returns the commit counter, nil-safely.
-func (m *Metrics) commits() *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Commits
-}
-
-// probePairs returns the PE-pair grid, nil-safely.
-func (m *Metrics) probePairs() *telemetry.CounterGrid {
-	if m == nil {
-		return nil
-	}
-	return m.ProbePairs
-}
-
-// ObserveReadyDepth records one scheduling round's ready-list depth;
-// valid on a nil receiver. Schedulers call it once per round, so it is
-// not on the probe hot path.
-func (m *Metrics) ObserveReadyDepth(depth int) {
-	if m == nil {
 		return
 	}
-	m.ReadyDepth.Observe(int64(depth))
+	pr := b.prober
+	r.Counter(MetricProbes).Add(pr.work.Probes)
+	r.Counter(MetricProbeReuses).Add(pr.work.ProbeReuses)
+	r.Counter(MetricCommits).Add(int64(len(b.log)))
+	npe := len(b.peTables)
+	pairs := r.Grid(MetricProbePairs, npe, npe)
+	for i, n := range pr.pairs {
+		if n != 0 {
+			pairs.Add(i/npe, i%npe, n)
+		}
+	}
+	depth := r.Histogram(MetricReadyDepth, readyDepthBounds)
+	for _, d := range b.logReady {
+		depth.Observe(int64(d))
+	}
+	if failed && len(b.rtl) > 0 {
+		depth.Observe(int64(len(b.rtl)))
+	}
 }
-
-// SetMetrics attaches pre-resolved metric handles to the builder; its
-// probers pick them up at construction. nil detaches (the default).
-func (b *Builder) SetMetrics(m *Metrics) { b.metrics = m }
 
 // Schedule metric names published by PublishSchedule.
 const (

@@ -146,15 +146,9 @@ func (p *Prober) ProbeCached(t ctg.TaskID, k int) (ProbeResult, error) {
 		return r, err
 	}
 	p.noteRead(int(s), t, k)
-	p.probes++
-	p.reuses++
-	b.metrics.probes().Inc()
-	b.metrics.reuses().Inc()
-	if pairs := b.metrics.probePairs(); pairs != nil {
-		for _, eid := range b.g.In(t) {
-			pairs.Add(b.schedule.Tasks[b.g.Edge(eid).Src].PE, k, 1)
-		}
-	}
+	p.work.Probes++
+	p.work.ProbeReuses++
+	p.tallyPairs(t, k)
 	return ProbeResult{Task: t, PE: k, Start: e.start, Finish: e.start + b.g.Task(t).ExecTime[k],
 		DRT: e.drt, CommEnergy: e.keys.comm}, nil
 }

@@ -148,7 +148,7 @@ func TestProbeCachedDifferential(t *testing.T) {
 		if pr == nil || prACG != b.acg {
 			pr, prACG = b.NewProber(), b.acg
 		}
-		before := pr.Reuses()
+		before := pr.Work().ProbeReuses
 		for _, task := range b.AppendReady(nil) {
 			for k := 0; k < b.acg.NumPEs(); k++ {
 				got, gotErr := pr.ProbeCached(task, k)
@@ -160,7 +160,7 @@ func TestProbeCachedDifferential(t *testing.T) {
 				checked++
 			}
 		}
-		reused += pr.Reuses() - before
+		reused += pr.Work().ProbeReuses - before
 	})
 	if reused == 0 || reused == checked {
 		t.Fatalf("%d of %d cached probes reused: the oracle must see both hits and misses", reused, checked)

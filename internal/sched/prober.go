@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nocsched/internal/ctg"
 	"nocsched/internal/schedtable"
@@ -41,8 +42,11 @@ type Prober struct {
 	b       *Builder
 	overlay *schedtable.Overlay
 	lct     []ctg.EdgeID
-	probes  int64
-	reuses  int64
+	work    Work
+	// pairs tallies the run's probed incoming transactions per (source
+	// PE, candidate PE), row-major over NumPEs; empty when the run
+	// publishes no telemetry.
+	pairs []int64
 
 	// Row scratch: the keys and order of a task without a slot, and the
 	// sort keys of the row being sorted.
@@ -52,24 +56,12 @@ type Prober struct {
 	rowKey     []float64
 
 	// Carried rows (carry.go): per ready-list slot, what the slot's last
-	// row scan on this prober read; the rows scanned (Row calls) and the
-	// rows Carry vouched for instead.
-	scans   []rowScan
-	reads   []int32 // rows of NumPEs: the PEs each slot's scan probed
-	rows    int64
-	carried int64
-	// settled counts the tests FinishBound settled instead of a probe
-	// (Settle); they are not among probes.
-	settled int64
+	// row scan on this prober read.
+	scans []rowScan
+	reads []int32 // rows of NumPEs: the PEs each slot's scan probed
 }
 
 // NewProber returns a read-only prober for the builder.
-//
-// Telemetry handles are read from the builder at probe time (not cached
-// here), so SetMetrics calls made after the prober was constructed —
-// or after a Builder.Reset it outlived — still take effect.
-// Every handle is nil-safe, so disabled telemetry costs two nil checks
-// per probe; the zero-alloc guards cover both states.
 func (b *Builder) NewProber() *Prober {
 	return &Prober{
 		b:       b,
@@ -77,13 +69,33 @@ func (b *Builder) NewProber() *Prober {
 	}
 }
 
-// Probes returns the number of probes this prober has evaluated,
-// answers ProbeCached reused included.
-func (p *Prober) Probes() int64 { return p.probes }
+// Work returns the work this prober has counted since ListSchedule
+// last started a run on it (since construction for any other prober).
+func (p *Prober) Work() Work { return p.work }
 
-// Reuses returns how many of Probes were ProbeCached answers served
-// from the cache rather than evaluated.
-func (p *Prober) Reuses() int64 { return p.reuses }
+// restart zeroes the prober's work for a new run and sizes its PE-pair
+// tally for npe PEs, or empties it when the run is unmetered.
+func (p *Prober) restart(npe int, metered bool) {
+	p.work = Work{}
+	p.pairs = p.pairs[:0]
+	if metered {
+		p.pairs = slices.Grow(p.pairs, npe*npe)[:npe*npe]
+		clear(p.pairs)
+	}
+}
+
+// tallyPairs counts one probe of task t on PE k in the PE-pair tally:
+// one per incoming transaction, at (sender's PE, k).
+func (p *Prober) tallyPairs(t ctg.TaskID, k int) {
+	if len(p.pairs) == 0 {
+		return
+	}
+	b := p.b
+	npe := len(b.peTables)
+	for _, eid := range b.g.In(t) {
+		p.pairs[b.schedule.Tasks[b.g.Edge(eid).Src].PE*npe+k]++
+	}
+}
 
 // lctLess orders incoming edges by sender finish time, ties on edge ID
 // — the Fig. 3 LCT order place() uses.
@@ -107,9 +119,8 @@ func (p *Prober) Probe(t ctg.TaskID, k int) (ProbeResult, error) {
 
 // probe is Probe without the carried-row bookkeeping.
 func (p *Prober) probe(t ctg.TaskID, k int) (ProbeResult, error) {
-	p.probes++
+	p.work.Probes++
 	b := p.b
-	b.metrics.probes().Inc()
 	task := b.g.Task(t)
 	if !task.RunnableOn(k) {
 		return ProbeResult{}, fmt.Errorf("sched: task %d not runnable on PE %d", t, k)
@@ -126,7 +137,6 @@ func (p *Prober) probe(t ctg.TaskID, k int) (ProbeResult, error) {
 	}
 
 	res := ProbeResult{Task: t, PE: k}
-	pairs := b.metrics.probePairs()
 	p.overlay.Reset()
 	for _, eid := range lct {
 		e := b.g.Edge(eid)
@@ -135,7 +145,6 @@ func (p *Prober) probe(t ctg.TaskID, k int) (ProbeResult, error) {
 			return ProbeResult{}, fmt.Errorf("sched: task %d probed before predecessor %d committed", t, e.Src)
 		}
 		dur := b.acg.TransferTime(e.Volume, src.PE, k)
-		pairs.Add(src.PE, k, 1)
 		var finish int64
 		switch {
 		case dur == 0:
@@ -159,6 +168,7 @@ func (p *Prober) probe(t ctg.TaskID, k int) (ProbeResult, error) {
 			res.DRT = finish
 		}
 	}
+	p.tallyPairs(t, k)
 	exec := task.ExecTime[k]
 	start := b.peTables[k].FindEarliest(res.DRT, exec)
 	res.Start, res.Finish = start, start+exec
@@ -217,7 +227,7 @@ func (p *Prober) FinishBound(t ctg.TaskID, k int) int64 {
 // vouches for the row only while the tables the bound read are
 // unwritten.
 func (p *Prober) Settle(t ctg.TaskID, k int) {
-	p.settled++
+	p.work.BoundSettled++
 	if s := p.b.slot[t]; s >= 0 {
 		p.noteRead(int(s), t, k)
 	}

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -152,30 +154,28 @@ func cachedSweepAllocs(t *testing.T, pr *Prober, task ctg.TaskID) float64 {
 		}
 	}
 	const runs = 200
-	before := pr.Reuses()
+	before := pr.Work().ProbeReuses
 	avg := testing.AllocsPerRun(runs, func() {
 		pr.b.invalidate()
 		sweep()
 		sweep()
 	})
 	// AllocsPerRun adds one warm-up run.
-	if got, want := pr.Reuses()-before, int64((runs+1)*npe); got != want {
+	if got, want := pr.Work().ProbeReuses-before, int64((runs+1)*npe); got != want {
 		t.Fatalf("%d of the hit sweeps' probes reused, want %d", got, want)
 	}
 	return avg
 }
 
 // TestProbeZeroAllocsWithMetrics is the enabled-telemetry twin of
-// TestProbeZeroAllocs: with a live registry attached the probe path
-// still must not allocate — handles are pre-resolved at prober
-// construction, so each update is one nil check plus one atomic add.
+// TestProbeZeroAllocs: with the PE-pair tally a run that publishes
+// telemetry keeps attached, the probe path still must not allocate.
 func TestProbeZeroAllocsWithMetrics(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard is meaningless under -race")
 	}
 	g, acg := proberRig(t, 5, 60)
 	b := NewBuilder(g, acg, "test")
-	b.SetMetrics(NewMetrics(telemetry.NewRegistry(), acg.NumPEs()))
 	for b.Committed() < g.NumTasks()/2 {
 		ready := b.AppendReady(nil)
 		if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
@@ -183,6 +183,7 @@ func TestProbeZeroAllocsWithMetrics(t *testing.T) {
 		}
 	}
 	pr := b.NewProber()
+	pr.restart(acg.NumPEs(), true)
 	ready := b.AppendReady(nil)
 	task := ready[0]
 	for k := 0; k < acg.NumPEs(); k++ {
@@ -203,75 +204,166 @@ func TestProbeZeroAllocsWithMetrics(t *testing.T) {
 	if avg := cachedSweepAllocs(t, pr, task); avg != 0 {
 		t.Fatalf("metered cached probe allocates: %v allocs per miss+hit sweep pair, want 0", avg)
 	}
+	var pairs int64
+	for _, n := range pr.pairs {
+		pairs += n
+	}
+	if want := pr.work.Probes * int64(len(g.In(task))); pairs != want {
+		t.Errorf("pair tally holds %d, want %d (%d probes x %d in-edges)",
+			pairs, want, pr.work.Probes, len(g.In(task)))
+	}
 }
 
-// TestProbePoolCountersConcurrent runs metered probes on several
-// goroutines at once, each driving its own builder and prober into one
-// shared registry — the batch engine's workers do exactly this — and
-// checks the shared counters add up exactly; under -race this is the
-// telemetry layer's concurrency proof on the real probe path.
-func TestProbePoolCountersConcurrent(t *testing.T) {
-	g, acg := proberRig(t, 21, 60)
-	reg := telemetry.NewRegistry()
-	const workers, n = 4, 500
-	probers := make([]*Prober, workers)
-	var task ctg.TaskID
-	for w := range probers {
-		b := NewBuilder(g, acg, "test")
-		b.SetMetrics(NewMetrics(reg, acg.NumPEs()))
-		for b.Committed() < g.NumTasks()/3 {
-			ready := b.AppendReady(nil)
-			if _, err := b.Commit(ready[0], int(ready[0])%acg.NumPEs()); err != nil {
-				t.Fatal(err)
+// allPEsPick is a list-scheduling rule that probes every runnable PE
+// of every ready task through ProbeCached, so later rounds reuse
+// probes, and commits the earliest finish (ties to the lower task,
+// then PE). It adds each probe's incoming transactions to pairs at
+// (sender's PE, candidate PE), and each round's ready-list length to
+// depth: what ListSchedule must publish, counted independently.
+func allPEsPick(pairs []int64, depth *int64) Pick {
+	return func(b *Builder, pr *Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
+		*depth += int64(len(rtl))
+		g, npe := b.Graph(), b.ACG().NumPEs()
+		bestT, bestK, bestF := rtl[0], -1, int64(0)
+		for _, t := range rtl {
+			for k := 0; k < npe; k++ {
+				if !g.Task(t).RunnableOn(k) {
+					continue
+				}
+				p, err := pr.ProbeCached(t, k)
+				if err != nil {
+					return 0, 0, err
+				}
+				for _, eid := range g.In(t) {
+					pairs[b.TaskPlacement(g.Edge(eid).Src).PE*npe+k]++
+				}
+				if bestK < 0 || p.Finish < bestF {
+					bestT, bestK, bestF = t, k, p.Finish
+				}
 			}
 		}
-		// Listing the ready tasks gives them cache rows. Every builder
-		// committed the same prefix, so they share the first one.
-		task = b.AppendReady(nil)[0]
-		probers[w] = b.NewProber()
+		return bestT, bestK, nil
 	}
-	runnable := 0
-	for k := 0; k < acg.NumPEs(); k++ {
-		if g.Task(task).RunnableOn(k) {
-			runnable++
+}
+
+// TestListSchedulePublishConcurrent solves on several builders at once
+// into one shared registry — the batch engine's workers do exactly
+// this — and reconciles what the runs published with what they
+// counted: each counter equals the sum of the runs' Work or commits,
+// the PE-pair grid equals, cell by cell, the pairs the picks probed,
+// and the ready-depth histogram holds one observation per round, its
+// sum the rounds' list lengths. Under -race this is the telemetry
+// layer's concurrency proof on the real solve path.
+func TestListSchedulePublishConcurrent(t *testing.T) {
+	const workers, runs = 4, 3
+	type worker struct {
+		graphs  []*ctg.Graph
+		work    Work
+		commits int64
+		depth   int64
+		pairs   []int64
+	}
+	ws := make([]worker, workers)
+	var acg *energy.ACG
+	for w := range ws {
+		for r := 0; r < runs; r++ {
+			var g *ctg.Graph
+			g, acg = proberRig(t, int64(60+w*runs+r), 30+5*r)
+			ws[w].graphs = append(ws[w].graphs, g)
 		}
+		ws[w].pairs = make([]int64, acg.NumPEs()*acg.NumPEs())
 	}
+	reg := telemetry.NewRegistry()
 	var wg sync.WaitGroup
-	for _, pr := range probers {
+	for w := range ws {
 		wg.Add(1)
-		go func() {
+		go func(w *worker) {
 			defer wg.Done()
-			for i := 0; i < n; i++ {
-				k := i % acg.NumPEs()
-				for !g.Task(task).RunnableOn(k) {
-					k = (k + 1) % acg.NumPEs()
-				}
-				if _, err := pr.ProbeCached(task, k); err != nil {
+			var b Builder
+			for _, g := range w.graphs {
+				s, err := b.ListSchedule(g, acg, "all", reg, true, allPEsPick(w.pairs, &w.depth))
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				w.work.Add(s.Work)
+				w.commits += int64(g.NumTasks())
 			}
-		}()
+		}(&ws[w])
 	}
 	wg.Wait()
-	if got := reg.Counter(MetricProbes).Value(); got != workers*n {
-		t.Errorf("%s = %d, want %d", MetricProbes, got, workers*n)
-	}
-	// Each prober evaluates every runnable PE once; the rest are reused.
-	if got, want := reg.Counter(MetricProbeReuses).Value(), int64(workers*(n-runnable)); got != want {
-		t.Errorf("%s = %d, want %d", MetricProbeReuses, got, want)
-	}
-	// Every probe charged exactly one pair cell per incoming edge.
-	snap := reg.Snapshot()
-	var pairTotal int64
-	for _, gs := range snap.Grids {
-		if gs.Name == MetricProbePairs {
-			pairTotal = gs.Total()
+
+	var work Work
+	var commits, depth int64
+	pairs := make([]int64, acg.NumPEs()*acg.NumPEs())
+	for _, w := range ws {
+		work.Add(w.work)
+		commits += w.commits
+		depth += w.depth
+		for i, n := range w.pairs {
+			pairs[i] += n
 		}
 	}
-	if want := int64(workers * n * len(g.In(task))); pairTotal != want {
-		t.Errorf("%s total = %d, want %d (%d probes x %d in-edges)",
-			MetricProbePairs, pairTotal, want, workers*n, len(g.In(task)))
+	if work.ProbeReuses == 0 || work.ProbeReuses == work.Probes {
+		t.Fatalf("runs reused %d of %d probes, want some but not all", work.ProbeReuses, work.Probes)
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{{MetricProbes, work.Probes}, {MetricProbeReuses, work.ProbeReuses}, {MetricCommits, commits}} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	h := reg.Histogram(MetricReadyDepth, nil)
+	if h.Count() != commits || h.Sum() != depth {
+		t.Errorf("%s: count %d, sum %d; want %d rounds, %d listed", MetricReadyDepth, h.Count(), h.Sum(), commits, depth)
+	}
+	npe := acg.NumPEs()
+	got := make([]int64, len(pairs))
+	for _, gs := range reg.Snapshot().Grids {
+		if gs.Name != MetricProbePairs || gs.Rows != npe || gs.Cols != npe {
+			continue
+		}
+		for _, c := range gs.Cells {
+			got[c.Row*npe+c.Col] = c.Value
+		}
+	}
+	if !slices.Equal(got, pairs) {
+		t.Errorf("%s = %v, the picks probed %v", MetricProbePairs, got, pairs)
+	}
+}
+
+// TestListSchedulePublishFailedRun: a run whose pick fails publishes
+// the work it did: its probes, its commits, and one ready depth per
+// round, the failed round's included.
+func TestListSchedulePublishFailedRun(t *testing.T) {
+	g, acg := proberRig(t, 71, 30)
+	reg := telemetry.NewRegistry()
+	var depth int64
+	all := allPEsPick(make([]int64, acg.NumPEs()*acg.NumPEs()), &depth)
+	const failAt = 5
+	errPick := errors.New("pick failed")
+	rounds := 0
+	var b Builder
+	_, err := b.ListSchedule(g, acg, "fail", reg, true, func(b *Builder, pr *Prober, rtl []ctg.TaskID) (ctg.TaskID, int, error) {
+		task, k, err := all(b, pr, rtl)
+		if rounds++; rounds == failAt {
+			return 0, 0, errPick
+		}
+		return task, k, err
+	})
+	if !errors.Is(err, errPick) {
+		t.Fatalf("ListSchedule error = %v, want %v", err, errPick)
+	}
+	if got, want := reg.Counter(MetricProbes).Value(), b.prober.Work().Probes; got != want || want == 0 {
+		t.Errorf("%s = %d, the run probed %d times", MetricProbes, got, want)
+	}
+	if got := reg.Counter(MetricCommits).Value(); got != failAt-1 {
+		t.Errorf("%s = %d, want %d", MetricCommits, got, failAt-1)
+	}
+	if h := reg.Histogram(MetricReadyDepth, nil); h.Count() != failAt || h.Sum() != depth {
+		t.Errorf("%s: count %d, sum %d; want %d rounds, %d listed", MetricReadyDepth, h.Count(), h.Sum(), failAt, depth)
 	}
 }
 

@@ -174,9 +174,9 @@ func TestListScheduleReuse(t *testing.T) {
 		if d := Diff(driveEF(t, fresh, ready), s); d != "" {
 			t.Errorf("run %d diverges from a fresh builder:\n%s", i, d)
 		}
-		if s.Probes != fresh.Probes() || s.ProbeReuses != 0 {
+		if s.Probes != fresh.Work().Probes || s.ProbeReuses != 0 {
 			t.Errorf("run %d counted %d probes, %d reuses; a fresh prober counts %d, 0",
-				i, s.Probes, s.ProbeReuses, fresh.Probes())
+				i, s.Probes, s.ProbeReuses, fresh.Work().Probes)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func (p *Prober) Row(t ctg.TaskID, kind RowKind, key RowKey) Row {
 	var e []cacheEntry
 	var order []int32
 	var head *rowHead
-	p.rows++
+	p.work.RowScans++
 	if s := int(b.slot[t]); s >= 0 {
 		e = b.cache[s*npe : (s+1)*npe]
 		order = b.orders[s*npe : (s+1)*npe]

@@ -56,11 +56,17 @@ type Schedule struct {
 	// paper compares scheduler run times with and without
 	// search-and-repair.
 	Elapsed time.Duration
-	// Probes counts the F(i,k) feasibility probes answered while
-	// building the schedule, ProbeReuses included — the unit the
-	// performance harness normalizes by (probes/sec is scheduler
-	// throughput independent of graph shape). A test FinishBound
-	// settled is not a probe; BoundSettled counts those.
+	// Work counts the solver work that built the schedule.
+	Work
+}
+
+// Work counts one list-scheduling run's solver work; Add sums runs.
+type Work struct {
+	// Probes counts the F(i,k) feasibility probes answered,
+	// ProbeReuses included — the unit the performance harness
+	// normalizes by (probes/sec is scheduler throughput independent of
+	// graph shape). A test FinishBound settled is not a probe;
+	// BoundSettled counts those.
 	Probes int64
 	// ProbeReuses counts the Probes answered from the exact probe cache
 	// (Prober.ProbeCached) rather than evaluated.
@@ -72,6 +78,15 @@ type Schedule struct {
 	// BoundSettled counts the tests a table-tail bound settled in place
 	// of a probe (Prober.Settle): EAS Step 2's L_i memberships.
 	BoundSettled int64
+}
+
+// Add adds o's counts to w.
+func (w *Work) Add(o Work) {
+	w.Probes += o.Probes
+	w.ProbeReuses += o.ProbeReuses
+	w.RowScans += o.RowScans
+	w.RowsCarried += o.RowsCarried
+	w.BoundSettled += o.BoundSettled
 }
 
 // New allocates an empty schedule shell for the given problem instance.

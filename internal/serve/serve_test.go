@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -511,6 +512,66 @@ func TestServeWarmupFlipsReadiness(t *testing.T) {
 	}
 	if cacheLen(s) != 1 {
 		t.Errorf("warmup left %d cache entries, want 1", cacheLen(s))
+	}
+}
+
+// TestServeGridsPerPlatform: a daemon that warmed up on its 3x3 mesh
+// and then solves a 4x4 request publishes the 4x4 run's grids — the
+// PE-pair probe counts and per-link busy time — exactly as a fresh
+// registry does. A grid registered first by the 3x3 warmup must neither
+// drop the 4x4 counts outside its shape nor fold them into its cells.
+func TestServeGridsPerPlatform(t *testing.T) {
+	spec := noc.PlatformSpec{Topology: "mesh", Width: 4, Height: 4, Routing: "xy", Bandwidth: 256}
+	platform, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tgff.SuiteParams(tgff.CategoryI, 0, platform)
+	p.Name, p.Seed, p.NumTasks = "serve-grids-4x4", 5, 80
+	g, err := tgff.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(Request{Graph: g, Platform: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids := func(warm bool) map[string]telemetry.GridSample {
+		col := telemetry.NewCollector(nil)
+		s := New(Options{Workers: 1, Telemetry: col})
+		defer func() { _ = s.Close() }()
+		if warm {
+			if err := s.Warmup(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			s.MarkReady()
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if code, _, e := post(t, ts.URL, body); code != http.StatusOK {
+			t.Fatalf("warm=%v: status %d: %+v", warm, code, e)
+		}
+		out := make(map[string]telemetry.GridSample)
+		for _, gs := range col.R().Snapshot().Grids {
+			out[fmt.Sprintf("%s %dx%d", gs.Name, gs.Rows, gs.Cols)] = gs
+		}
+		return out
+	}
+	fresh, warmed := grids(false), grids(true)
+	if len(fresh) == 0 {
+		t.Fatal("a 4x4 solve published no grids")
+	}
+	for key, want := range fresh {
+		got, ok := warmed[key]
+		if !ok {
+			t.Errorf("after warmup, no grid %s", key)
+			continue
+		}
+		if !slices.Equal(got.Cells, want.Cells) {
+			t.Errorf("after warmup, grid %s totals %d in %d cells; a fresh registry's %d in %d",
+				key, got.Total(), len(got.Cells), want.Total(), len(want.Cells))
+		}
 	}
 }
 

@@ -9,11 +9,10 @@
 //
 //   - Disabled telemetry must cost (almost) nothing on hot paths. Every
 //     metric handle and the tracer are nil-safe: calling Add/Observe/
-//     Emit on a nil receiver is a no-op, so instrumented code stores
-//     pre-resolved handles and pays one nil check per update — no map
-//     lookups, no interface boxing, no allocation. The scheduler's
-//     zero-alloc probe guard (internal/sched TestProbeZeroAllocs*)
-//     covers both the nil and the enabled path.
+//     Emit on a nil receiver is a no-op, and a nil Registry hands out
+//     nil handles. The scheduler goes further: it counts its probes in
+//     plain fields and publishes them once per run, so its hot path
+//     touches no handle at all.
 //
 //   - Errors must surface, not vanish. Sinks record the first write
 //     error and return it from Err/Close; emitting after a failure is a
@@ -22,11 +21,14 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -176,16 +178,25 @@ func (g *CounterGrid) Add(r, c int, d int64) {
 
 // Registry is a concurrency-safe collection of named metrics. Metric
 // accessors get-or-create: repeated registration under one name returns
-// the same handle (with the first registration's layout), so library
-// code can resolve handles without coordinating ownership. All methods
-// are valid on a nil *Registry and return nil handles, which makes "no
-// telemetry configured" the zero-cost default everywhere.
+// the same handle (with the first registration's layout; a grid's shape
+// is part of its name), so library code can resolve handles without
+// coordinating ownership. All methods are valid on a nil *Registry and
+// return nil handles, which makes "no telemetry configured" the
+// zero-cost default everywhere.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	grids    map[string]*CounterGrid
+	grids    map[gridKey]*CounterGrid
+}
+
+// gridKey names one grid. Platforms of different sizes register one
+// name under different shapes, and cell (r, c) of one shape is another
+// tile or link than (r, c) of the next.
+type gridKey struct {
+	name       string
+	rows, cols int
 }
 
 // NewRegistry returns an empty registry.
@@ -194,7 +205,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		grids:    make(map[string]*CounterGrid),
+		grids:    make(map[gridKey]*CounterGrid),
 	}
 }
 
@@ -252,22 +263,21 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 }
 
 // Grid returns the named rows x cols counter grid, creating it on first
-// use. Later registrations return the existing grid regardless of the
-// requested shape; non-positive dimensions yield a nil (no-op) handle.
+// use. Each shape is a grid of its own: registering a name under another
+// shape returns another grid, and the snapshot lists both.
+// Non-positive dimensions yield a nil (no-op) handle.
 func (r *Registry) Grid(name string, rows, cols int) *CounterGrid {
-	if r == nil {
+	if r == nil || rows <= 0 || cols <= 0 {
 		return nil
 	}
+	key := gridKey{name, rows, cols}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.grids[name]; ok {
+	if g, ok := r.grids[key]; ok {
 		return g
 	}
-	if rows <= 0 || cols <= 0 {
-		return nil
-	}
 	g := &CounterGrid{rows: rows, cols: cols, cells: make([]atomic.Int64, rows*cols)}
-	r.grids[name] = g
+	r.grids[key] = g
 	return g
 }
 
@@ -345,9 +355,9 @@ func (g *GridSample) Total() int64 {
 // (internal/obs) are built from.
 //
 // Ordering is a guarantee, not an accident: within each kind the
-// samples are sorted ascending by name, and a histogram's buckets and a
-// grid's non-zero cells appear in their natural (bound, row-major)
-// order. Two snapshots of the same registry state therefore encode to
+// samples are sorted ascending by name (grids of one name by rows, then
+// columns), and a histogram's buckets and a grid's non-zero cells
+// appear in their natural (bound, row-major) order. Two snapshots of the same registry state therefore encode to
 // identical bytes, which makes /metrics scrapes and JSONL time-series
 // diffable. TestSnapshotOrderingDeterministic pins this down.
 type Snapshot struct {
@@ -375,8 +385,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.hists {
 		s.Histograms = append(s.Histograms, h.Sample(name))
 	}
-	for name, g := range r.grids {
-		gs := GridSample{Name: name, Rows: g.rows, Cols: g.cols}
+	for key, g := range r.grids {
+		gs := GridSample{Name: key.name, Rows: g.rows, Cols: g.cols}
 		for i := range g.cells {
 			if v := g.cells[i].Load(); v != 0 {
 				gs.Cells = append(gs.Cells, GridCell{Row: i / g.cols, Col: i % g.cols, Value: v})
@@ -387,7 +397,9 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Counters, func(a, b int) bool { return s.Counters[a].Name < s.Counters[b].Name })
 	sort.Slice(s.Gauges, func(a, b int) bool { return s.Gauges[a].Name < s.Gauges[b].Name })
 	sort.Slice(s.Histograms, func(a, b int) bool { return s.Histograms[a].Name < s.Histograms[b].Name })
-	sort.Slice(s.Grids, func(a, b int) bool { return s.Grids[a].Name < s.Grids[b].Name })
+	slices.SortFunc(s.Grids, func(a, b GridSample) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Rows, b.Rows), cmp.Compare(a.Cols, b.Cols))
+	})
 	return s
 }
 

@@ -136,8 +136,20 @@ func TestCounterGrid(t *testing.T) {
 	if total != 8 {
 		t.Errorf("cells sum to %d after out-of-range adds, want 8", total)
 	}
-	if r.Grid("grid", 9, 9) != g {
+	if r.Grid("grid", 2, 3) != g {
 		t.Error("get-or-create returned a different grid")
+	}
+	// Another shape is another grid: no count lands in, or is dropped
+	// from, the first registration's cells.
+	other := r.Grid("grid", 9, 9)
+	if other == nil || other == g {
+		t.Fatal("a second shape shared the first shape's grid")
+	}
+	other.Add(8, 8, 5)
+	snap := r.Snapshot()
+	if len(snap.Grids) != 2 || snap.Grids[0].Rows != 2 || snap.Grids[0].Total() != 8 ||
+		snap.Grids[1].Rows != 9 || snap.Grids[1].Total() != 5 {
+		t.Errorf("two shapes snapshot as %+v, want 2x3 with 8 then 9x9 with 5", snap.Grids)
 	}
 	if r.Grid("degenerate", 0, 4) != nil {
 		t.Error("non-positive shape produced a handle")
@@ -179,6 +191,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	h.Observe(1)
 	h.Observe(5)
 	r.Grid("grid", 2, 2).Add(1, 1, 9)
+	r.Grid("grid", 3, 1).Add(2, 0, 4)
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
@@ -198,7 +211,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(s.Histograms) != 1 || s.Histograms[0].Count != 2 || s.Histograms[0].Sum != 6 {
 		t.Errorf("histograms: %+v", s.Histograms)
 	}
-	if len(s.Grids) != 1 || s.Grids[0].Total() != 9 {
+	// One name's shapes are sorted by rows, then columns.
+	if len(s.Grids) != 2 || s.Grids[0].Total() != 9 || s.Grids[1].Rows != 3 || s.Grids[1].Total() != 4 {
 		t.Errorf("grids: %+v", s.Grids)
 	}
 }
@@ -217,6 +231,7 @@ func TestValidateSnapshotRejects(t *testing.T) {
 		{"descending bounds", `{"histograms":[{"name":"h","count":0,"sum":0,"bounds":[2,1],"counts":[0,0,0]}]}`},
 		{"cell out of range", `{"grids":[{"name":"g","rows":1,"cols":1,"cells":[{"row":1,"col":0,"value":1}]}]}`},
 		{"bad grid shape", `{"grids":[{"name":"g","rows":0,"cols":1,"cells":[]}]}`},
+		{"duplicate grid shape", `{"grids":[{"name":"g","rows":1,"cols":2,"cells":[]},{"name":"g","rows":1,"cols":2,"cells":[]}]}`},
 	}
 	for _, c := range bad {
 		if _, err := ValidateSnapshot(strings.NewReader(c.doc)); err == nil {

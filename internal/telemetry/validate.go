@@ -88,7 +88,7 @@ func field(ev map[string]json.RawMessage, key string, dst any) error {
 
 // ValidateSnapshot decodes and checks a metrics snapshot JSON document
 // (the -metrics-out format): names must be non-empty and unique per
-// kind, counters non-negative, histogram bounds strictly ascending with
+// kind (a grid's name and shape together), counters non-negative, histogram bounds strictly ascending with
 // len(counts) == len(bounds)+1 and bucket counts summing to count, and
 // grid cells in range. It returns the decoded snapshot.
 func ValidateSnapshot(r io.Reader) (*Snapshot, error) {
@@ -99,19 +99,19 @@ func ValidateSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("telemetry: snapshot decode: %w", err)
 	}
 	seen := make(map[string]bool)
-	uniq := func(kind, name string) error {
+	uniq := func(kind, name, shape string) error {
 		if name == "" {
 			return fmt.Errorf("telemetry: %s with empty name", kind)
 		}
-		key := kind + "\x00" + name
+		key := kind + "\x00" + name + "\x00" + shape
 		if seen[key] {
-			return fmt.Errorf("telemetry: duplicate %s %q", kind, name)
+			return fmt.Errorf("telemetry: duplicate %s %q%s", kind, name, shape)
 		}
 		seen[key] = true
 		return nil
 	}
 	for _, c := range s.Counters {
-		if err := uniq("counter", c.Name); err != nil {
+		if err := uniq("counter", c.Name, ""); err != nil {
 			return nil, err
 		}
 		if c.Value < 0 {
@@ -119,12 +119,12 @@ func ValidateSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 	}
 	for _, g := range s.Gauges {
-		if err := uniq("gauge", g.Name); err != nil {
+		if err := uniq("gauge", g.Name, ""); err != nil {
 			return nil, err
 		}
 	}
 	for _, h := range s.Histograms {
-		if err := uniq("histogram", h.Name); err != nil {
+		if err := uniq("histogram", h.Name, ""); err != nil {
 			return nil, err
 		}
 		if len(h.Counts) != len(h.Bounds)+1 {
@@ -149,7 +149,7 @@ func ValidateSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 	}
 	for _, g := range s.Grids {
-		if err := uniq("grid", g.Name); err != nil {
+		if err := uniq("grid", g.Name, fmt.Sprintf(" %dx%d", g.Rows, g.Cols)); err != nil {
 			return nil, err
 		}
 		if g.Rows <= 0 || g.Cols <= 0 {
